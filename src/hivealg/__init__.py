@@ -10,7 +10,7 @@ from .counting import (enumerate_hives, hp_series_closed_form,
                        lr_coefficient, lr_via_schur, lr_via_tableaux, md_sum)
 from .hive import Boundary, Hive, InvalidHiveError, MalformedArrayError
 from .polynomial import ColumnTableau, Polynomial, Weight, minor, raising_derivation
-from .shapes import is_dominant, partitions_of, partitions_up_to
+from .shapes import is_dominant, partitions_of
 from .tableau import LRTableau, enumerate_tableaux, hive_to_tableau, tableau_to_hive
 from .tensor_algebra import (GeneratorTable, HighestWeightVector,
                              build_generators, highest_weight_vector, hwv_basis)
@@ -26,6 +26,6 @@ __all__ = [
     "highest_weight_vector", "hive_to_tableau", "hives_up_to_degree",
     "hp_series_closed_form", "hp_series_enumerated", "hp_series_reference",
     "hwv_basis", "is_dominant", "lr_coefficient", "lr_via_schur",
-    "lr_via_tableaux", "md_sum", "minor", "partitions_of", "partitions_up_to",
-    "presentation", "raising_derivation", "tableau_to_hive",
+    "lr_via_tableaux", "md_sum", "minor", "partitions_of", "presentation",
+    "raising_derivation", "tableau_to_hive",
 ]

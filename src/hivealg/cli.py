@@ -97,7 +97,6 @@ def build_parser() -> _Parser:
         p.add_argument("-n", type=int, required=True, help="rank of GL(n)")
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--output", help="write output to a file instead of stdout")
-        p.add_argument("--threads", type=int, default=1)
         if boundary:
             p.add_argument("--lambda", dest="lam", help="outer shape, e.g. 3,2,1")
             p.add_argument("--mu", help="inner shape")
@@ -131,8 +130,6 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "threads", 1) < 1:
-            raise UsageError("--threads must be >= 1")
         return _dispatch(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -222,7 +219,7 @@ def _hp_series(args) -> int:
         raise UsageError("closed-form series data exists only for n = 2, 3, 4")
     enum = closed = None
     if method in ("enum", "both"):
-        enum = counting.hp_series_enumerated(args.n, args.max_degree, threads=args.threads)
+        enum = counting.hp_series_enumerated(args.n, args.max_degree)
     if method in ("closed", "both"):
         closed = counting.hp_series_reference(args.n, args.max_degree)
     if method == "both" and enum != closed:

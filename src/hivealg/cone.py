@@ -8,11 +8,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .counting import _iter_hive_rows
-from .hive import (Hive, flat_index, hive_violations, rhombus_inequalities,
-                   triangle_size)
+from .counting import _iter_hive_rows, boundary_triples
+from .hive import Hive, cone_rows, in_cone, triangle_size
 from .report import CheckResult, ConsistencyError
-from .shapes import contains, pad, partitions_of
 
 # Hilbert bases of the hive cones for n = 2, 3, 4 in the numbering used
 # throughout this package (h_1, h_2, ...), as flat row-major coordinates.
@@ -112,9 +110,7 @@ class InequalitySystem:
         vec = tuple(coords)
         if len(vec) != triangle_size(self.n):
             raise ValueError(f"expected {triangle_size(self.n)} coordinates")
-        return (all(sum(c * v for c, v in zip(row, vec)) >= 0 for row in self.rows)
-                and all(sum(c * v for c, v in zip(row, vec)) == 0
-                        for row in self.equations))
+        return in_cone(vec, self.n)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "rows": [list(r) for r in self.rows],
@@ -123,35 +119,20 @@ class InequalitySystem:
 
 @lru_cache(maxsize=None)
 def cone_inequalities(n: int) -> InequalitySystem:
-    """Inequality rows in the pinned order: left-edge, bottom-edge and
-    right-edge non-negativity, then the three rhombus families (second,
-    third, first), each swept by increasing (i, j)."""
+    """The rows of hive.cone_rows as dense vectors, plus the apex equation."""
     if n < 2:
         raise ValueError("rank must be >= 2")
     dim = triangle_size(n)
 
-    def row(terms) -> tuple[int, ...]:
+    def dense(terms) -> tuple[int, ...]:
         out = [0] * dim
-        for (i, j), c in terms:
-            out[flat_index(i, j)] += c
+        for k, c in terms:
+            out[k] = c
         return tuple(out)
 
-    rows = []
-    for i in range(1, n + 1):  # mu_i >= 0
-        rows.append(row((((i, 1), -1), ((i + 1, 1), 1))))
-    for j in range(1, n + 1):  # nu_j >= 0
-        rows.append(row((((n + 1, j), -1), ((n + 1, j + 1), 1))))
-    for i in range(1, n + 1):  # lambda_i >= 0
-        rows.append(row((((i, i), -1), ((i + 1, i + 1), 1))))
-    by_family = {1: [], 2: [], 3: []}
-    for fam, _i, _j, terms in rhombus_inequalities(n):
-        by_family[fam].append(row(terms))
-    for fam in (2, 3, 1):
-        rows.extend(by_family[fam])
-
-    equation = [0] * dim
-    equation[0] = 1
-    return InequalitySystem(n, tuple(rows), (tuple(equation),))
+    equation = (1,) + (0,) * (dim - 1)
+    return InequalitySystem(n, tuple(dense(terms) for *_, terms in cone_rows(n)),
+                            (equation,))
 
 
 @lru_cache(maxsize=None)
@@ -160,20 +141,10 @@ def hives_up_to_degree(n: int, max_degree: int) -> tuple[Hive, ...]:
     enumerating interiors; sorted by (degree, coordinates)."""
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    found = []
-    for d in range(max_degree + 1):
-        lams = partitions_of(d, n)
-        for j in range(d + 1):
-            for mu in partitions_of(j, n):
-                for nu in partitions_of(d - j, n):
-                    cap = (mu[0] if mu else 0) + (nu[0] if nu else 0)
-                    for lam in lams:
-                        if lam and lam[0] > cap:
-                            continue
-                        if not (contains(lam, mu) and contains(lam, nu)):
-                            continue
-                        for rows in _iter_hive_rows(n, pad(lam, n), pad(mu, n), pad(nu, n)):
-                            found.append(Hive(n, rows))
+    found = [Hive(n, rows)
+             for d in range(max_degree + 1)
+             for triple in boundary_triples(n, d)
+             for rows in _iter_hive_rows(n, *triple)]
     return tuple(sorted(found, key=lambda h: (h.degree, h.to_flat())))
 
 
@@ -273,16 +244,6 @@ class NoDecompositionError(ConsistencyError):
     basis this cannot happen, so it is an internal-consistency failure."""
 
 
-def _subtractable(flat: tuple[int, ...], base: tuple[int, ...], n: int) -> tuple | None:
-    diff = tuple(a - b for a, b in zip(flat, base))
-    rows = []
-    k = 0
-    for i in range(1, n + 2):
-        rows.append(diff[k:k + i])
-        k += i
-    return diff if not hive_violations(rows) else None
-
-
 def decompose(hive: Hive, pres: ConePresentation) -> tuple[int, ...]:
     """Express a hive as a multiset of basis indices (returned sorted).
 
@@ -319,11 +280,10 @@ def _decompose_search(hive: Hive, pres: ConePresentation, first_only: bool) -> s
         stack = [flat]
         current = flat
         while True:
-            nxt = _subtractable(current, basis_flats[k], n)
-            if nxt is None:
+            current = tuple(a - b for a, b in zip(current, basis_flats[k]))
+            if not in_cone(current, n):
                 break
-            stack.append(nxt)
-            current = nxt
+            stack.append(current)
         for count in range(len(stack) - 1, -1, -1):
             picked.extend([k + 1] * count)
             done = search(stack[count], k + 1, picked)

@@ -6,7 +6,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .hive import Hive, rhombus_inequalities
+from .hive import Hive, cone_rows, flat_index
 from .shapes import Parts, contains, is_dominant, normalize, pad, partitions_of
 from .tableau import enumerate_tableaux
 
@@ -31,28 +31,27 @@ SERIES_DENOMINATOR: dict[int, tuple[int, ...]] = {
 
 @lru_cache(maxsize=None)
 def _fill_plan(n: int):
-    """Interior entries in row-major order, each rhombus inequality attached
-    to the last interior entry it mentions (boundary-only ones kept apart).
+    """Flat (start, stop) of each row; interior flat indices in increasing
+    order, each cone row attached to the last interior index it mentions
+    (rows on the boundary alone kept apart).  The 3n edge rows come first in
+    cone_rows and are left out: every dominant boundary satisfies them.
 
-    Attached inequalities are split as (coeff on that entry, residual terms),
-    so interval bounds fall out once everything earlier is placed.
+    Attached rows are split as (coeff on that entry, residual terms), so
+    interval bounds fall out once everything earlier is placed.
     """
-    interior = tuple((i, j) for i in range(3, n + 1) for j in range(2, i))
-    order = {pos: k for k, pos in enumerate(interior)}
-    boundary_only: list[tuple[tuple[int, int, int], ...]] = []
-    attached: list[list] = [[] for _ in interior]
-    for _fam, _i, _j, terms in rhombus_inequalities(n):
-        ks = [order[pos] for pos, _ in terms if pos in order]
-        flat_terms = tuple((p - 1, q - 1, c) for (p, q), c in terms)
-        if not ks:
-            boundary_only.append(flat_terms)
+    row_bounds = tuple((flat_index(i, 1), flat_index(i + 1, 1)) for i in range(1, n + 2))
+    interior = tuple(flat_index(i, j) for i in range(3, n + 1) for j in range(2, i))
+    boundary_only = []
+    attached = {k: [] for k in interior}
+    for *_, terms in cone_rows(n)[3 * n:]:
+        pivot = max((k for k, _ in terms if k in attached), default=None)
+        if pivot is None:
+            boundary_only.append(terms)
         else:
-            k = max(ks)
-            pivot = interior[k]
-            coeff = next(c for pos, c in terms if pos == pivot)
-            rest = tuple((p - 1, q - 1, c) for (p, q), c in terms if (p, q) != pivot)
-            attached[k].append((coeff, rest))
-    return interior, tuple(boundary_only), tuple(tuple(a) for a in attached)
+            attached[pivot].append((dict(terms)[pivot],
+                                    tuple((k, c) for k, c in terms if k != pivot)))
+    return (row_bounds, interior, tuple(boundary_only),
+            tuple(tuple(attached[k]) for k in interior))
 
 
 def _iter_hive_rows(n: int, lam: Parts, mu: Parts, nu: Parts) -> Iterator[tuple]:
@@ -62,44 +61,52 @@ def _iter_hive_rows(n: int, lam: Parts, mu: Parts, nu: Parts) -> Iterator[tuple]
     sum(lam) == sum(mu) + sum(nu); edges are fixed by partial sums and only
     strictly interior entries are searched.
     """
-    interior, boundary_only, attached = _fill_plan(n)
-    arr = [[0] * i for i in range(1, n + 2)]
-    acc = 0
-    for i in range(n):  # left edge: partial sums of mu
-        acc += mu[i]
-        arr[i + 1][0] = acc
-    acc = 0
-    for i in range(n):  # right edge: partial sums of lam
-        acc += lam[i]
-        arr[i + 1][i + 1] = acc
-    acc = arr[n][0]
+    row_bounds, interior, boundary_only, attached = _fill_plan(n)
+    arr = [0] * row_bounds[-1][1]
+    for i in range(n):  # left and right edges: partial sums of mu and lam
+        arr[row_bounds[i + 1][0]] = arr[row_bounds[i][0]] + mu[i]
+        arr[row_bounds[i + 1][1] - 1] = arr[row_bounds[i][1] - 1] + lam[i]
+    bottom = row_bounds[n][0]
     for j in range(n):  # bottom edge: |mu| plus partial sums of nu
-        acc += nu[j]
-        arr[n][j + 1] = acc
+        arr[bottom + j + 1] = arr[bottom + j] + nu[j]
 
     for terms in boundary_only:
-        if sum(c * arr[i][j] for i, j, c in terms) < 0:
+        if sum(c * arr[k] for k, c in terms) < 0:
             return
 
     def fill(k: int) -> Iterator[tuple]:
         if k == len(interior):
-            yield tuple(tuple(row) for row in arr)
+            yield tuple(tuple(arr[start:stop]) for start, stop in row_bounds)
             return
-        i, j = interior[k]
         low, high = None, None
         for coeff, rest in attached[k]:
-            s = sum(c * arr[p][q] for p, q, c in rest)
+            s = sum(c * arr[q] for q, c in rest)
             if coeff > 0:
                 low = -s if low is None else max(low, -s)
             else:
                 high = s if high is None else min(high, s)
-        row = arr[i - 1]
+        pos = interior[k]
         for v in range(low, high + 1):
-            row[j - 1] = v
+            arr[pos] = v
             yield from fill(k + 1)
-        row[j - 1] = 0
 
     yield from fill(0)
+
+
+def boundary_triples(n: int, d: int) -> Iterator[tuple[Parts, Parts, Parts]]:
+    """Every boundary (lam, mu, nu), zero-padded to length n, with
+    |lam| = |mu| + |nu| = d that can carry a hive: lam contains mu and nu,
+    and lam_1 <= mu_1 + nu_1.  Swept by |mu|, then mu, nu and lam, each in
+    partitions_of order."""
+    lams = [pad(lam, n) for lam in partitions_of(d, n)]
+    for j in range(d + 1):
+        for mu in partitions_of(j, n):
+            mu = pad(mu, n)
+            for nu in partitions_of(d - j, n):
+                nu = pad(nu, n)
+                for lam in lams:
+                    if lam[0] <= mu[0] + nu[0] and contains(lam, mu) and contains(lam, nu):
+                        yield lam, mu, nu
 
 
 def _boundary_triple(n, lam, mu, nu) -> tuple[Parts, Parts, Parts] | None:
@@ -149,30 +156,12 @@ def md_sum(n: int, d: int) -> int:
     all parts bounded by n: the degree-d dimension of the hive algebra."""
     if d < 0:
         raise ValueError("degree must be >= 0")
-    total = 0
-    lams = partitions_of(d, n)
-    for j in range(d + 1):
-        for mu in partitions_of(j, n):
-            for nu in partitions_of(d - j, n):
-                cap = (mu[0] if mu else 0) + (nu[0] if nu else 0)
-                for lam in lams:
-                    if lam and lam[0] > cap:
-                        continue
-                    if not (contains(lam, mu) and contains(lam, nu)):
-                        continue
-                    total += lr_coefficient(n, lam, mu, nu)
-    return total
+    return sum(lr_coefficient(n, *triple) for triple in boundary_triples(n, d))
 
 
-def hp_series_enumerated(n: int, max_degree: int, threads: int = 1) -> SeriesPrefix:
+def hp_series_enumerated(n: int, max_degree: int) -> SeriesPrefix:
     """Coefficients m_0..m_D of the Hilbert-Poincare series, by enumeration."""
-    degrees = range(max_degree + 1)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return tuple(pool.map(lambda d: md_sum(n, d), degrees))
-    return tuple(md_sum(n, d) for d in degrees)
+    return tuple(md_sum(n, d) for d in range(max_degree + 1))
 
 
 def hp_series_closed_form(numerator, denominator_exponents, max_degree: int) -> SeriesPrefix:

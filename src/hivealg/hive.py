@@ -12,16 +12,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .shapes import Parts, is_dominant
+from .shapes import Parts
 
 Rows = tuple[tuple[int, ...], ...]
 
-# One inequality sum(coeff * h[pos]) >= 0, positions 1-based (row, col).
-Inequality = tuple[tuple[tuple[int, int], int], ...]
+# One hive condition sum(coeff * flat[k]) >= 0 as (kind, i, j, terms), with
+# terms ((flat index, coeff), ...).
+ConeRow = tuple[str, int, int, tuple[tuple[int, int], ...]]
 
 
 class Violation(NamedTuple):
-    kind: str  # "apex", "rhombus1/2/3", "lambda", "mu", "nu"
+    kind: str  # "apex", "rhombus1/2/3", or the edge "lambda", "mu", "nu"
     i: int
     j: int
     detail: str
@@ -67,26 +68,46 @@ def rank_for_length(count: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def rhombus_inequalities(n: int) -> tuple[tuple[int, int, int, Inequality], ...]:
-    """All rhombus inequalities for rank n as (family, i, j, terms).
+def cone_rows(n: int) -> tuple[ConeRow, ...]:
+    """Every hive condition of rank n, in the pinned order: mu, nu and lambda
+    edge non-negativity (i = part index, j = 0), then the rhombus families
+    2, 3 and 1, each swept by increasing (i, j).
 
-    Families 1..3 are the three orientations of a unit rhombus; each asserts
-    obtuse-corner sum >= acute-corner sum, encoded as sum(coeff*entry) >= 0.
+    A rhombus row asserts obtuse-corner sum >= acute-corner sum.  Together
+    the rhombus rows force every edge to be weakly decreasing, e.g. rhombi
+    (3, i, i) and (2, i, i-1) add up to lambda_{i-1} >= lambda_i.
     """
-    out = []
+    def row(kind, i, j, *terms):
+        return (kind, i, j, tuple((flat_index(p, q), c) for (p, q), c in terms))
+
+    edge = range(1, n + 1)
+    out = [row("mu", i, 0, ((i, 1), -1), ((i + 1, 1), 1)) for i in edge]
+    out += [row("nu", j, 0, ((n + 1, j), -1), ((n + 1, j + 1), 1)) for j in edge]
+    out += [row("lambda", i, 0, ((i, i), -1), ((i + 1, i + 1), 1)) for i in edge]
     for i in range(2, n + 1):
         for j in range(1, i):
-            out.append((1, i, j, (((i, j), 1), ((i + 1, j + 1), 1),
-                                  ((i + 1, j), -1), ((i, j + 1), -1))))
-    for i in range(2, n + 1):
-        for j in range(1, i):
-            out.append((2, i, j, (((i, j), 1), ((i, j + 1), 1),
-                                  ((i + 1, j + 1), -1), ((i - 1, j), -1))))
+            out.append(row("rhombus2", i, j, ((i, j), 1), ((i, j + 1), 1),
+                           ((i + 1, j + 1), -1), ((i - 1, j), -1)))
     for i in range(2, n + 1):
         for j in range(2, i + 1):
-            out.append((3, i, j, (((i + 1, j), 1), ((i, j), 1),
-                                  ((i + 1, j + 1), -1), ((i, j - 1), -1))))
+            out.append(row("rhombus3", i, j, ((i + 1, j), 1), ((i, j), 1),
+                           ((i + 1, j + 1), -1), ((i, j - 1), -1)))
+    for i in range(2, n + 1):
+        for j in range(1, i):
+            out.append(row("rhombus1", i, j, ((i, j), 1), ((i + 1, j + 1), 1),
+                           ((i + 1, j), -1), ((i, j + 1), -1)))
     return tuple(out)
+
+
+def in_cone(flat, n: int) -> bool:
+    """Whether flat row-major coordinates of rank n form a hive: apex zero
+    and every cone row satisfied.  Stops at the first failure."""
+    if flat[0]:
+        return False
+    for _kind, _i, _j, terms in cone_rows(n):
+        if sum(c * flat[k] for k, c in terms) < 0:
+            return False
+    return True
 
 
 def _check_shape(rows: Iterable[Iterable[int]]) -> Rows:
@@ -110,25 +131,26 @@ def _edges(rows: Rows) -> Boundary:
 
 
 def hive_violations(rows: Iterable[Iterable[int]]) -> list[Violation]:
-    """Every violated hive condition, as (kind, i, j, message).
+    """Every violated hive condition, as (kind, i, j, message), in the order
+    of cone_rows.
 
     Raises MalformedArrayError when the entries do not even form a triangle;
     constraint violations are reported, not raised.
     """
     rows = _check_shape(rows)
-    n = len(rows) - 1
+    flat = [v for row in rows for v in row]
     found: list[Violation] = []
-    if rows[0][0] != 0:
-        found.append(Violation("apex", 1, 1, f"h[1][1] = {rows[0][0]}, expected 0"))
-    for fam, i, j, terms in rhombus_inequalities(n):
-        value = sum(c * rows[p - 1][q - 1] for (p, q), c in terms)
-        if value < 0:
-            found.append(Violation(f"rhombus{fam}", i, j,
-                                   f"rhombus family {fam} fails at (i,j)=({i},{j}) by {-value}"))
-    boundary = _edges(rows)
-    for kind, edge in zip(("lambda", "mu", "nu"), boundary):
-        if not is_dominant(edge):
-            found.append(Violation(kind, 0, 0, f"boundary {kind} = {edge} is not dominant"))
+    if flat[0] != 0:
+        found.append(Violation("apex", 1, 1, f"h[1][1] = {flat[0]}, expected 0"))
+    for kind, i, j, terms in cone_rows(len(rows) - 1):
+        value = sum(c * flat[k] for k, c in terms)
+        if value >= 0:
+            continue
+        if kind.startswith("rhombus"):
+            detail = f"rhombus family {kind[-1]} fails at (i,j)=({i},{j}) by {-value}"
+        else:
+            detail = f"{kind}_{i} = {value} is negative"
+        found.append(Violation(kind, i, j, detail))
     return found
 
 
@@ -198,14 +220,3 @@ class Hive:
         if "n" in obj and obj["n"] != hive.n:
             raise ValueError(f"declared rank {obj['n']} does not match rows (rank {hive.n})")
         return hive
-
-
-def difference(a: Hive, b: Hive) -> Hive | None:
-    """a - b as a hive, or None when the difference leaves the cone."""
-    if a.n != b.n:
-        raise ValueError(f"rank mismatch: {a.n} != {b.n}")
-    rows = tuple(tuple(x - y for x, y in zip(ra, rb))
-                 for ra, rb in zip(a.rows, b.rows))
-    if hive_violations(rows):
-        return None
-    return Hive(a.n, rows)

@@ -1,4 +1,4 @@
-"""Partitions (non-negative dominant integer sequences) and skew shapes.
+"""Partitions (non-negative dominant integer sequences).
 
 Partitions are plain tuples of ints.  Trailing zeros are meaningless:
 (2, 1) and (2, 1, 0) label the same Young diagram, so everything here
@@ -8,7 +8,7 @@ normalizes on input and compares after zero-padding.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 Parts = tuple[int, ...]
 
@@ -37,31 +37,11 @@ def pad(parts: Iterable[int], length: int) -> Parts:
     return (seq + (0,) * length)[:length]
 
 
-def size(parts: Iterable[int]) -> int:
-    """Number of boxes |kappa|."""
-    return sum(parts)
-
-
 def contains(outer: Iterable[int], inner: Iterable[int]) -> bool:
     """Diagram containment: inner_i <= outer_i for all i."""
     a, b = tuple(outer), tuple(inner)
     length = max(len(a), len(b))
     return all(x >= y for x, y in zip(pad(a, length), pad(b, length)))
-
-
-class SkewShape(NamedTuple):
-    outer: Parts
-    inner: Parts
-
-
-def skew_shape(outer: Iterable[int], inner: Iterable[int]) -> SkewShape:
-    """Validated skew shape outer/inner."""
-    out, inn = normalize(outer), normalize(inner)
-    if not is_dominant(out) or not is_dominant(inn):
-        raise ValueError(f"{out}/{inn}: both shapes must be partitions")
-    if not contains(out, inn):
-        raise ValueError(f"{out}/{inn}: inner shape not contained in outer")
-    return SkewShape(out, inn)
 
 
 @lru_cache(maxsize=None)
@@ -85,13 +65,3 @@ def partitions_of(d: int, max_parts: int) -> tuple[Parts, ...]:
 
     grow(d, d, [])
     return tuple(found)
-
-
-def partitions_up_to(d: int, max_parts: int) -> list[Parts]:
-    """All partitions with |kappa| <= d and at most max_parts parts, graded
-    by size and lexicographically decreasing within each grade."""
-    if d < 0:
-        raise ValueError("d must be >= 0")
-    if max_parts < 1:
-        raise ValueError("max_parts must be >= 1")
-    return [p for k in range(d + 1) for p in partitions_of(k, max_parts)]

@@ -37,12 +37,6 @@ class LRTableau:
         top = max(counts, default=0)
         return normalize(tuple(counts.get(v, 0) for v in range(1, top + 1)))
 
-    def entry_count(self, i: int, value: int) -> int:
-        """Number of boxes in row i (1-based) containing the given value."""
-        if i > len(self.rows):
-            return 0
-        return sum(1 for v in self.rows[i - 1] if v == value)
-
     def __str__(self) -> str:
         parts = []
         for inner_i, row in zip(pad(self.inner, len(self.outer)), self.rows):

@@ -162,5 +162,6 @@ def test_output_file_writing(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_threads_validation(capsys):
-    assert run(["hp-series", "-n", "2", "--max-degree", "3", "--threads", "0"]) == 1
+def test_threads_flag_is_unknown(capsys):
+    assert run(["hp-series", "-n", "2", "--max-degree", "3", "--threads", "2"]) == 1
+    assert "--threads" in capsys.readouterr().err

@@ -5,7 +5,7 @@ from hivealg.counting import (SERIES_DENOMINATOR, SERIES_NUMERATOR,
                               hp_series_enumerated, hp_series_reference,
                               lr_coefficient, lr_via_schur, lr_via_tableaux,
                               md_sum)
-from hivealg.shapes import partitions_of, size
+from hivealg.shapes import partitions_of
 
 
 def test_lr_coefficient_examples():
@@ -62,7 +62,7 @@ def test_md_sums():
 def test_hp_series_enumerated_prefixes():
     assert hp_series_enumerated(2, 5) == (1, 2, 6, 10, 20, 30)
     assert hp_series_enumerated(3, 5) == (1, 2, 6, 14, 29, 56)
-    assert hp_series_enumerated(4, 5, threads=2) == (1, 2, 6, 14, 34, 68)
+    assert hp_series_enumerated(4, 5) == (1, 2, 6, 14, 34, 68)
 
 
 def test_closed_form_geometric_series():

@@ -4,7 +4,7 @@ import pytest
 
 from hivealg.cone import hives_up_to_degree, presentation
 from hivealg.hive import (Hive, InvalidHiveError, MalformedArrayError,
-                          difference, hive_violations)
+                          hive_violations, in_cone)
 
 WORKED_H = ((0,), (2, 3), (3, 4, 5), (3, 5, 6, 6))
 WORKED_H_PRIME = ((0,), (2, 3), (3, 5, 5), (3, 5, 6, 6))
@@ -96,10 +96,14 @@ def test_grading_equation_holds_on_sample():
 
 def test_difference_detects_cone_exit():
     pres = presentation(3)
-    h_prime = Hive.from_rows(WORKED_H_PRIME)
-    rest = difference(h_prime, pres.basis[0])   # h' - h_1 = h_6 + h_7
-    assert rest is not None and rest.rows == (pres.basis[5] + pres.basis[6]).rows
-    assert difference(Hive.from_rows(WORKED_H), pres.basis[0]) is None
+
+    def minus_h1(rows):
+        return tuple(a - b for a, b in zip(Hive.from_rows(rows).to_flat(),
+                                           pres.basis[0].to_flat()))
+
+    rest = minus_h1(WORKED_H_PRIME)   # h' - h_1 = h_6 + h_7
+    assert in_cone(rest, 3) and rest == (pres.basis[5] + pres.basis[6]).to_flat()
+    assert not in_cone(minus_h1(WORKED_H), 3)
 
 
 def test_flat_and_json_round_trips():

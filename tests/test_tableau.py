@@ -2,7 +2,7 @@ import pytest
 
 from hivealg.counting import enumerate_hives
 from hivealg.hive import Hive
-from hivealg.shapes import partitions_of, size
+from hivealg.shapes import partitions_of
 from hivealg.tableau import (LRTableau, TableauError, enumerate_tableaux,
                              hive_to_tableau, tableau_to_hive,
                              validate_tableau)
@@ -40,6 +40,13 @@ def test_size_mismatch_is_rejected():
         validate_tableau((2, 1), (), ((1, 1),))
 
 
+def test_skew_shape_validation():
+    with pytest.raises(TableauError, match="not contained"):
+        validate_tableau((2, 1), (3,), ((), ()))
+    with pytest.raises(TableauError, match="not partitions"):
+        validate_tableau((1, 2), (), ((1,), (2, 2)))
+
+
 def test_lattice_word_violation():
     # straight shape (1,1) filled 2 then ... a lone leading 2 breaks lattice
     with pytest.raises(TableauError, match="lattice"):
@@ -68,7 +75,7 @@ def test_rank2_degree3_sweep_matches_display():
     found = set()
     for lam in partitions_of(3, 2):
         for mu in (p for d in range(4) for p in partitions_of(d, 2)):
-            for nu in partitions_of(3 - size(mu), 2):
+            for nu in partitions_of(3 - sum(mu), 2):
                 for t in enumerate_tableaux(2, lam, mu, nu):
                     found.add((t.outer, t.inner, t.rows))
     assert found == expected
