@@ -3,6 +3,7 @@ counts m_d, and Hilbert-Poincare series (enumerated and closed form)."""
 
 from __future__ import annotations
 
+import linecache
 from functools import lru_cache
 from typing import Iterator
 
@@ -54,14 +55,11 @@ def _fill_plan(n: int):
             tuple(tuple(attached[k]) for k in interior))
 
 
-def _iter_hive_rows(n: int, lam: Parts, mu: Parts, nu: Parts) -> Iterator[tuple]:
-    """Yield the row tuples of every hive with the given boundary.
-
-    Inputs must be dominant, zero-padded to length n, with
-    sum(lam) == sum(mu) + sum(nu); edges are fixed by partial sums and only
-    strictly interior entries are searched.
-    """
-    row_bounds, interior, boundary_only, attached = _fill_plan(n)
+def _boundary_array(n: int, lam: Parts, mu: Parts, nu: Parts) -> list[int] | None:
+    """Flat array with the three edges set from partial sums of the boundary
+    and the interior left at zero, or None when a row on the boundary alone
+    fails.  Inputs as for _iter_hive_rows."""
+    row_bounds, _interior, boundary_only, _attached = _fill_plan(n)
     arr = [0] * row_bounds[-1][1]
     for i in range(n):  # left and right edges: partial sums of mu and lam
         arr[row_bounds[i + 1][0]] = arr[row_bounds[i][0]] + mu[i]
@@ -69,28 +67,94 @@ def _iter_hive_rows(n: int, lam: Parts, mu: Parts, nu: Parts) -> Iterator[tuple]
     bottom = row_bounds[n][0]
     for j in range(n):  # bottom edge: |mu| plus partial sums of nu
         arr[bottom + j + 1] = arr[bottom + j] + nu[j]
-
     for terms in boundary_only:
         if sum(c * arr[k] for k, c in terms) < 0:
-            return
+            return None
+    return arr
 
-    def fill(k: int) -> Iterator[tuple]:
-        if k == len(interior):
-            yield tuple(tuple(arr[start:stop]) for start, stop in row_bounds)
-            return
-        low, high = None, None
-        for coeff, rest in attached[k]:
-            s = sum(c * arr[q] for q, c in rest)
-            if coeff > 0:
-                low = -s if low is None else max(low, -s)
-            else:
-                high = s if high is None else min(high, s)
-        pos = interior[k]
-        for v in range(low, high + 1):
-            arr[pos] = v
-            yield from fill(k + 1)
 
-    yield from fill(0)
+def _linear(terms) -> str:
+    """Source of sum(c * a[k]) for coefficients c of +-1, positive terms first."""
+    out = ""
+    for k, c in sorted(terms, key=lambda term: -term[1]):
+        sign = "-" if c < 0 else "+"
+        out += f" {sign} a[{k}]" if out else ("-" if c < 0 else "") + f"a[{k}]"
+    return out
+
+
+def _bound(candidates: list[str], pick: str) -> str:
+    return candidates[0] if len(candidates) == 1 else f"{pick}({', '.join(candidates)})"
+
+
+def _kernel_source(n: int, count: bool) -> str:
+    """One function per interior entry, in plan order.  _e<k>(a) reads its
+    interval from the entries placed before it, then loops over it, writing
+    a[pos] and calling _e<k+1>.  Counting, the last entry returns the length
+    of its interval; enumerating, the last loop yields the row tuples."""
+    row_bounds, interior, _boundary_only, attached = _fill_plan(n)
+    rows = "(" + ", ".join(
+        "(" + ", ".join(f"a[{k}]" for k in range(start, stop)) + ",)"
+        for start, stop in row_bounds) + ")"
+    if not interior:
+        return f"def _e0(a):\n    {'return 1' if count else 'yield ' + rows}\n"
+    lines = []
+    for k, (pos, rows_k) in enumerate(zip(interior, attached)):
+        low, high = [], []
+        for coeff, rest in rows_k:
+            if {coeff, *(c for _, c in rest)} - {1, -1}:
+                raise ValueError(f"a row on a[{pos}] has a coefficient other than +-1")
+            # coeff * a[pos] + rest >= 0: a[pos] >= -rest, or a[pos] <= rest
+            (low if coeff == 1 else high).append(_linear((q, -coeff * c) for q, c in rest))
+        if not low or not high:
+            raise ValueError(f"interior entry a[{pos}] has an unbounded interval")
+        lines += [f"def _e{k}(a):",
+                  f"    lo = {_bound(low, 'max')}",
+                  f"    hi = {_bound(high, 'min')}"]
+        last = k == len(interior) - 1
+        if count and last:
+            lines.append("    return hi - lo + 1 if hi >= lo else 0")
+        elif count:
+            lines += ["    t = 0",
+                      "    for v in range(lo, hi + 1):",
+                      f"        a[{pos}] = v",
+                      f"        t += _e{k + 1}(a)",
+                      "    return t"]
+        else:
+            lines += ["    for v in range(lo, hi + 1):",
+                      f"        a[{pos}] = v",
+                      f"        yield {rows}" if last else f"        yield from _e{k + 1}(a)"]
+        lines.append("")
+    return "\n".join(lines)
+
+
+@lru_cache(maxsize=32)
+def _kernel(n: int, count: bool):
+    """The compiled DFS over the interior of a rank-n hive: called on a
+    _boundary_array, it returns the number of hives (count) or yields the row
+    tuples of each in search order.  The source holds only integer indices
+    from cone_rows; it is registered with linecache under its filename, so
+    tracebacks, profiles and inspect.getsource show the generated lines.
+
+    One function per entry rather than one nested loop: CPython rejects more
+    than 20 statically nested blocks, and rank 8 has 21 interior entries."""
+    source = _kernel_source(n, count)
+    filename = f"<hivealg kernel n={n} {'count' if count else 'enumerate'}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"__name__": __name__}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["_e0"]
+
+
+def _iter_hive_rows(n: int, lam: Parts, mu: Parts, nu: Parts) -> Iterator[tuple]:
+    """Yield the row tuples of every hive with the given boundary.
+
+    Inputs must be dominant, zero-padded to length n, with
+    sum(lam) == sum(mu) + sum(nu); edges are fixed by partial sums and only
+    strictly interior entries are searched.
+    """
+    arr = _boundary_array(n, lam, mu, nu)
+    if arr is not None:
+        yield from _kernel(n, False)(arr)
 
 
 def boundary_triples(n: int, d: int) -> Iterator[tuple[Parts, Parts, Parts]]:
@@ -109,8 +173,14 @@ def boundary_triples(n: int, d: int) -> Iterator[tuple[Parts, Parts, Parts]]:
                         yield lam, mu, nu
 
 
+def _check_rank(n: int) -> None:
+    if n < 1:
+        raise ValueError("rank must be >= 1")
+
+
 def _boundary_triple(n, lam, mu, nu) -> tuple[Parts, Parts, Parts] | None:
     """Normalize a boundary triple, or None when no hive can carry it."""
+    _check_rank(n)
     lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
     for name, p in (("lambda", lam), ("mu", mu), ("nu", nu)):
         if not is_dominant(p):
@@ -132,7 +202,8 @@ def enumerate_hives(n, lam, mu, nu) -> list[Hive]:
 
 @lru_cache(maxsize=None)
 def _hive_count(n: int, lam: Parts, mu: Parts, nu: Parts) -> int:
-    return sum(1 for _ in _iter_hive_rows(n, lam, mu, nu))
+    arr = _boundary_array(n, lam, mu, nu)
+    return 0 if arr is None else _kernel(n, True)(arr)
 
 
 def lr_coefficient(n, lam, mu, nu) -> int:
@@ -148,12 +219,14 @@ def lr_coefficient(n, lam, mu, nu) -> int:
 
 def lr_via_tableaux(n, lam, mu, nu) -> int:
     """Independent count of the same coefficient by tableau enumeration."""
+    _check_rank(n)
     return len(enumerate_tableaux(n, lam, mu, nu))
 
 
 def md_sum(n: int, d: int) -> int:
     """Sum of LR coefficients over triples with |lambda| = |mu| + |nu| = d,
     all parts bounded by n: the degree-d dimension of the hive algebra."""
+    _check_rank(n)
     if d < 0:
         raise ValueError("degree must be >= 0")
     return sum(lr_coefficient(n, *triple) for triple in boundary_triples(n, d))
@@ -161,6 +234,7 @@ def md_sum(n: int, d: int) -> int:
 
 def hp_series_enumerated(n: int, max_degree: int) -> SeriesPrefix:
     """Coefficients m_0..m_D of the Hilbert-Poincare series, by enumeration."""
+    _check_rank(n)
     return tuple(md_sum(n, d) for d in range(max_degree + 1))
 
 
@@ -256,6 +330,7 @@ def _schur_product_expansion(n: int, mu: Parts, nu: Parts) -> dict:
 
 def lr_via_schur(n, lam, mu, nu) -> int:
     """Third route: coefficient of s_lam in the product s_mu * s_nu."""
+    _check_rank(n)
     lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
     for name, p in (("lambda", lam), ("mu", mu), ("nu", nu)):
         if not is_dominant(p):

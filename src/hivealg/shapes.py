@@ -8,6 +8,7 @@ normalizes on input and compares after zero-padding.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Iterable
 
 Parts = tuple[int, ...]
@@ -39,9 +40,7 @@ def pad(parts: Iterable[int], length: int) -> Parts:
 
 def contains(outer: Iterable[int], inner: Iterable[int]) -> bool:
     """Diagram containment: inner_i <= outer_i for all i."""
-    a, b = tuple(outer), tuple(inner)
-    length = max(len(a), len(b))
-    return all(x >= y for x, y in zip(pad(a, length), pad(b, length)))
+    return all(x >= y for x, y in zip_longest(outer, inner, fillvalue=0))
 
 
 @lru_cache(maxsize=None)

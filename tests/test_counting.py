@@ -23,6 +23,21 @@ def test_lr_coefficient_rejects_non_partitions():
         lr_via_schur(3, (2, 1), (-1,), (2, 1, 1))
 
 
+@pytest.mark.parametrize("n", [0, -2])
+@pytest.mark.parametrize("call", [
+    lambda n: lr_coefficient(n, (), (), ()),
+    lambda n: enumerate_hives(n, (), (), ()),
+    lambda n: lr_via_tableaux(n, (), (), ()),
+    lambda n: lr_via_schur(n, (), (), ()),
+    lambda n: md_sum(n, 0),
+    lambda n: hp_series_enumerated(n, 2),
+], ids=["lr_coefficient", "enumerate_hives", "lr_via_tableaux", "lr_via_schur",
+        "md_sum", "hp_series_enumerated"])
+def test_counting_rejects_rank_below_one(call, n):
+    with pytest.raises(ValueError, match="rank must be >= 1"):
+        call(n)
+
+
 def test_lr_symmetric_in_mu_nu():
     assert (lr_coefficient(3, (4, 2, 1), (2, 1), (3, 1))
             == lr_coefficient(3, (4, 2, 1), (3, 1), (2, 1))

@@ -77,3 +77,7 @@ def test_contains():
     assert contains((3, 2, 1), (2, 1))
     assert contains((3, 2, 1), (3, 2, 1))
     assert not contains((3, 2), (2, 2, 1))
+    assert contains((2,), (2, 0, 0))
+    assert contains((2, 1, 0), (2,))
+    assert not contains((1,), (1, 1))
+    assert not contains((1, 0, 0), (1, 1))
