@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 domain or usage error (bad partition, malformed
-hive, unknown flag), 2 internal consistency failure (a pinned cross-check
-diverged).
+hive, unknown flag, an --output path that cannot be written), 2 internal
+consistency failure (a pinned cross-check diverged).
 """
 
 from __future__ import annotations
@@ -53,14 +53,17 @@ def _parse_hive(text: str, n: int) -> Hive:
     return hive
 
 
-def _emit(args, text_lines, json_obj) -> None:
-    payload = (json.dumps(json_obj, indent=2) + "\n" if args.format == "json"
-               else "\n".join(text_lines) + ("\n" if text_lines else ""))
+def _write(args, text: str) -> None:
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(payload)
+            fh.write(text)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.write(text)
+
+
+def _emit(args, text_lines, json_obj) -> None:
+    _write(args, json.dumps(json_obj, indent=2) + "\n" if args.format == "json"
+           else "\n".join(text_lines) + ("\n" if text_lines else ""))
 
 
 def _series_text(coeffs) -> list[str]:
@@ -137,6 +140,10 @@ def run(argv) -> int:
     except (InvalidHiveError, MalformedArrayError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 1
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 2
@@ -200,11 +207,7 @@ def _dispatch(args) -> int:
         else:
             _require_rank(args.n, COUNTING_RANKS, "cone export")
             text = cone.inequalities_input_text(args.n)
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(args, text)
         return 0
 
     raise UsageError(f"unknown command {cmd!r}")

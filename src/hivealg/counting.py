@@ -163,14 +163,20 @@ def boundary_triples(n: int, d: int) -> Iterator[tuple[Parts, Parts, Parts]]:
     and lam_1 <= mu_1 + nu_1.  Swept by |mu|, then mu, nu and lam, each in
     partitions_of order."""
     lams = [pad(lam, n) for lam in partitions_of(d, n)]
+    by_size = [[pad(p, n) for p in partitions_of(j, n)] for j in range(d + 1)]
+    # bit i of a mask stands for lams[i]; lam_1 decreases along lams
+    above = {p: sum(1 << i for i, lam in enumerate(lams) if contains(lam, p))
+             for parts in by_size for p in parts}
+    fits = [sum(1 << i for i, lam in enumerate(lams) if lam[0] <= cap)
+            for cap in range(d + 1)]
     for j in range(d + 1):
-        for mu in partitions_of(j, n):
-            mu = pad(mu, n)
-            for nu in partitions_of(d - j, n):
-                nu = pad(nu, n)
-                for lam in lams:
-                    if lam[0] <= mu[0] + nu[0] and contains(lam, mu) and contains(lam, nu):
-                        yield lam, mu, nu
+        for mu in by_size[j]:
+            for nu in by_size[d - j]:
+                admitted = above[mu] & above[nu] & fits[mu[0] + nu[0]]
+                while admitted:
+                    low = admitted & -admitted
+                    yield lams[low.bit_length() - 1], mu, nu
+                    admitted ^= low
 
 
 def _check_rank(n: int) -> None:

@@ -5,6 +5,15 @@ x entries (by column), then row 1's y entries, then row 2, and so on.  The
 term order is pure lexicographic in that variable order; under it the
 leading term of any minor on increasing row and column sets is its main
 diagonal, with coefficient +1.
+
+A monomial is one int: its exponent vector packed into 8-bit fields, with
+variable 0 in the most significant field (Kronecker substitution, as in
+Monagan and Pearce's packed exponent vectors).  Multiplying two monomials
+is an integer add, the lex order is the int order, and
+key.to_bytes(2 * n * n, "big") is the exponent vector.  No term may have
+total degree above 255, so no field ever carries into its neighbour: a
+product or a JSON term past that raises ValueError, and the derivations
+never raise the degree.
 """
 
 from __future__ import annotations
@@ -14,7 +23,9 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, NamedTuple
 
-Exponents = tuple[int, ...]
+Exponents = int  # packed exponent vector, see the module docstring
+
+MAX_DEGREE = 255
 
 
 def variable_count(n: int) -> int:
@@ -29,6 +40,11 @@ def variable_index(n: int, kind: str, i: int, j: int) -> int:
     return (i - 1) * 2 * n + (0 if kind == "x" else n) + (j - 1)
 
 
+def _shift(n: int, idx: int) -> int:
+    """Bit offset of variable idx's field."""
+    return 8 * (variable_count(n) - 1 - idx)
+
+
 @lru_cache(maxsize=None)
 def variable_labels(n: int) -> tuple[tuple[str, int, int], ...]:
     """(kind, i, j) for each variable index."""
@@ -37,6 +53,34 @@ def variable_labels(n: int) -> tuple[tuple[str, int, int], ...]:
         out.extend(("x", i, j) for j in range(1, n + 1))
         out.extend(("y", i, j) for j in range(1, n + 1))
     return tuple(out)
+
+
+@lru_cache(maxsize=16)
+def _names(n: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Per variable index: the rendered name x[i][j] and the JSON name xij."""
+    labels = variable_labels(n)
+    return (tuple(f"{kind}[{i}][{j}]" for kind, i, j in labels),
+            tuple(f"{kind}{i}{j}" for kind, i, j in labels))
+
+
+def _pack(exps: list[int]) -> Exponents:
+    """Packed key of an exponent vector, refusing what the fields cannot hold."""
+    if min(exps) < 0:
+        raise ValueError(f"negative exponent in {exps}")
+    if sum(exps) > MAX_DEGREE:
+        raise ValueError(f"monomial of degree {sum(exps)}: packed exponents "
+                         f"allow total degree at most {MAX_DEGREE}")
+    return int.from_bytes(bytes(exps), "big")
+
+
+def _degree(terms) -> int:
+    """Largest total degree of the packed keys.  A key is congruent to its
+    field sum mod 255 (256 = 1 mod 255) and no stored term has degree above
+    255, so only a nonconstant key of degree exactly 255 reads 0."""
+    residues = list(map(MAX_DEGREE.__rmod__, terms))
+    if residues.count(0) > (0 in terms):
+        return MAX_DEGREE
+    return max(residues, default=0)
 
 
 class Weight(NamedTuple):
@@ -51,19 +95,36 @@ class NotHomogeneousError(ValueError):
     pass
 
 
+@lru_cache(maxsize=16)
+def _weight_maps(n: int) -> tuple[int, int, int]:
+    """Ints that turn a packed key into its weight in one or two operations,
+    so weight() compares all terms at C speed.  With width = 2n fields per
+    row of [X | Y]:
+
+    - key % (2^(8 width) - 1) adds the n row blocks field by field: the
+      column degrees, x columns then y columns;
+    - key * (1 + 2^8 + ... + 2^(8 (width - 1))) holds the sum of each row
+      block in that block's most significant field; the mask keeps those.
+
+    Both are exact because every partial sum of fields is at most the term's
+    total degree, which is at most 255: nothing carries, and the column sums
+    cannot fill all their fields with 255, which the modulus would read as 0."""
+    width = 2 * n
+    ones = sum(1 << 8 * t for t in range(width))
+    row_mask = sum(0xFF << 8 * (width * r + width - 1) for r in range(n))
+    return ones, row_mask, (1 << 8 * width) - 1
+
+
 def _term_weight(n: int, exps: Exponents) -> Weight:
-    lam, mu, nu = [0] * n, [0] * n, [0] * n
-    for idx, e in enumerate(exps):
-        if not e:
-            continue
-        kind, i, j = variable_labels(n)[idx]
-        lam[i - 1] += e
-        (mu if kind == "x" else nu)[j - 1] += e
-    return Weight(tuple(lam), tuple(mu), tuple(nu))
+    powers = exps.to_bytes(variable_count(n), "big")
+    width = 2 * n  # one row of [X | Y]
+    return Weight(tuple(sum(powers[r * width:(r + 1) * width]) for r in range(n)),
+                  tuple(sum(powers[j::width]) for j in range(n)),
+                  tuple(sum(powers[n + j::width]) for j in range(n)))
 
 
 class Polynomial:
-    """Integer-coefficient polynomial, stored as {exponent tuple: coefficient}
+    """Integer-coefficient polynomial, stored as {packed exponents: coefficient}
     with no zero coefficients.  Treat instances as immutable."""
 
     __slots__ = ("n", "terms")
@@ -84,13 +145,11 @@ class Polynomial:
 
     @classmethod
     def constant(cls, n: int, c: int) -> "Polynomial":
-        return cls(n, {(0,) * variable_count(n): c} if c else {})
+        return cls(n, {0: c} if c else {})
 
     @classmethod
     def variable(cls, n: int, kind: str, i: int, j: int) -> "Polynomial":
-        exps = [0] * variable_count(n)
-        exps[variable_index(n, kind, i, j)] = 1
-        return cls(n, {tuple(exps): 1})
+        return cls(n, {1 << _shift(n, variable_index(n, kind, i, j)): 1})
 
     # -- ring operations ---------------------------------------------------
 
@@ -138,11 +197,17 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        degree = _degree(self.terms) + _degree(other.terms)
+        if degree > MAX_DEGREE:
+            raise ValueError(f"product of degree up to {degree}: packed exponents "
+                             f"allow total degree at most {MAX_DEGREE}")
         out: dict[Exponents, int] = {}
+        get = out.get
+        right = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(key, 0) + c1 * c2
+            for e2, c2 in right:
+                key = e1 + e2
+                s = get(key, 0) + c1 * c2
                 if s:
                     out[key] = s
                 else:
@@ -183,34 +248,37 @@ class Polynomial:
         with two offending terms when they disagree."""
         if not self.terms:
             raise ValueError("zero polynomial has no weight")
-        it = iter(self.terms)
-        first = next(it)
+        terms = self.terms
+        first = next(iter(terms))
         w = _term_weight(self.n, first)
-        for exps in it:
-            if _term_weight(self.n, exps) != w:
-                raise NotHomogeneousError(
-                    f"terms {render_monomial(self.n, first)} and "
-                    f"{render_monomial(self.n, exps)} have different weights")
+        ones, row_mask, column_mod = _weight_maps(self.n)
+        if (len(set(map(column_mod.__rmod__, terms))) > 1
+                or len(set(map(row_mask.__and__, map(ones.__mul__, terms)))) > 1):
+            other = next(e for e in terms if _term_weight(self.n, e) != w)
+            raise NotHomogeneousError(
+                f"terms {render_monomial(self.n, first)} and "
+                f"{render_monomial(self.n, other)} have different weights")
         return w
 
     def partial(self, kind: str, i: int, j: int) -> "Polynomial":
-        idx = variable_index(self.n, kind, i, j)
+        shift = _shift(self.n, variable_index(self.n, kind, i, j))
+        unit = 1 << shift
         out: dict[Exponents, int] = {}
         for exps, c in self.terms.items():
-            e = exps[idx]
+            e = exps >> shift & 0xFF
             if e:
-                key = exps[:idx] + (e - 1,) + exps[idx + 1:]
-                out[key] = out.get(key, 0) + c * e
+                out[exps - unit] = out.get(exps - unit, 0) + c * e
         return Polynomial(self.n, {k: v for k, v in out.items() if v})
 
     def evaluate(self, values: Iterable[int]) -> int:
         vals = tuple(values)
-        if len(vals) != variable_count(self.n):
-            raise ValueError(f"expected {variable_count(self.n)} values")
+        size = variable_count(self.n)
+        if len(vals) != size:
+            raise ValueError(f"expected {size} values")
         total = 0
         for exps, c in self.terms.items():
             prod = c
-            for v, e in zip(vals, exps):
+            for v, e in zip(vals, exps.to_bytes(size, "big")):
                 if e:
                     prod *= v ** e
             total += prod
@@ -239,15 +307,12 @@ class Polynomial:
         return f"Polynomial(n={self.n}, {len(self.terms)} terms)"
 
     def to_json_obj(self) -> list[dict]:
-        out = []
-        for exps in sorted(self.terms, reverse=True):
-            entry = {}
-            for idx, e in enumerate(exps):
-                if e:
-                    kind, i, j = variable_labels(self.n)[idx]
-                    entry[f"{kind}{i}{j}"] = e
-            out.append({"coeff": str(self.terms[exps]), "exps": entry})
-        return out
+        names = _names(self.n)[1]
+        size = variable_count(self.n)
+        return [{"coeff": str(self.terms[exps]),
+                 "exps": {names[idx]: e
+                          for idx, e in enumerate(exps.to_bytes(size, "big")) if e}}
+                for exps in sorted(self.terms, reverse=True)]
 
     @classmethod
     def from_json_obj(cls, n: int, obj: list[dict]) -> "Polynomial":
@@ -257,27 +322,45 @@ class Polynomial:
             for name, e in item["exps"].items():
                 kind, i, j = name[0], int(name[1]), int(name[2])
                 exps[variable_index(n, kind, i, j)] = int(e)
+            key = _pack(exps)
             c = int(item["coeff"])
             if c:
-                terms[tuple(exps)] = terms.get(tuple(exps), 0) + c
+                terms[key] = terms.get(key, 0) + c
         return cls(n, {k: v for k, v in terms.items() if v})
 
 
 def render_monomial(n: int, exps: Exponents) -> str:
-    parts = []
-    for idx, e in enumerate(exps):
-        if e:
-            kind, i, j = variable_labels(n)[idx]
-            parts.append(f"{kind}[{i}][{j}]" + (f"^{e}" if e > 1 else ""))
+    names = _names(n)[0]
+    parts = [names[idx] if e == 1 else f"{names[idx]}^{e}"
+             for idx, e in enumerate(exps.to_bytes(variable_count(n), "big")) if e]
     return "*".join(parts) if parts else "1"
 
 
 def monomial_exponents(n: int, factors: Iterable[tuple[str, int, int]]) -> Exponents:
-    """Exponent tuple of a product of variables given as (kind, i, j)."""
+    """Packed exponents of a product of variables given as (kind, i, j)."""
     exps = [0] * variable_count(n)
     for kind, i, j in factors:
         exps[variable_index(n, kind, i, j)] += 1
-    return tuple(exps)
+    return _pack(exps)
+
+
+@lru_cache(maxsize=64)
+def _raising_moves(n: int, factor: int, k: int) -> tuple[tuple[int, int], ...]:
+    """For each variable pair of a raising operator: the index of the
+    variable it differentiates, and the packed change that moves one power
+    from that variable to its partner."""
+    pairs = []  # (index gaining a power, index differentiated)
+    if factor == 1:
+        for j in range(1, n + 1):
+            pairs.append((variable_index(n, "x", k, j), variable_index(n, "x", k + 1, j)))
+            pairs.append((variable_index(n, "y", k, j), variable_index(n, "y", k + 1, j)))
+    elif factor == 2:
+        for i in range(1, n + 1):
+            pairs.append((variable_index(n, "x", i, k), variable_index(n, "x", i, k + 1)))
+    else:
+        for i in range(1, n + 1):
+            pairs.append((variable_index(n, "y", i, k), variable_index(n, "y", i, k + 1)))
+    return tuple((tgt, (1 << _shift(n, src)) - (1 << _shift(n, tgt))) for src, tgt in pairs)
 
 
 def raising_derivation(factor: int, k: int, p: Polynomial) -> Polynomial:
@@ -292,27 +375,17 @@ def raising_derivation(factor: int, k: int, p: Polynomial) -> Polynomial:
         raise ValueError("factor must be 1, 2, or 3")
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in 1..{n - 1}")
-    pairs = []  # (index gaining a power, index differentiated)
-    if factor == 1:
-        for j in range(1, n + 1):
-            pairs.append((variable_index(n, "x", k, j), variable_index(n, "x", k + 1, j)))
-            pairs.append((variable_index(n, "y", k, j), variable_index(n, "y", k + 1, j)))
-    elif factor == 2:
-        for i in range(1, n + 1):
-            pairs.append((variable_index(n, "x", i, k), variable_index(n, "x", i, k + 1)))
-    else:
-        for i in range(1, n + 1):
-            pairs.append((variable_index(n, "y", i, k), variable_index(n, "y", i, k + 1)))
+    moves = _raising_moves(n, factor, k)
+    size = variable_count(n)
     out: dict[Exponents, int] = {}
+    get = out.get
     for exps, c in p.terms.items():
-        for src, tgt in pairs:
-            e = exps[tgt]
+        powers = exps.to_bytes(size, "big")
+        for tgt, delta in moves:
+            e = powers[tgt]
             if e:
-                lst = list(exps)
-                lst[tgt] -= 1
-                lst[src] += 1
-                key = tuple(lst)
-                s = out.get(key, 0) + c * e
+                key = exps + delta
+                s = get(key, 0) + c * e
                 if s:
                     out[key] = s
                 else:

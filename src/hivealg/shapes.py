@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import zip_longest
+from operator import ge
 from typing import Iterable
 
 Parts = tuple[int, ...]
@@ -17,25 +18,26 @@ Parts = tuple[int, ...]
 def is_dominant(parts: Iterable[int]) -> bool:
     """True iff the sequence is weakly decreasing with all entries >= 0."""
     seq = tuple(parts)
-    if any(p < 0 for p in seq):
-        return False
-    return all(a >= b for a, b in zip(seq, seq[1:]))
+    return not seq or (seq[-1] >= 0 and all(map(ge, seq, seq[1:])))
 
 
 def normalize(parts: Iterable[int]) -> Parts:
     """Strip trailing zeros."""
     seq = tuple(parts)
-    while seq and seq[-1] == 0:
-        seq = seq[:-1]
-    return seq
+    end = len(seq)
+    while end and seq[end - 1] == 0:
+        end -= 1
+    return seq[:end]
 
 
 def pad(parts: Iterable[int], length: int) -> Parts:
     """Zero-pad to the given length; reject nonzero parts beyond it."""
     seq = tuple(parts)
+    if len(seq) < length:
+        return seq + (0,) * (length - len(seq))
     if any(seq[length:]):
         raise ValueError(f"{seq} has more than {length} nonzero parts")
-    return (seq + (0,) * length)[:length]
+    return seq[:length]
 
 
 def contains(outer: Iterable[int], inner: Iterable[int]) -> bool:

@@ -162,6 +162,23 @@ def test_output_file_writing(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_output_into_missing_directory_is_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    assert run(["lrcoef", "-n", "2", "--lambda", "1", "--nu", "1",
+                "--output", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and str(target) in err
+    assert "Traceback" not in err and not target.exists()
+
+
+def test_output_to_directory_is_error(tmp_path, capsys):
+    assert run(["export-cone", "-n", "2", "--format", "appendix-inequalities",
+                "--output", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and str(tmp_path) in err
+    assert "Traceback" not in err
+
+
 def test_threads_flag_is_unknown(capsys):
     assert run(["hp-series", "-n", "2", "--max-degree", "3", "--threads", "2"]) == 1
     assert "--threads" in capsys.readouterr().err

@@ -1,11 +1,11 @@
 import pytest
 
 from hivealg.counting import (SERIES_DENOMINATOR, SERIES_NUMERATOR,
-                              enumerate_hives, hp_series_closed_form,
+                              boundary_triples, enumerate_hives, hp_series_closed_form,
                               hp_series_enumerated, hp_series_reference,
                               lr_coefficient, lr_via_schur, lr_via_tableaux,
                               md_sum)
-from hivealg.shapes import partitions_of
+from hivealg.shapes import contains, pad, partitions_of
 
 
 def test_lr_coefficient_examples():
@@ -135,3 +135,20 @@ def test_three_routes_agree_on_spot_checks():
     for n, lam, mu, nu in triples:
         a = lr_coefficient(n, lam, mu, nu)
         assert a == lr_via_tableaux(n, lam, mu, nu) == lr_via_schur(n, lam, mu, nu)
+
+
+def swept_triples(n, d):
+    """Oracle: every (mu, nu) pair against every lam, tested one by one."""
+    lams = [pad(lam, n) for lam in partitions_of(d, n)]
+    return [(lam, mu, nu)
+            for j in range(d + 1)
+            for mu in (pad(p, n) for p in partitions_of(j, n))
+            for nu in (pad(p, n) for p in partitions_of(d - j, n))
+            for lam in lams
+            if lam[0] <= mu[0] + nu[0] and contains(lam, mu) and contains(lam, nu)]
+
+
+@pytest.mark.parametrize("n,max_degree", [(1, 4), (2, 8), (3, 8), (4, 8), (5, 7)])
+def test_boundary_triples_match_sweep_in_order(n, max_degree):
+    for d in range(max_degree + 1):
+        assert list(boundary_triples(n, d)) == swept_triples(n, d)

@@ -1,0 +1,44 @@
+"""Byte-for-byte pins of CLI output that depends on the polynomial layer.
+
+The digests are SHA-256 of stdout, computed with the tuple-exponent
+polynomials that the packed-int representation replaced; a change of
+representation or of term order must leave them as they are.
+"""
+
+import hashlib
+
+import pytest
+
+from hivealg.cli import run
+
+HWV_DIGESTS = {
+    # hive (degree 6, 8, 9): (text digest, JSON digest)
+    "0;1,2;2,3,4;3,4,5,5;3,4,5,6,6": (
+        "1e3ecff065d66c4727f9dd6117a4317e8aac368f2b409f74f4eb8d4dcf0dfa97",
+        "1b2742a47acdb002d6e0e329608f56a609f3a5b7f8f8c9dfe1724e06da168a30"),
+    "0;1,2;2,3,4;3,4,5,6;3,5,6,7,8": (
+        "5db9dfe059712c099d26b2a238bd16aae9a335fe22c5f41d5806f7cafa737f8a",
+        "9be4e01fbe119fe6cdd6c84e9af6bf2cfc54ea4a44b02a134a2e2803a3c5e51e"),
+    "0;1,3;2,4,5;3,5,6,7;3,5,7,8,9": (
+        "3293461bc97b7c17e44e378a53c1e09e6bfaf8a7f7901627b73ad6078b777020",
+        "dcb87c508e8737e1db1549b691b8eade9eead2e66155a42fd5d9c3a36e3a098b"),
+}
+VERIFY_4_JSON_DIGEST = "0ae5fc71585108fbe1ad96708adb4517f5816a8e7e18d3c5259d81579f8e7d2c"
+
+
+def stdout_digest(capsys, argv):
+    assert run(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("hive", sorted(HWV_DIGESTS))
+def test_hwv_output_is_pinned(capsys, hive):
+    text, json_digest = HWV_DIGESTS[hive]
+    assert stdout_digest(capsys, ["hwv", "-n", "4", "--hive", hive]) == text
+    assert stdout_digest(capsys, ["hwv", "-n", "4", "--hive", hive,
+                                  "--format", "json"]) == json_digest
+
+
+def test_verify_rank4_json_is_pinned(capsys):
+    assert stdout_digest(capsys, ["verify", "-n", "4", "--format", "json"]) \
+        == VERIFY_4_JSON_DIGEST

@@ -153,16 +153,23 @@ def test_derivations_satisfy_leibniz_rule():
                 assert d(p * q) == d(p) * q + p * d(q)
 
 
+def main_diagonal(col):
+    """Variables on the main diagonal of the minor labelled by col."""
+    return ([("x", r, r) for r in range(1, col.empty + 1)]
+            + [("y", col.empty + b, e) for b, e in enumerate(col.entries, start=1)])
+
+
 def test_leading_term_multiplicative_on_minor_products():
     rng = random.Random(23)
     cols = list(all_column_tableaux(4))
     for _ in range(500):
-        p, q = (minor(4, rng.choice(cols)) for _ in range(2))
+        a, b = rng.choice(cols), rng.choice(cols)
+        p, q = minor(4, a), minor(4, b)
         pe, pc = p.leading_term()
         qe, qc = q.leading_term()
         exps, coeff = (p * q).leading_term()
-        assert exps == tuple(a + b for a, b in zip(pe, qe))
-        assert coeff == pc * qc
+        assert exps == monomial_exponents(4, main_diagonal(a) + main_diagonal(b))
+        assert (Polynomial(4, {pe: pc}) * Polynomial(4, {qe: qc})).terms == {exps: coeff}
 
 
 def test_lex_order_prefers_earlier_rows_then_x_before_y():
@@ -196,4 +203,5 @@ def test_rank_mismatch_is_rejected():
 
 
 def test_render_monomial_constant():
-    assert render_monomial(2, (0,) * variable_count(2)) == "1"
+    assert render_monomial(2, monomial_exponents(2, [])) == "1"
+    assert render_monomial(2, Polynomial.one(2).leading_term()[0]) == "1"

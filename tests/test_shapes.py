@@ -1,6 +1,9 @@
+import re
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hivealg.shapes import contains, is_dominant, normalize, pad, partitions_of
 
@@ -81,3 +84,33 @@ def test_contains():
     assert contains((2, 1, 0), (2,))
     assert not contains((1,), (1, 1))
     assert not contains((1, 0, 0), (1, 1))
+
+
+def reference_is_dominant(seq):
+    return not any(p < 0 for p in seq) and all(a >= b for a, b in zip(seq, seq[1:]))
+
+
+def reference_normalize(seq):
+    while seq and seq[-1] == 0:
+        seq = seq[:-1]
+    return seq
+
+
+def reference_pad(seq, length):
+    if any(seq[length:]):
+        raise ValueError(f"{seq} has more than {length} nonzero parts")
+    return (seq + (0,) * length)[:length]
+
+
+@given(st.lists(st.integers(-2, 3), max_size=6).map(tuple), st.integers(0, 6))
+def test_shape_helpers_match_reference(seq, length):
+    assert is_dominant(seq) == reference_is_dominant(seq)
+    assert is_dominant(iter(seq)) == reference_is_dominant(seq)
+    assert normalize(iter(seq)) == reference_normalize(seq)
+    try:
+        expected = reference_pad(seq, length)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            pad(iter(seq), length)
+    else:
+        assert pad(iter(seq), length) == expected
