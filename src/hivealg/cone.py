@@ -6,10 +6,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+from operator import sub
 from typing import Iterable
 
 from .counting import _iter_hive_rows, boundary_triples
-from .hive import Hive, cone_rows, in_cone, triangle_size
+from .hive import Hive, cone_rows, in_cone, membership, triangle_size
 from .report import CheckResult, ConsistencyError
 
 # Hilbert bases of the hive cones for n = 2, 3, 4 in the numbering used
@@ -135,17 +137,18 @@ def cone_inequalities(n: int) -> InequalitySystem:
                             (equation,))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def hives_up_to_degree(n: int, max_degree: int) -> tuple[Hive, ...]:
     """Every hive of degree <= max_degree, by sweeping boundary triples and
     enumerating interiors; sorted by (degree, coordinates)."""
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    found = [Hive(n, rows)
-             for d in range(max_degree + 1)
-             for triple in boundary_triples(n, d)
-             for rows in _iter_hive_rows(n, *triple)]
-    return tuple(sorted(found, key=lambda h: (h.degree, h.to_flat())))
+    # flat coordinates are distinct and end in the degree
+    found = sorted((rows[-1][-1], tuple(chain.from_iterable(rows)), rows)
+                   for d in range(max_degree + 1)
+                   for triple in boundary_triples(n, d)
+                   for rows in _iter_hive_rows(n, *triple))
+    return tuple(Hive(n, rows) for _d, _flat, rows in found)
 
 
 def hilbert_basis(n: int, max_degree: int = 12) -> tuple[Hive, ...]:
@@ -157,21 +160,21 @@ def hilbert_basis(n: int, max_degree: int = 12) -> tuple[Hive, ...]:
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     everything = hives_up_to_degree(n, max_degree)
-    members = {h.to_flat() for h in everything}
+    flats = [h.to_flat() for h in everything]
+    members = set(flats)
     by_degree: dict[int, list[tuple[int, ...]]] = {}
-    for h in everything:
-        by_degree.setdefault(h.degree, []).append(h.to_flat())
+    for flat in flats:
+        by_degree.setdefault(flat[-1], []).append(flat)
 
     basis = []
-    for h in everything:
-        d = h.degree
+    for h, flat in zip(everything, flats):
+        d = flat[-1]
         if d == 0:
             continue
-        flat = h.to_flat()
         reducible = False
         for dd in range(1, d // 2 + 1):
             for g in by_degree.get(dd, ()):
-                if tuple(a - b for a, b in zip(flat, g)) in members:
+                if tuple(map(sub, flat, g)) in members:
                     reducible = True
                     break
             if reducible:
@@ -265,9 +268,9 @@ def all_decompositions(hive: Hive, pres: ConePresentation) -> frozenset[tuple[in
 def _decompose_search(hive: Hive, pres: ConePresentation, first_only: bool) -> set[tuple[int, ...]]:
     if hive.n != pres.n:
         raise ValueError(f"rank mismatch: hive {hive.n}, presentation {pres.n}")
-    n = pres.n
+    member = membership(pres.n)
     basis_flats = [b.to_flat() for b in pres.basis]
-    zero = (0,) * triangle_size(n)
+    zero = (0,) * triangle_size(pres.n)
     found: set[tuple[int, ...]] = set()
 
     def search(flat, k: int, picked: list[int]) -> bool:
@@ -279,9 +282,10 @@ def _decompose_search(hive: Hive, pres: ConePresentation, first_only: bool) -> s
         # feasible multiplicities of basis element k form an interval [0, top]
         stack = [flat]
         current = flat
+        b = basis_flats[k]
         while True:
-            current = tuple(a - b for a, b in zip(current, basis_flats[k]))
-            if not in_cone(current, n):
+            current = tuple(map(sub, current, b))
+            if not member(current):
                 break
             stack.append(current)
         for count in range(len(stack) - 1, -1, -1):

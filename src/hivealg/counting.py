@@ -3,11 +3,10 @@ counts m_d, and Hilbert-Poincare series (enumerated and closed form)."""
 
 from __future__ import annotations
 
-import linecache
 from functools import lru_cache
 from typing import Iterator
 
-from .hive import Hive, cone_rows, flat_index
+from .hive import Hive, _compile, _linear, _require_unit, cone_rows, flat_index
 from .shapes import Parts, contains, is_dominant, normalize, pad, partitions_of
 from .tableau import enumerate_tableaux
 
@@ -73,15 +72,6 @@ def _boundary_array(n: int, lam: Parts, mu: Parts, nu: Parts) -> list[int] | Non
     return arr
 
 
-def _linear(terms) -> str:
-    """Source of sum(c * a[k]) for coefficients c of +-1, positive terms first."""
-    out = ""
-    for k, c in sorted(terms, key=lambda term: -term[1]):
-        sign = "-" if c < 0 else "+"
-        out += f" {sign} a[{k}]" if out else ("-" if c < 0 else "") + f"a[{k}]"
-    return out
-
-
 def _bound(candidates: list[str], pick: str) -> str:
     return candidates[0] if len(candidates) == 1 else f"{pick}({', '.join(candidates)})"
 
@@ -101,8 +91,7 @@ def _kernel_source(n: int, count: bool) -> str:
     for k, (pos, rows_k) in enumerate(zip(interior, attached)):
         low, high = [], []
         for coeff, rest in rows_k:
-            if {coeff, *(c for _, c in rest)} - {1, -1}:
-                raise ValueError(f"a row on a[{pos}] has a coefficient other than +-1")
+            _require_unit((coeff, *(c for _, c in rest)), f"a row on a[{pos}]")
             # coeff * a[pos] + rest >= 0: a[pos] >= -rest, or a[pos] <= rest
             (low if coeff == 1 else high).append(_linear((q, -coeff * c) for q, c in rest))
         if not low or not high:
@@ -132,17 +121,12 @@ def _kernel(n: int, count: bool):
     """The compiled DFS over the interior of a rank-n hive: called on a
     _boundary_array, it returns the number of hives (count) or yields the row
     tuples of each in search order.  The source holds only integer indices
-    from cone_rows; it is registered with linecache under its filename, so
-    tracebacks, profiles and inspect.getsource show the generated lines.
+    from cone_rows, compiled by hive._compile under its filename.
 
     One function per entry rather than one nested loop: CPython rejects more
     than 20 statically nested blocks, and rank 8 has 21 interior entries."""
-    source = _kernel_source(n, count)
     filename = f"<hivealg kernel n={n} {'count' if count else 'enumerate'}>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"__name__": __name__}
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace["_e0"]
+    return _compile(_kernel_source(n, count), filename, "_e0")
 
 
 def _iter_hive_rows(n: int, lam: Parts, mu: Parts, nu: Parts) -> Iterator[tuple]:
@@ -185,8 +169,15 @@ def _check_rank(n: int) -> None:
 
 
 def _boundary_triple(n, lam, mu, nu) -> tuple[Parts, Parts, Parts] | None:
-    """Normalize a boundary triple, or None when no hive can carry it."""
+    """Pad a boundary triple to length n, or None when no hive can carry it.
+    Tuples already of length n (as boundary_triples yields them) are checked
+    as they are: trailing zeros change neither dominance nor the sums."""
     _check_rank(n)
+    if all(type(p) is tuple and len(p) == n for p in (lam, mu, nu)):
+        for name, p in (("lambda", lam), ("mu", mu), ("nu", nu)):
+            if not is_dominant(p):
+                raise ValueError(f"{name} = {normalize(p)} is not a partition")
+        return (lam, mu, nu) if sum(lam) == sum(mu) + sum(nu) else None
     lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
     for name, p in (("lambda", lam), ("mu", mu), ("nu", nu)):
         if not is_dominant(p):
@@ -271,7 +262,7 @@ def hp_series_reference(n: int, max_degree: int) -> SeriesPrefix:
 # ---------------------------------------------------------------------------
 # Schur-product oracle
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def schur_monomials(n: int, lam: Parts) -> dict:
     """Schur polynomial s_lam in n variables as {exponent vector: coefficient},
     summing x^weight over semistandard tableaux of shape lam."""
@@ -301,7 +292,7 @@ def schur_monomials(n: int, lam: Parts) -> dict:
     return result
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _schur_product_expansion(n: int, mu: Parts, nu: Parts) -> dict:
     """Expand s_mu * s_nu in the Schur basis by peeling leading monomials.
 

@@ -8,8 +8,10 @@ addition; the bottom-right corner h[n+1][n+1] grades it.
 
 from __future__ import annotations
 
+import linecache
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 from .shapes import Parts
@@ -99,15 +101,55 @@ def cone_rows(n: int) -> tuple[ConeRow, ...]:
     return tuple(out)
 
 
+def _require_unit(coeffs, where: str) -> None:
+    """Generated sources add and subtract entries; any other coefficient is
+    an error in the row list, not something to compile."""
+    if set(coeffs) - {1, -1}:
+        raise ValueError(f"{where} has a coefficient other than +-1")
+
+
+def _linear(terms) -> str:
+    """Source of sum(c * a[k]) for coefficients c of +-1, positive terms first."""
+    out = ""
+    for k, c in sorted(terms, key=lambda term: -term[1]):
+        sign = "-" if c < 0 else "+"
+        out += f" {sign} a[{k}]" if out else ("-" if c < 0 else "") + f"a[{k}]"
+    return out
+
+
+def _compile(source: str, filename: str, name: str):
+    """Function `name` from generated source.  The source is registered with
+    linecache under its filename, so tracebacks, profiles and
+    inspect.getsource show the generated lines."""
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"__name__": __name__}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
+
+
+def _in_cone_source(n: int) -> str:
+    """One boolean expression: the apex test, then one line per cone row in
+    cone_rows order, so evaluation stops at the first failing row."""
+    lines = ["def in_cone(a):", "    return (a[0] == 0"]
+    for kind, i, j, terms in cone_rows(n):
+        _require_unit((c for _, c in terms), f"cone row {kind} ({i}, {j})")
+        lines.append(f"            and {_linear(terms)} >= 0")
+    lines[-1] += ")"
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=32)
+def membership(n: int):
+    """The compiled rank-n membership predicate: called on flat row-major
+    coordinates, it returns whether they form a hive (apex zero and every
+    cone row satisfied)."""
+    return _compile(_in_cone_source(n), f"<hivealg in_cone n={n}>", "in_cone")
+
+
 def in_cone(flat, n: int) -> bool:
     """Whether flat row-major coordinates of rank n form a hive: apex zero
     and every cone row satisfied.  Stops at the first failure."""
-    if flat[0]:
-        return False
-    for _kind, _i, _j, terms in cone_rows(n):
-        if sum(c * flat[k] for k, c in terms) < 0:
-            return False
-    return True
+    return membership(n)(flat)
 
 
 def _check_shape(rows: Iterable[Iterable[int]]) -> Rows:
@@ -188,7 +230,7 @@ class Hive:
         return self.rows[i - 1][j - 1]
 
     def to_flat(self) -> Parts:
-        return tuple(v for row in self.rows for v in row)
+        return tuple(chain.from_iterable(self.rows))
 
     @property
     def degree(self) -> int:

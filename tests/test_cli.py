@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hivealg.cli import run
+from hivealg.cone import hives_up_to_degree
 from hivealg.hive import Hive
 from hivealg.tableau import LRTableau
 
@@ -182,3 +187,64 @@ def test_output_to_directory_is_error(tmp_path, capsys):
 def test_threads_flag_is_unknown(capsys):
     assert run(["hp-series", "-n", "2", "--max-degree", "3", "--threads", "2"]) == 1
     assert "--threads" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed flag values: every input ends in exit 0 or 1, never a traceback.
+# Entries stay small: the work a huge valid input asks for is unbounded today.
+
+JUNK = st.text(max_size=4)
+ENTRIES = st.integers(-2, 7).map(str) | JUNK
+SEPARATORS = st.sampled_from((",", ",", ",", ", ", ",,", " ", "", ";", "-", "_"))
+COMMAS = st.sampled_from((",", ", ", ",,"))   # the parser skips empty entries
+
+
+def _joined(draw, parts, separators) -> str:
+    return "".join((draw(separators) if k else "") + part for k, part in enumerate(parts))
+
+
+@st.composite
+def partition_texts(draw):
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return draw(st.text(max_size=12))
+    if kind == 1:
+        return _joined(draw, draw(st.lists(ENTRIES, max_size=6)), SEPARATORS)
+    parts = sorted(draw(st.lists(st.integers(0, 6), max_size=5)), reverse=True)
+    return _joined(draw, [str(v) for v in parts], COMMAS)
+
+
+@st.composite
+def hive_texts(draw):
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return draw(st.text(max_size=30))
+    if kind == 1:
+        rows = draw(st.lists(st.lists(ENTRIES, max_size=6), min_size=1, max_size=6))
+        return ";".join(_joined(draw, row, SEPARATORS) for row in rows)
+    # a rank-4 hive, sometimes with one entry moved by one or replaced by junk
+    rows = [list(map(str, row)) for row in draw(st.sampled_from(hives_up_to_degree(4, 5))).rows]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, 4))
+        j = draw(st.integers(0, i))
+        v = int(rows[i][j])
+        rows[i][j] = draw(st.sampled_from((str(v + 1), str(v - 1))) | JUNK)
+    return ";".join(_joined(draw, row, COMMAS) for row in rows)
+
+
+def run_quietly(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return run(argv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(("decompose", "hwv")), hive_texts())
+def test_fuzzed_hive_text_exits_0_or_1(command, text):
+    assert run_quietly([command, "-n", "4", f"--hive={text}"]) in (0, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(partition_texts(), partition_texts(), partition_texts())
+def test_fuzzed_partition_text_exits_0_or_1(lam, mu, nu):
+    assert run_quietly(["lrcoef", "-n", "4", f"--lambda={lam}", f"--mu={mu}",
+                        f"--nu={nu}"]) in (0, 1)

@@ -1,11 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hivealg import cone, counting, hive
 from hivealg.counting import (SERIES_DENOMINATOR, SERIES_NUMERATOR,
-                              boundary_triples, enumerate_hives, hp_series_closed_form,
-                              hp_series_enumerated, hp_series_reference,
-                              lr_coefficient, lr_via_schur, lr_via_tableaux,
-                              md_sum)
-from hivealg.shapes import contains, pad, partitions_of
+                              _boundary_triple, boundary_triples, enumerate_hives,
+                              hp_series_closed_form, hp_series_enumerated,
+                              hp_series_reference, lr_coefficient, lr_via_schur,
+                              lr_via_tableaux, md_sum)
+from hivealg.shapes import contains, is_dominant, normalize, pad, partitions_of
 
 
 def test_lr_coefficient_examples():
@@ -152,3 +155,56 @@ def swept_triples(n, d):
 def test_boundary_triples_match_sweep_in_order(n, max_degree):
     for d in range(max_degree + 1):
         assert list(boundary_triples(n, d)) == swept_triples(n, d)
+
+
+def normalized_boundary_triple(n, lam, mu, nu):
+    """Oracle: the triple check as it read before padded tuples skipped
+    normalize and pad."""
+    lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
+    for name, p in (("lambda", lam), ("mu", mu), ("nu", nu)):
+        if not is_dominant(p):
+            raise ValueError(f"{name} = {p} is not a partition")
+    if max(len(lam), len(mu), len(nu)) > n or sum(lam) != sum(mu) + sum(nu):
+        return None
+    return pad(lam, n), pad(mu, n), pad(nu, n)
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def boundary_args(draw):
+    """(n, lam, mu, nu): half the time all three padded to length n, and
+    often lam a partition of |mu| + |nu|."""
+    n = draw(st.integers(1, 5))
+    padded = draw(st.booleans())
+
+    def parts(values=st.integers(-1, 4)):
+        size = n if padded else draw(st.integers(0, n + 1))
+        return tuple(draw(st.lists(values, min_size=size, max_size=size)))
+
+    mu, nu = parts(), parts()
+    lam = parts()
+    if draw(st.booleans()) and sum(mu) + sum(nu) >= 0:
+        lam = draw(st.sampled_from(partitions_of(sum(mu) + sum(nu), n) or ((),)))
+        lam = pad(lam, n) if padded else lam
+    return n, lam, mu, nu
+
+
+@settings(max_examples=400, deadline=None)
+@given(boundary_args())
+def test_boundary_triple_matches_normalizing_check(case):
+    assert outcome(_boundary_triple, *case) == outcome(normalized_boundary_triple, *case)
+
+
+@pytest.mark.parametrize("cached", [
+    counting.schur_monomials, counting._schur_product_expansion,
+    cone.hives_up_to_degree, counting._kernel, hive.membership])
+def test_caches_are_bounded(cached):
+    assert cached.cache_info().maxsize is not None
+    if cached is cone.hives_up_to_degree:
+        assert cached.cache_info().maxsize >= 4

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hivealg.cone import decompose, hives_up_to_degree, presentation
-from hivealg.hive import (Hive, InvalidHiveError, flat_index, hive_violations,
-                          in_cone, triangle_size)
+from hivealg.cone import (NoDecompositionError, all_decompositions, decompose,
+                          hives_up_to_degree, presentation)
+from hivealg.hive import (Hive, InvalidHiveError, cone_rows, flat_index,
+                          hive_violations, in_cone, triangle_size)
 
 RANKS = st.integers(2, 5)
 
@@ -79,3 +80,60 @@ def test_decompose_sums_back_to_the_hive(case):
     hive = sum((basis[k - 1] for k in picks), Hive.zero(n))
     indices = decompose(hive, presentation(n))
     assert sum((basis[k - 1] for k in indices), Hive.zero(n)) == hive
+
+
+def interpreted_decompositions(hive, pres, first_only):
+    """The decomposition search as it read before membership was generated:
+    each trial subtraction is summed row by row over cone_rows."""
+    n = pres.n
+    rows = [terms for *_, terms in cone_rows(n)]
+    basis_flats = [b.to_flat() for b in pres.basis]
+    zero = (0,) * triangle_size(n)
+    found = set()
+
+    def member(flat):
+        return not flat[0] and all(sum(c * flat[k] for k, c in terms) >= 0 for terms in rows)
+
+    def search(flat, k, picked):
+        if flat == zero:
+            found.add(tuple(picked))
+            return True
+        if k == len(basis_flats):
+            return False
+        stack = [flat]
+        current = flat
+        while True:
+            current = tuple(a - b for a, b in zip(current, basis_flats[k]))
+            if not member(current):
+                break
+            stack.append(current)
+        for count in range(len(stack) - 1, -1, -1):
+            picked.extend([k + 1] * count)
+            done = search(stack[count], k + 1, picked)
+            del picked[len(picked) - count:]
+            if done and first_only:
+                return True
+        return False
+
+    search(hive.to_flat(), 0, [])
+    return found
+
+
+@settings(max_examples=60, deadline=None)
+@given(basis_sums())
+def test_decompositions_equal_the_interpreted_search(case):
+    n, picks = case
+    pres = presentation(n)
+    hive = sum((pres.basis[k - 1] for k in picks), Hive.zero(n))
+    assert {decompose(hive, pres)} == interpreted_decompositions(hive, pres, True)
+    assert all_decompositions(hive, pres) == interpreted_decompositions(hive, pres, False)
+
+
+def test_apex_one_array_has_no_decomposition():
+    # a valid hive shifted by one everywhere: every row holds, the apex fails
+    flat = [v + 1 for v in presentation(4).basis[16].to_flat()]
+    shifted = Hive(4, tuple(rows_of(tuple(flat), 4)))
+    assert shifted.entry(1, 1) == 1
+    assert all_decompositions(shifted, presentation(4)) == frozenset()
+    with pytest.raises(NoDecompositionError):
+        decompose(shifted, presentation(4))
