@@ -5,7 +5,7 @@ plain-text export formats used by lattice-point software."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from operator import sub
 from typing import Iterable
@@ -193,6 +193,11 @@ class ConePresentation:
     degrees: tuple[int, ...]
     relations: tuple[BinomialRelation, ...]
 
+    @cached_property
+    def flats(self) -> tuple[tuple[int, ...], ...]:
+        """Flat coordinates of the basis hives, in basis order; built once."""
+        return tuple(h.to_flat() for h in self.basis)
+
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
@@ -229,9 +234,9 @@ def verify_relations(pres: ConePresentation) -> list[CheckResult]:
         left = [0] * triangle_size(pres.n)
         right = [0] * triangle_size(pres.n)
         for k in rel.left:
-            left = [a + b for a, b in zip(left, pres.basis[k - 1].to_flat())]
+            left = [a + b for a, b in zip(left, pres.flats[k - 1])]
         for k in rel.right:
-            right = [a + b for a, b in zip(right, pres.basis[k - 1].to_flat())]
+            right = [a + b for a, b in zip(right, pres.flats[k - 1])]
         if left == right:
             results.append(CheckResult(f"hive relation {rel.name}", True))
         else:
@@ -269,7 +274,7 @@ def _decompose_search(hive: Hive, pres: ConePresentation, first_only: bool) -> s
     if hive.n != pres.n:
         raise ValueError(f"rank mismatch: hive {hive.n}, presentation {pres.n}")
     member = membership(pres.n)
-    basis_flats = [b.to_flat() for b in pres.basis]
+    basis_flats = pres.flats
     zero = (0,) * triangle_size(pres.n)
     found: set[tuple[int, ...]] = set()
 
@@ -309,7 +314,6 @@ def undecomposable_hives(n: int, max_degree: int, pres: ConePresentation) -> lis
     (or on zero); validity of the difference is a set-membership test.
     """
     everything = hives_up_to_degree(n, max_degree)
-    basis_flats = [b.to_flat() for b in pres.basis]
     zero = (0,) * triangle_size(n)
     decomposable = {zero}
     failures = []
@@ -318,7 +322,7 @@ def undecomposable_hives(n: int, max_degree: int, pres: ConePresentation) -> lis
         if flat == zero:
             continue
         if any(tuple(a - c for a, c in zip(flat, b)) in decomposable
-               for b in basis_flats):
+               for b in pres.flats):
             decomposable.add(flat)
         else:
             failures.append(h)
@@ -349,7 +353,7 @@ def generators_input_text(n: int) -> str:
     coordinate order, and the grading that reads off the last coordinate."""
     pres = presentation(n)
     dim = triangle_size(n)
-    vectors = sorted(h.to_flat() for h in pres.basis)
+    vectors = sorted(pres.flats)
     lines = [f"amb_space {dim}", f"cone {len(vectors)}"]
     lines += [" " + " ".join(str(c) for c in v) for v in vectors]
     lines.append("")

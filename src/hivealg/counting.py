@@ -29,12 +29,21 @@ SERIES_DENOMINATOR: dict[int, tuple[int, ...]] = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _fill_plan(n: int):
     """Flat (start, stop) of each row; interior flat indices in increasing
     order, each cone row attached to the last interior index it mentions
     (rows on the boundary alone kept apart).  The 3n edge rows come first in
     cone_rows and are left out: every dominant boundary satisfies them.
+
+    Then one round of cancelled pairs: for each interior entry x, the sum of
+    each row bounding x from below with each row bounding it from above.  x
+    cancels, and every hive satisfies the sum, so attaching it to the last
+    interior entry it mentions prunes partial fillings that no hive extends
+    before their subtree is entered.  A sum is kept only when every
+    coefficient stays +-1: the bounds are then plain sums of entries, with
+    no rounding division.  Sums already in the plan, and sums on the boundary
+    alone, are dropped.
 
     Attached rows are split as (coeff on that entry, residual terms), so
     interval bounds fall out once everything earlier is placed.
@@ -43,15 +52,32 @@ def _fill_plan(n: int):
     interior = tuple(flat_index(i, j) for i in range(3, n + 1) for j in range(2, i))
     boundary_only = []
     attached = {k: [] for k in interior}
-    for *_, terms in cone_rows(n)[3 * n:]:
+
+    def attach(terms) -> bool:
         pivot = max((k for k, _ in terms if k in attached), default=None)
-        if pivot is None:
+        if pivot is not None:
+            attached[pivot].append(terms)
+        return pivot is not None
+
+    for *_, terms in cone_rows(n)[3 * n:]:
+        if not attach(terms):
             boundary_only.append(terms)
-        else:
-            attached[pivot].append((dict(terms)[pivot],
-                                    tuple((k, c) for k, c in terms if k != pivot)))
+    # taken before any sum is attached: one round, of cone rows alone
+    pairs = [(low, up) for x in interior
+             for low in attached[x] if (x, 1) in low
+             for up in attached[x] if (x, -1) in up]
+    seen = {frozenset(terms) for rows in attached.values() for terms in rows}
+    for low, up in pairs:
+        total: dict[int, int] = {}
+        for k, c in low + up:
+            total[k] = total.get(k, 0) + c
+        terms = tuple((k, c) for k, c in total.items() if c)
+        if all(c in (1, -1) for _, c in terms) and frozenset(terms) not in seen:
+            seen.add(frozenset(terms))
+            attach(terms)
     return (row_bounds, interior, tuple(boundary_only),
-            tuple(tuple(attached[k]) for k in interior))
+            tuple(tuple((dict(terms)[k], tuple((q, c) for q, c in terms if q != k))
+                        for terms in attached[k]) for k in interior))
 
 
 def _boundary_array(n: int, lam: Parts, mu: Parts, nu: Parts) -> list[int] | None:
@@ -78,9 +104,12 @@ def _bound(candidates: list[str], pick: str) -> str:
 
 def _kernel_source(n: int, count: bool) -> str:
     """One function per interior entry, in plan order.  _e<k>(a) reads its
-    interval from the entries placed before it, then loops over it, writing
-    a[pos] and calling _e<k+1>.  Counting, the last entry returns the length
-    of its interval; enumerating, the last loop yields the row tuples."""
+    interval from the entries placed before it: the max over the plan's
+    lower rows of that entry and the min over its upper rows, the cancelled
+    pairs among them, so an interval that no hive can fill comes out empty
+    early.  It then loops over the interval, writing a[pos] and calling
+    _e<k+1>.  Counting, the last entry returns the length of its interval;
+    enumerating, the last loop yields the row tuples."""
     row_bounds, interior, _boundary_only, attached = _fill_plan(n)
     rows = "(" + ", ".join(
         "(" + ", ".join(f"a[{k}]" for k in range(start, stop)) + ",)"

@@ -69,7 +69,7 @@ def rank_for_length(count: int) -> int:
     return n
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def cone_rows(n: int) -> tuple[ConeRow, ...]:
     """Every hive condition of rank n, in the pinned order: mu, nu and lambda
     edge non-negativity (i = part index, j = 0), then the rhombus families

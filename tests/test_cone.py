@@ -188,6 +188,15 @@ def test_basis_is_minimal(n):
             decompose(pres.basis[drop], rest)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_presentation_flats_leave_equality_and_json_alone(n):
+    pres = presentation(n)
+    assert pres.flats == tuple(h.to_flat() for h in pres.basis)
+    fresh = ConePresentation(n, pres.basis, pres.degrees, pres.relations)
+    assert fresh == pres and hash(fresh) == hash(pres)   # only one has built its flats
+    assert set(pres.to_json_dict()) == {"n", "basis", "degrees", "relations"}
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_everything_decomposes_at_small_rank(n):
     assert undecomposable_hives(n, 12, presentation(n)) == []

@@ -203,7 +203,8 @@ def test_boundary_triple_matches_normalizing_check(case):
 
 @pytest.mark.parametrize("cached", [
     counting.schur_monomials, counting._schur_product_expansion,
-    cone.hives_up_to_degree, counting._kernel, hive.membership])
+    cone.hives_up_to_degree, counting._kernel, hive.membership,
+    counting._fill_plan, hive.cone_rows])
 def test_caches_are_bounded(cached):
     assert cached.cache_info().maxsize is not None
     if cached is cone.hives_up_to_degree:

@@ -1,11 +1,14 @@
 """The generated code: the hive kernel (counting._kernel) and the cone
 membership predicate (hive.membership).  Both build at every rank and their
-source is inspectable; counts agree with enumeration and with the tableau
-route, also at ranks too deep for one nested loop, and membership agrees
-with a row-by-row reading of cone_rows."""
+source is inspectable; the kernel's plan holds the cone rows plus cancelled
+pairs of them, all of which every hive satisfies; counts agree with
+enumeration and with the tableau route, also at ranks too deep for one
+nested loop, and with the symmetries and saturation of LR coefficients; and
+membership agrees with a row-by-row reading of cone_rows."""
 
 import inspect
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,7 @@ from hivealg.cone import hives_up_to_degree
 from hivealg.counting import (_kernel, enumerate_hives, lr_coefficient,
                               lr_via_tableaux)
 from hivealg.hive import cone_rows, hive_violations, in_cone, membership, triangle_size
-from hivealg.shapes import partitions_of
+from hivealg.shapes import contains, pad, partitions_of
 
 
 @pytest.mark.parametrize("count", [True, False])
@@ -29,9 +32,13 @@ def test_kernel_source_is_inspectable():
     kernel = _kernel(4, True)
     source = inspect.getsource(kernel)
     assert kernel.__code__.co_filename == "<hivealg kernel n=4 count>"
-    # bounds of the first interior entry, h[3][2] = a[4]
-    assert "lo = max(a[5] + a[1] - a[2], a[3] + a[2] - a[1])" in source
-    assert "hi = a[1] + a[2] - a[0]" in source
+    # bounds of the first interior entry, h[3][2] = a[4]: its two rhombus
+    # rows, then the sums that cancel a[7] and a[8]
+    assert ("lo = max(a[5] + a[1] - a[2], a[3] + a[2] - a[1], a[11] + a[1] - a[6], "
+            "a[12] + a[6] + a[1] - a[11] - a[3], a[13] + a[2] - a[9], "
+            "a[13] + a[3] - a[12], a[5] + a[11] - a[12], "
+            "a[12] + a[9] + a[2] - a[13] - a[5])") in source
+    assert "hi = min(a[1] + a[2] - a[0], a[3] + a[11] - a[10], a[5] + a[13] - a[14])" in source
 
 
 def test_kernel_rejects_coefficients_other_than_one(monkeypatch):
@@ -57,11 +64,12 @@ def test_deep_ranks_agree_with_tableaux(n, lam, mu, nu, expected):
 
 
 @st.composite
-def dominant_triples(draw):
-    """(n, lam, mu, nu) with |lam| = |mu| + |nu|, all with at most n parts."""
-    n = draw(st.integers(2, 6))
-    mu = draw(st.sampled_from(partitions_of(draw(st.integers(0, 7)), n)))
-    nu = draw(st.sampled_from(partitions_of(draw(st.integers(0, 7)), n)))
+def dominant_triples(draw, low=2, high=6, size=7):
+    """(n, lam, mu, nu) with |lam| = |mu| + |nu|, all with at most n parts,
+    for low <= n <= high and |mu|, |nu| <= size."""
+    n = draw(st.integers(low, high))
+    mu = draw(st.sampled_from(partitions_of(draw(st.integers(0, size)), n)))
+    nu = draw(st.sampled_from(partitions_of(draw(st.integers(0, size)), n)))
     lam = draw(st.sampled_from(partitions_of(sum(mu) + sum(nu), n)))
     return n, lam, mu, nu
 
@@ -81,6 +89,116 @@ def test_swapping_mu_and_nu_keeps_the_coefficient(triple):
     n, lam, mu, nu = triple
     assert (len(enumerate_hives(n, lam, mu, nu)) == len(enumerate_hives(n, lam, nu, mu))
             == lr_coefficient(n, lam, nu, mu))
+
+
+@st.composite
+def admitted_triples(draw, low, high, size):
+    """(n, lam, mu, nu) with size / 2 <= |mu|, |nu| <= size and lam one of
+    the boundaries boundary_triples admits (lam contains mu and nu, lam_1 <=
+    mu_1 + nu_1), so that the coefficient is often positive and sometimes
+    above 1.  mu + nu is always admitted."""
+    n = draw(st.integers(low, high))
+    mu, nu = (draw(st.sampled_from(partitions_of(draw(st.integers(size // 2, size)), n)))
+              for _ in range(2))
+    lam = draw(st.sampled_from([
+        lam for lam in partitions_of(sum(mu) + sum(nu), n)
+        if contains(lam, mu) and contains(lam, nu) and lam[0] <= mu[0] + nu[0]]))
+    return n, lam, mu, nu
+
+
+def both_kernels(n, lam, mu, nu):
+    """The coefficient from the count kernel, checked against the number of
+    hives the enumeration kernel yields."""
+    c = lr_coefficient(n, lam, mu, nu)
+    assert len(enumerate_hives(n, lam, mu, nu)) == c
+    return c
+
+
+def complement(p, n, k):
+    """p^v = (k - p_n, ..., k - p_1): the complement of p in the n x k box."""
+    return tuple(k - v for v in reversed(pad(p, n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(dominant_triples(low=3), admitted_triples(3, 6, 8)))
+def test_complement_symmetry(triple):
+    # c^lam_{mu nu} = c^{mu^v}_{nu, lam^v} in any n x k box that holds lam
+    # and mu; k = lam_1 whenever mu fits under it
+    n, lam, mu, nu = triple
+    k = max(pad(lam, n)[0], pad(mu, n)[0])
+    assert (both_kernels(n, lam, mu, nu)
+            == both_kernels(n, complement(mu, n, k), nu, complement(lam, n, k)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(admitted_triples(3, 6, 8))
+def test_saturation(triple):
+    # Knutson-Tao: c(2 lam, 2 mu, 2 nu) > 0 exactly when c(lam, mu, nu) > 0
+    n, lam, mu, nu = triple
+    doubled = [tuple(2 * v for v in p) for p in (lam, mu, nu)]
+    assert (both_kernels(n, *doubled) > 0) == (both_kernels(n, lam, mu, nu) > 0)
+
+
+# ---------------------------------------------------------------------------
+# The fill plan: cone rows plus one round of cancelled pairs
+
+def plan_rows(n):
+    """Every row of _fill_plan(n) as (the interior entry it is attached to,
+    or None on the boundary alone, {flat index: coeff})."""
+    _row_bounds, interior, boundary_only, attached = counting._fill_plan(n)
+    rows = [(None, dict(terms)) for terms in boundary_only]
+    rows += [(pos, {pos: coeff, **dict(rest)})
+             for pos, rows_k in zip(interior, attached) for coeff, rest in rows_k]
+    return rows
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_added_rows_are_cancelled_pairs(n):
+    interior = set(counting._fill_plan(n)[1])
+    cone = [dict(terms) for *_, terms in cone_rows(n)[3 * n:]]
+
+    def last(row):
+        return max((k for k in row if k in interior), default=None)
+
+    pairs = []
+    for low in cone:
+        for up in cone:
+            x = last(low)
+            if x is not None and last(up) == x and low[x] == 1 and up[x] == -1:
+                summed = Counter(low)
+                summed.update(up)
+                pairs.append({k: c for k, c in summed.items() if c})
+    rows = plan_rows(n)
+    keys = [frozenset(row.items()) for _, row in rows]
+    cone_keys = {frozenset(row.items()) for row in cone}
+    assert len(set(keys)) == len(keys) and cone_keys <= set(keys)
+    for pos, row in rows:
+        assert pos == last(row)
+    # the rest: every sum of a lower and an upper row of one entry x that
+    # keeps its coefficients +-1 and mentions an interior entry (before x)
+    added = {frozenset(p.items()) for p in pairs
+             if set(p.values()) <= {1, -1} and last(p) is not None}
+    assert set(keys) - cone_keys == added - cone_keys
+    assert n < 4 or len(rows) > len(cone)
+
+
+def assert_plan_holds(n, flat):
+    for _pos, row in plan_rows(n):
+        assert sum(c * flat[k] for k, c in row.items()) >= 0, row
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_plan_rows_hold_on_every_small_hive(n):
+    for h in hives_up_to_degree(n, 6):
+        assert_plan_holds(n, h.to_flat())
+
+
+@settings(max_examples=100, deadline=None)
+@given(admitted_triples(5, 6, 8))
+def test_plan_rows_hold_on_enumerated_hives(triple):
+    n, lam, mu, nu = triple
+    for h in enumerate_hives(n, lam, mu, nu):
+        assert_plan_holds(n, h.to_flat())
 
 
 # ---------------------------------------------------------------------------
