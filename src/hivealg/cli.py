@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shlex
 import sys
 
 from . import cone, counting, tensor_algebra
@@ -133,7 +134,7 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _dispatch(args)
+        code = _dispatch(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -146,7 +147,10 @@ def run(argv) -> int:
         return 1
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
-        return 2
+        code = 2
+    if code == 2:
+        print(f"reproduce with: hivealg {shlex.join(argv)}", file=sys.stderr)
+    return code
 
 
 def _dispatch(args) -> int:
@@ -238,13 +242,11 @@ def _hp_series(args) -> int:
 def _hwv(args) -> int:
     _require_rank(args.n, PRESENTED_RANKS, "tensor product algebras")
     if args.hive:
-        hives = [_parse_hive(args.hive, args.n)]
+        vectors = [tensor_algebra.highest_weight_vector(args.n, _parse_hive(args.hive, args.n))]
     else:
-        lam, mu, nu = _boundary_args(args)
-        hives = counting.enumerate_hives(args.n, lam, mu, nu)
+        vectors = tensor_algebra.hwv_basis(args.n, *_boundary_args(args))
     from .polynomial import render_monomial
 
-    vectors = [tensor_algebra.highest_weight_vector(args.n, h) for h in hives]
     lines = []
     for v in vectors:
         exps, _ = v.polynomial.leading_term()

@@ -8,10 +8,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 from operator import sub
-from typing import Iterable
 
 from .counting import _iter_hive_rows, boundary_triples
-from .hive import Hive, cone_rows, in_cone, membership, triangle_size
+from .hive import Hive, cone_rows, membership, triangle_size
 from .report import CheckResult, ConsistencyError
 
 # Hilbert bases of the hive cones for n = 2, 3, 4 in the numbering used
@@ -108,18 +107,8 @@ class InequalitySystem:
     rows: tuple[tuple[int, ...], ...]
     equations: tuple[tuple[int, ...], ...]
 
-    def is_member(self, coords: Iterable[int]) -> bool:
-        vec = tuple(coords)
-        if len(vec) != triangle_size(self.n):
-            raise ValueError(f"expected {triangle_size(self.n)} coordinates")
-        return in_cone(vec, self.n)
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "rows": [list(r) for r in self.rows],
-                "equations": [list(r) for r in self.equations]}
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def cone_inequalities(n: int) -> InequalitySystem:
     """The rows of hive.cone_rows as dense vectors, plus the apex equation."""
     if n < 2:
@@ -198,17 +187,8 @@ class ConePresentation:
         """Flat coordinates of the basis hives, in basis order; built once."""
         return tuple(h.to_flat() for h in self.basis)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "basis": [h.to_json_dict() for h in self.basis],
-            "degrees": list(self.degrees),
-            "relations": [{"name": r.name, "left": list(r.left), "right": list(r.right)}
-                          for r in self.relations],
-        }
 
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def presentation(n: int) -> ConePresentation:
     """The pinned presentation of the rank-n hive cone (n = 2, 3, 4),
     validated on construction."""

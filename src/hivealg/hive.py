@@ -255,10 +255,3 @@ class Hive:
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "rows": [list(row) for row in self.rows]}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "Hive":
-        hive = cls.from_rows(obj["rows"])
-        if "n" in obj and obj["n"] != hive.n:
-            raise ValueError(f"declared rank {obj['n']} does not match rows (rank {hive.n})")
-        return hive

@@ -12,7 +12,7 @@ Monagan and Pearce's packed exponent vectors).  Multiplying two monomials
 is an integer add, the lex order is the int order, and
 key.to_bytes(2 * n * n, "big") is the exponent vector.  No term may have
 total degree above 255, so no field ever carries into its neighbour: a
-product or a JSON term past that raises ValueError, and the derivations
+product or a monomial past that raises ValueError, and the derivations
 never raise the degree.
 """
 
@@ -45,7 +45,7 @@ def _shift(n: int, idx: int) -> int:
     return 8 * (variable_count(n) - 1 - idx)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def variable_labels(n: int) -> tuple[tuple[str, int, int], ...]:
     """(kind, i, j) for each variable index."""
     out = []
@@ -61,16 +61,6 @@ def _names(n: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
     labels = variable_labels(n)
     return (tuple(f"{kind}[{i}][{j}]" for kind, i, j in labels),
             tuple(f"{kind}{i}{j}" for kind, i, j in labels))
-
-
-def _pack(exps: list[int]) -> Exponents:
-    """Packed key of an exponent vector, refusing what the fields cannot hold."""
-    if min(exps) < 0:
-        raise ValueError(f"negative exponent in {exps}")
-    if sum(exps) > MAX_DEGREE:
-        raise ValueError(f"monomial of degree {sum(exps)}: packed exponents "
-                         f"allow total degree at most {MAX_DEGREE}")
-    return int.from_bytes(bytes(exps), "big")
 
 
 def _degree(terms) -> int:
@@ -314,20 +304,6 @@ class Polynomial:
                           for idx, e in enumerate(exps.to_bytes(size, "big")) if e}}
                 for exps in sorted(self.terms, reverse=True)]
 
-    @classmethod
-    def from_json_obj(cls, n: int, obj: list[dict]) -> "Polynomial":
-        terms: dict[Exponents, int] = {}
-        for item in obj:
-            exps = [0] * variable_count(n)
-            for name, e in item["exps"].items():
-                kind, i, j = name[0], int(name[1]), int(name[2])
-                exps[variable_index(n, kind, i, j)] = int(e)
-            key = _pack(exps)
-            c = int(item["coeff"])
-            if c:
-                terms[key] = terms.get(key, 0) + c
-        return cls(n, {k: v for k, v in terms.items() if v})
-
 
 def render_monomial(n: int, exps: Exponents) -> str:
     names = _names(n)[0]
@@ -341,7 +317,10 @@ def monomial_exponents(n: int, factors: Iterable[tuple[str, int, int]]) -> Expon
     exps = [0] * variable_count(n)
     for kind, i, j in factors:
         exps[variable_index(n, kind, i, j)] += 1
-    return _pack(exps)
+    if sum(exps) > MAX_DEGREE:
+        raise ValueError(f"monomial of degree {sum(exps)}: packed exponents "
+                         f"allow total degree at most {MAX_DEGREE}")
+    return int.from_bytes(bytes(exps), "big")
 
 
 @lru_cache(maxsize=64)

@@ -45,7 +45,7 @@ def contains(outer: Iterable[int], inner: Iterable[int]) -> bool:
     return all(x >= y for x, y in zip_longest(outer, inner, fillvalue=0))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def partitions_of(d: int, max_parts: int) -> tuple[Parts, ...]:
     """All partitions of d with at most max_parts parts, lexicographically
     decreasing."""

@@ -51,19 +51,6 @@ class LRTableau:
             "rows": [[0] * padded_inner[i] + list(row) for i, row in enumerate(self.rows)],
         }
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "LRTableau":
-        outer = normalize(obj["outer"])
-        inner = normalize(obj["inner"])
-        padded_inner = pad(inner, len(outer)) if outer else ()
-        rows = []
-        for i, row in enumerate(obj["rows"]):
-            lead = padded_inner[i] if i < len(padded_inner) else 0
-            if list(row[:lead]) != [0] * lead:
-                raise TableauError(f"row {i + 1}: expected {lead} leading empty cells")
-            rows.append(tuple(row[lead:]))
-        return validate_tableau(outer, inner, rows)
-
 
 def validate_tableau(outer, inner, rows, n: int | None = None) -> LRTableau:
     """Check a filling against the semistandard and lattice-word conditions.

@@ -14,7 +14,7 @@ from . import cone
 from .hive import Boundary, Hive
 from .polynomial import (ColumnTableau, Polynomial, Weight, det, minor,
                          monomial_exponents, raising_derivation,
-                         render_monomial, variable_count)
+                         render_monomial, variable_count, variable_labels)
 from .report import CheckResult, ConsistencyError
 from .shapes import pad
 from .tableau import LRTableau, hive_to_tableau
@@ -152,12 +152,13 @@ class GeneratorTable:
         return self.generators[index - 1]
 
 
-def _expand_terms(n: int, terms) -> Polynomial:
+def _signed_sum(n: int, terms, factor) -> Polynomial:
+    """Sum over (coeff, items) terms of coeff * prod(factor(item))."""
     total = Polynomial.zero(n)
-    for coeff, columns in terms:
+    for coeff, items in terms:
         prod = Polynomial.constant(n, coeff)
-        for empty, entries in columns:
-            prod = prod * minor(n, ColumnTableau(empty, tuple(entries)))
+        for item in items:
+            prod = prod * factor(item)
         total = total + prod
     return total
 
@@ -176,33 +177,39 @@ def lemma_initial_exponents(n: int, tab: LRTableau):
     return monomial_exponents(n, factors)
 
 
-@lru_cache(maxsize=None)
-def build_generators(n: int) -> GeneratorTable:
-    """Construct and fully validate the generator table for n = 2, 3, 4.
+def _check_highest_weight(name: str, poly: Polynomial, weight: Weight, hive: Hive) -> None:
+    """The paper's central fact for one vector: poly has torus weight
+    `weight`, is killed by all 3(n-1) raising operators, and its leading
+    term is 1 times the tableau monomial of `hive`."""
+    n = poly.n
+    if poly.weight() != weight:
+        raise ConsistencyError(f"{name} has weight {poly.weight()}, expected {weight}")
+    for factor in (1, 2, 3):
+        for k in range(1, n):
+            if not raising_derivation(factor, k, poly).is_zero:
+                raise ConsistencyError(
+                    f"{name} is not annihilated by raising operator ({factor}, {k})")
+    exps, coeff = poly.leading_term()
+    expected = lemma_initial_exponents(n, hive_to_tableau(hive))
+    if coeff != 1 or exps != expected:
+        raise ConsistencyError(
+            f"{name} has initial monomial {coeff}*{render_monomial(n, exps)}, "
+            f"expected {render_monomial(n, expected)}")
 
-    Validation: each generator carries its tabulated torus weight, is killed
-    by all 3(n-1) raising operators, and its leading term is the monomial
-    that the index-matched Hilbert basis hive predicts.
-    """
+
+@lru_cache(maxsize=4)
+def build_generators(n: int) -> GeneratorTable:
+    """Construct and fully validate the generator table for n = 2, 3, 4:
+    each generator is checked against its tabulated torus weight and the
+    index-matched Hilbert basis hive."""
     if n not in _GENERATOR_TERMS:
         raise ValueError(f"no generator data for rank {n}")
     pres = cone.presentation(n)
-    generators = tuple(_expand_terms(n, terms) for terms in _GENERATOR_TERMS[n])
+    generators = tuple(_signed_sum(n, terms, lambda col: minor(n, ColumnTableau(*col)))
+                       for terms in _GENERATOR_TERMS[n])
     weights = tuple(Weight(*w) for w in GENERATOR_WEIGHTS[n])
     for idx, (g, w, h) in enumerate(zip(generators, weights, pres.basis), start=1):
-        if g.weight() != w:
-            raise ConsistencyError(f"g_{idx} has weight {g.weight()}, table says {w}")
-        for factor in (1, 2, 3):
-            for k in range(1, n):
-                if not raising_derivation(factor, k, g).is_zero:
-                    raise ConsistencyError(
-                        f"g_{idx} is not annihilated by raising operator ({factor}, {k})")
-        exps, coeff = g.leading_term()
-        expected = lemma_initial_exponents(n, hive_to_tableau(h))
-        if coeff != 1 or exps != expected:
-            raise ConsistencyError(
-                f"g_{idx} has leading term {coeff}*{render_monomial(n, exps)}, "
-                f"expected {render_monomial(n, expected)}")
+        _check_highest_weight(f"g_{idx}", g, w, h)
     return GeneratorTable(n, generators, weights, pres.basis)
 
 
@@ -233,30 +240,11 @@ def highest_weight_vector(n: int, hive: Hive, check: bool = True) -> HighestWeig
     poly = Polynomial.one(n)
     for k in indices:
         poly = poly * table.generator(k)
-    vec = HighestWeightVector(hive.boundary(), hive, indices, poly)
+    boundary = hive.boundary()
     if check:
-        _check_vector(table, vec)
-    return vec
-
-
-def _check_vector(table: GeneratorTable, vec: HighestWeightVector) -> None:
-    n = table.n
-    w = vec.polynomial.weight()
-    expected = Weight(*(tuple(pad(p, n)) for p in vec.boundary))
-    if w != expected:
-        raise ConsistencyError(f"lifted vector weight {w} != boundary {expected}")
-    for factor in (1, 2, 3):
-        for k in range(1, n):
-            if not raising_derivation(factor, k, vec.polynomial).is_zero:
-                raise ConsistencyError(
-                    f"lifted vector for hive {vec.hive} is not annihilated "
-                    f"by raising operator ({factor}, {k})")
-    exps, coeff = vec.polynomial.leading_term()
-    expected_exps = lemma_initial_exponents(n, hive_to_tableau(vec.hive))
-    if coeff != 1 or exps != expected_exps:
-        raise ConsistencyError(
-            f"lifted vector for hive {vec.hive} has initial monomial "
-            f"{coeff}*{render_monomial(n, exps)}, expected {render_monomial(n, expected_exps)}")
+        _check_highest_weight(f"lifted vector for hive {hive}", poly,
+                              Weight(*(pad(p, n) for p in boundary)), hive)
+    return HighestWeightVector(boundary, hive, indices, poly)
 
 
 def hwv_basis(n: int, lam, mu, nu, check: bool = True) -> list[HighestWeightVector]:
@@ -280,12 +268,7 @@ def verify_presentation_relations(n: int) -> list[CheckResult]:
     table = build_generators(n)
     results = []
     for name, signed_terms in PRESENTATION_RELATIONS[n]:
-        total = Polynomial.zero(n)
-        for coeff, indices in signed_terms:
-            prod = Polynomial.constant(n, coeff)
-            for k in indices:
-                prod = prod * table.generator(k)
-            total = total + prod
+        total = _signed_sum(n, signed_terms, table.generator)
         if total.is_zero:
             results.append(CheckResult(f"relation {name}", True))
         else:
@@ -301,9 +284,7 @@ def verify_independence(trials: int = 5, seed: int = 20240814) -> list[CheckResu
     Jacobian has full rank at some random integer point (exact rank over the
     rationals), which suffices in characteristic zero."""
     table = build_generators(2)
-    labels = [("x", i, j) for i in (1, 2) for j in (1, 2)]
-    labels += [("y", i, j) for i in (1, 2) for j in (1, 2)]
-    jacobian = [[g.partial(*var) for var in labels] for g in table.generators]
+    jacobian = [[g.partial(*var) for var in variable_labels(2)] for g in table.generators]
     rng = random.Random(seed)
     ranks = []
     for _ in range(trials):
@@ -379,6 +360,13 @@ def _bordered_determinant_data(n: int):
     )
 
 
+def _double_cofactor_residual(corners) -> Polynomial:
+    """det A * det A' - (det A_m^m * det A_1^1 - det A_m^1 * det A_1^m),
+    zero by the Desnanot-Jacobi identity."""
+    a, inner, mm, oo, m1, om = corners
+    return a * inner - (mm * oo - m1 * om)
+
+
 def _desnanot_jacobi_corners(matrix):
     size = len(matrix)
     inner = [row[1:-1] for row in matrix[1:-1]]
@@ -395,11 +383,7 @@ def _fresh_matrix(n: int, size: int):
     """A size x size matrix of distinct variables from the rank-n ring."""
     if size * size > variable_count(n):
         raise ValueError("not enough variables for a generic matrix")
-    labels = []
-    for i in range(1, n + 1):
-        labels.extend(("x", i, j) for j in range(1, n + 1))
-        labels.extend(("y", i, j) for j in range(1, n + 1))
-    entries = iter(labels)
+    entries = iter(variable_labels(n))
     return [[Polynomial.variable(n, *next(entries)) for _ in range(size)]
             for _ in range(size)]
 
@@ -418,9 +402,7 @@ def verify_classical_identities(n: int) -> list[CheckResult]:
     """
     results = []
     for size in (3, 4, 5):
-        corners = _desnanot_jacobi_corners(_fresh_matrix(4, size))
-        a, inner, mm, oo, m1, om = corners
-        residual = a * inner - (mm * oo - m1 * om)
+        residual = _double_cofactor_residual(_desnanot_jacobi_corners(_fresh_matrix(4, size)))
         results.append(CheckResult(
             f"double-cofactor identity, generic {size}x{size}", residual.is_zero,
             "" if residual.is_zero else "nonzero residual"))
@@ -435,8 +417,7 @@ def verify_classical_identities(n: int) -> list[CheckResult]:
     if n == 4:
         for name, matrix, expected in _bordered_determinant_data(4):
             corners = _desnanot_jacobi_corners(matrix)
-            a, inner, mm, oo, m1, om = corners
-            residual = a * inner - (mm * oo - m1 * om)
+            residual = _double_cofactor_residual(corners)
             results.append(CheckResult(
                 f"double-cofactor identity on the {name} bordered matrix",
                 residual.is_zero, "" if residual.is_zero else "nonzero residual"))
@@ -444,8 +425,7 @@ def verify_classical_identities(n: int) -> list[CheckResult]:
             results.append(CheckResult(
                 f"corner minors of the {name} matrix match column-tableau minors",
                 matched, "" if matched else "some corner disagrees"))
-            ea, einner, emm, eoo, em1, eom = expected
-            induced = ea * einner - (emm * eoo - em1 * eom)
+            induced = _double_cofactor_residual(expected)
             results.append(CheckResult(
                 f"minor-form identity behind {name} expands to zero", induced.is_zero,
                 "" if induced.is_zero else "nonzero residual"))

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hivealg import cone, counting, hive
+from hivealg import cone, counting, hive, polynomial, shapes, tensor_algebra
 from hivealg.counting import (SERIES_DENOMINATOR, SERIES_NUMERATOR,
                               _boundary_triple, boundary_triples, enumerate_hives,
                               hp_series_closed_form, hp_series_enumerated,
@@ -195,17 +195,26 @@ def boundary_args(draw):
     return n, lam, mu, nu
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(boundary_args())
 def test_boundary_triple_matches_normalizing_check(case):
     assert outcome(_boundary_triple, *case) == outcome(normalized_boundary_triple, *case)
 
 
+# The keys one process needs at once: the last four degree bounds; the 28
+# (d, n) keys of a series batch (hp-series -n 4 to 15 and -n 5 to 11); every
+# rank with cone data (2..8) or with generators (2, 3, 4).
+LEAST_MAXSIZE = {cone.hives_up_to_degree: 4, shapes.partitions_of: 28,
+                 cone.cone_inequalities: 7, cone.presentation: 3,
+                 polynomial.variable_labels: 3, tensor_algebra.build_generators: 3}
+
+
 @pytest.mark.parametrize("cached", [
     counting.schur_monomials, counting._schur_product_expansion,
     cone.hives_up_to_degree, counting._kernel, hive.membership,
-    counting._fill_plan, hive.cone_rows])
+    counting._fill_plan, hive.cone_rows, shapes.partitions_of,
+    cone.cone_inequalities, cone.presentation, polynomial.variable_labels,
+    tensor_algebra.build_generators])
 def test_caches_are_bounded(cached):
-    assert cached.cache_info().maxsize is not None
-    if cached is cone.hives_up_to_degree:
-        assert cached.cache_info().maxsize >= 4
+    maxsize = cached.cache_info().maxsize
+    assert maxsize is not None and maxsize >= LEAST_MAXSIZE.get(cached, 1)

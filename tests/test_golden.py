@@ -2,7 +2,9 @@
 
 The digests are SHA-256 of stdout, computed with the tuple-exponent
 polynomials that the packed-int representation replaced; a change of
-representation or of term order must leave them as they are.
+representation or of term order must leave them as they are.  The
+boundary-mode digests were computed before boundary-mode hwv was routed
+through tensor_algebra.hwv_basis, so they pin that route too.
 """
 
 import hashlib
@@ -23,6 +25,15 @@ HWV_DIGESTS = {
         "3293461bc97b7c17e44e378a53c1e09e6bfaf8a7f7901627b73ad6078b777020",
         "dcb87c508e8737e1db1549b691b8eade9eead2e66155a42fd5d9c3a36e3a098b"),
 }
+BOUNDARY_HWV_DIGESTS = {
+    # (n, lambda, mu, nu), both with c = 2: (text digest, JSON digest)
+    ("4", "3,2,1", "2,1", "2,1"): (
+        "f8a572d75d03be72573de9be0f1023a56a87818221bb06a140dd0f7805cb7550",
+        "b9ec514455ac86227f12e96d4be489cadce76ca5151c981c63a0cf47ab335c24"),
+    ("3", "4,2,1", "2,1", "3,1"): (
+        "30f3f7c7ea175547f7d675bf49e9e832ec36e278dd58fa2f7a612d8ca0c13c93",
+        "649283f4c94339cc4f41155fbed916cc3ba95b2b2d1b115e7f5af3ce6d752b7e"),
+}
 VERIFY_4_JSON_DIGEST = "0ae5fc71585108fbe1ad96708adb4517f5816a8e7e18d3c5259d81579f8e7d2c"
 
 
@@ -37,6 +48,15 @@ def test_hwv_output_is_pinned(capsys, hive):
     assert stdout_digest(capsys, ["hwv", "-n", "4", "--hive", hive]) == text
     assert stdout_digest(capsys, ["hwv", "-n", "4", "--hive", hive,
                                   "--format", "json"]) == json_digest
+
+
+@pytest.mark.parametrize("boundary", sorted(BOUNDARY_HWV_DIGESTS))
+def test_boundary_hwv_output_is_pinned(capsys, boundary):
+    n, lam, mu, nu = boundary
+    argv = ["hwv", "-n", n, "--lambda", lam, "--mu", mu, "--nu", nu]
+    text, json_digest = BOUNDARY_HWV_DIGESTS[boundary]
+    assert stdout_digest(capsys, argv) == text
+    assert stdout_digest(capsys, argv + ["--format", "json"]) == json_digest
 
 
 def test_verify_rank4_json_is_pinned(capsys):

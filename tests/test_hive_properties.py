@@ -46,14 +46,14 @@ def perturbed_hives(draw):
 arrays = st.one_of(random_arrays(), perturbed_hives())
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(arrays)
 def test_in_cone_agrees_with_violation_report(case):
     n, flat = case
     assert in_cone(flat, n) == (flat[0] == 0 and hive_violations(rows_of(flat, n)) == [])
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(arrays)
 def test_increasing_edge_is_rejected_by_a_rhombus(case):
     n, flat = case
@@ -72,7 +72,7 @@ def basis_sums(draw):
     return n, picks
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(basis_sums())
 def test_decompose_sums_back_to_the_hive(case):
     n, picks = case
@@ -119,7 +119,7 @@ def interpreted_decompositions(hive, pres, first_only):
     return found
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(basis_sums())
 def test_decompositions_equal_the_interpreted_search(case):
     n, picks = case

@@ -127,5 +127,4 @@ def test_round_trip_small_degrees():
 def test_json_round_trip_uses_zero_for_inner_cells():
     tab = LRTableau((3, 2, 1), (2, 1), ((1,), (2,), (1,)))
     obj = tab.to_json_dict()
-    assert obj["rows"] == [[0, 0, 1], [0, 2], [1]]
-    assert LRTableau.from_json_dict(obj) == tab
+    assert obj == {"outer": [3, 2, 1], "inner": [2, 1], "rows": [[0, 0, 1], [0, 2], [1]]}

@@ -162,11 +162,14 @@ def test_lemma_monomial_matches_lift_on_small_hives():
 
 def test_hwv_json_bundle():
     h = Hive.from_rows([[0], [2, 3], [3, 4, 5], [3, 5, 6, 6]])
-    obj = highest_weight_vector(3, h).to_json_dict()
+    vec = highest_weight_vector(3, h)
+    obj = vec.to_json_dict()
     assert obj["decomposition"] == [3, 4, 8]
     assert obj["boundary"] == {"lambda": [3, 2, 1], "mu": [2, 1, 0], "nu": [2, 1, 0]}
     assert obj["hive"]["rows"][3] == [3, 5, 6, 6]
-    assert Polynomial.from_json_obj(3, obj["polynomial"]) == highest_weight_vector(3, h).polynomial
+    assert obj["polynomial"] == vec.polynomial.to_json_obj()
+    assert obj["polynomial"][0] == {"coeff": "1", "exps": {"x11": 2, "x22": 1,
+                                                           "y11": 1, "y22": 1, "y31": 1}}
 
 
 def test_generator_table_rejects_unknown_rank():
