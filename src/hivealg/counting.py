@@ -31,30 +31,34 @@ SERIES_DENOMINATOR: dict[int, tuple[int, ...]] = {
 
 @lru_cache(maxsize=32)
 def _fill_plan(n: int):
-    """Flat (start, stop) of each row; interior flat indices in increasing
-    order, each cone row attached to the last interior index it mentions
-    (rows on the boundary alone kept apart).  The 3n edge rows come first in
+    """Flat (start, stop) of each row; interior flat indices in fill order,
+    the reverse of row-major: rows n down to 3, each from its right end to
+    its left.  The bottom interior row, next to the nu edge and the tail of
+    lambda, is placed first, so the tightest intervals are met at the top
+    of the search.  Each cone row is attached to the interior entry it
+    mentions that is placed last (its smallest flat index); rows on the
+    boundary alone are kept apart.  The 3n edge rows come first in
     cone_rows and are left out: every dominant boundary satisfies them.
 
     Then one round of cancelled pairs: for each interior entry x, the sum of
     each row bounding x from below with each row bounding it from above.  x
-    cancels, and every hive satisfies the sum, so attaching it to the last
-    interior entry it mentions prunes partial fillings that no hive extends
-    before their subtree is entered.  A sum is kept only when every
-    coefficient stays +-1: the bounds are then plain sums of entries, with
-    no rounding division.  Sums already in the plan, and sums on the boundary
-    alone, are dropped.
+    cancels, and every hive satisfies the sum, so attaching it to the
+    interior entry it mentions that is placed last prunes partial fillings
+    that no hive extends before their subtree is entered.  A sum is kept
+    only when every coefficient stays +-1: the bounds are then plain sums of
+    entries, with no rounding division.  Sums already in the plan, and sums
+    on the boundary alone, are dropped.
 
     Attached rows are split as (coeff on that entry, residual terms), so
     interval bounds fall out once everything earlier is placed.
     """
     row_bounds = tuple((flat_index(i, 1), flat_index(i + 1, 1)) for i in range(1, n + 2))
-    interior = tuple(flat_index(i, j) for i in range(3, n + 1) for j in range(2, i))
+    interior = tuple(flat_index(i, j) for i in range(n, 2, -1) for j in range(i - 1, 1, -1))
     boundary_only = []
     attached = {k: [] for k in interior}
 
     def attach(terms) -> bool:
-        pivot = max((k for k, _ in terms if k in attached), default=None)
+        pivot = min((k for k, _ in terms if k in attached), default=None)
         if pivot is not None:
             attached[pivot].append(terms)
         return pivot is not None
@@ -103,8 +107,9 @@ def _bound(candidates: list[str], pick: str) -> str:
 
 
 def _kernel_source(n: int, count: bool) -> str:
-    """One function per interior entry, in plan order.  _e<k>(a) reads its
-    interval from the entries placed before it: the max over the plan's
+    """One function per interior entry, in fill order (_fill_plan: bottom
+    row first, right to left).  _e<k>(a) reads its interval from the
+    boundary and the entries placed before it: the max over the plan's
     lower rows of that entry and the min over its upper rows, the cancelled
     pairs among them, so an interval that no hive can fill comes out empty
     early.  It then loops over the interval, writing a[pos] and calling
@@ -159,7 +164,8 @@ def _kernel(n: int, count: bool):
 
 
 def _iter_hive_rows(n: int, lam: Parts, mu: Parts, nu: Parts) -> Iterator[tuple]:
-    """Yield the row tuples of every hive with the given boundary.
+    """Yield the row tuples of every hive with the given boundary, in the
+    kernel's search order, which is not lexicographic (enumerate_hives sorts).
 
     Inputs must be dominant, zero-padded to length n, with
     sum(lam) == sum(mu) + sum(nu); edges are fixed by partial sums and only
@@ -199,31 +205,28 @@ def _check_rank(n: int) -> None:
 
 def _boundary_triple(n, lam, mu, nu) -> tuple[Parts, Parts, Parts] | None:
     """Pad a boundary triple to length n, or None when no hive can carry it.
-    Tuples already of length n (as boundary_triples yields them) are checked
-    as they are: trailing zeros change neither dominance nor the sums."""
+    Trailing zeros change neither dominance nor the sums, so each part is
+    checked as given (a tuple is not copied) and only the error message
+    strips them; nonzero parts beyond n admit no hive."""
     _check_rank(n)
-    if all(type(p) is tuple and len(p) == n for p in (lam, mu, nu)):
-        for name, p in (("lambda", lam), ("mu", mu), ("nu", nu)):
-            if not is_dominant(p):
-                raise ValueError(f"{name} = {normalize(p)} is not a partition")
-        return (lam, mu, nu) if sum(lam) == sum(mu) + sum(nu) else None
-    lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
+    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
     for name, p in (("lambda", lam), ("mu", mu), ("nu", nu)):
         if not is_dominant(p):
-            raise ValueError(f"{name} = {p} is not a partition")
-    if max(len(lam), len(mu), len(nu)) > n:
+            raise ValueError(f"{name} = {normalize(p)} is not a partition")
+    if sum(lam) != sum(mu) + sum(nu) or any(lam[n:]) or any(mu[n:]) or any(nu[n:]):
         return None
-    if sum(lam) != sum(mu) + sum(nu):
-        return None
-    return pad(lam, n), pad(mu, n), pad(nu, n)
+    return (lam[:n] + (0,) * (n - len(lam)), mu[:n] + (0,) * (n - len(mu)),
+            nu[:n] + (0,) * (n - len(nu)))
 
 
 def enumerate_hives(n, lam, mu, nu) -> list[Hive]:
-    """All hives with boundary (lam, mu, nu), in search order."""
+    """All hives with boundary (lam, mu, nu), in lexicographic order of their
+    flat coordinates."""
     triple = _boundary_triple(n, lam, mu, nu)
     if triple is None:
         return []
-    return [Hive(n, rows) for rows in _iter_hive_rows(n, *triple)]
+    # rows have fixed lengths, so row tuples sort as the flat coordinates do
+    return [Hive(n, rows) for rows in sorted(_iter_hive_rows(n, *triple))]
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hivealg import cone, counting, hive, polynomial, shapes, tensor_algebra
@@ -178,8 +178,9 @@ def outcome(call, *args):
 
 @st.composite
 def boundary_args(draw):
-    """(n, lam, mu, nu): half the time all three padded to length n, and
-    often lam a partition of |mu| + |nu|."""
+    """(n, lam, mu, nu): half the time all three padded to length n, else
+    of any length up to n + 1 and some with trailing zeros appended; often
+    lam a partition of |mu| + |nu|; now and then a list, not a tuple."""
     n = draw(st.integers(1, 5))
     padded = draw(st.booleans())
 
@@ -187,14 +188,25 @@ def boundary_args(draw):
         size = n if padded else draw(st.integers(0, n + 1))
         return tuple(draw(st.lists(values, min_size=size, max_size=size)))
 
+    def loosen(p):
+        if not padded:
+            p += (0,) * draw(st.integers(0, 2))
+        return list(p) if draw(st.integers(0, 3)) == 0 else p
+
     mu, nu = parts(), parts()
     lam = parts()
     if draw(st.booleans()) and sum(mu) + sum(nu) >= 0:
         lam = draw(st.sampled_from(partitions_of(sum(mu) + sum(nu), n) or ((),)))
         lam = pad(lam, n) if padded else lam
-    return n, lam, mu, nu
+    return n, loosen(lam), loosen(mu), loosen(nu)
 
 
+# The draws seldom give a part of more than n nonzero entries whose sums
+# still match, so such triples are pinned, one for each part: no hive
+# carries them.
+@example((1, (1, 1), (1,), (1,)))
+@example((1, (3,), (1, 1), (1,)))
+@example((2, [4, 2], (2, 1), [1, 1, 1]))
 @settings(max_examples=400)
 @given(boundary_args())
 def test_boundary_triple_matches_normalizing_check(case):
