@@ -13,7 +13,7 @@ import shlex
 import sys
 
 from . import cone, counting, tensor_algebra
-from .hive import Hive, InvalidHiveError, MalformedArrayError
+from .hive import Hive
 from .report import CheckResult, ConsistencyError, failures
 from .shapes import is_dominant, normalize
 
@@ -135,10 +135,7 @@ def run(argv) -> int:
     try:
         args = parser.parse_args(argv)
         code = _dispatch(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (InvalidHiveError, MalformedArrayError, ValueError) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

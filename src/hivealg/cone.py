@@ -148,29 +148,26 @@ def hilbert_basis(n: int, max_degree: int = 12) -> tuple[Hive, ...]:
     coordinates)."""
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    everything = hives_up_to_degree(n, max_degree)
-    flats = [h.to_flat() for h in everything]
-    members = set(flats)
-    by_degree: dict[int, list[tuple[int, ...]]] = {}
-    for flat in flats:
-        by_degree.setdefault(flat[-1], []).append(flat)
+    return tuple(_new_generators(n, max_degree, ()))
 
-    basis = []
-    for h, flat in zip(everything, flats):
-        d = flat[-1]
-        if d == 0:
-            continue
-        reducible = False
-        for dd in range(1, d // 2 + 1):
-            for g in by_degree.get(dd, ()):
-                if tuple(map(sub, flat, g)) in members:
-                    reducible = True
-                    break
-            if reducible:
-                break
-        if not reducible:
-            basis.append(h)
-    return tuple(basis)
+
+def _new_generators(n: int, max_degree: int, generators):
+    """The one sweep behind hilbert_basis and undecomposable_hives.
+
+    Walks the hives of degree <= max_degree in (degree, coordinates) order.
+    A nonzero hive is new when no generator leaves a difference among the
+    hives already met; a new hive is yielded and joins the generators.  So
+    every hive met is a sum of generators, and a hive is yielded exactly
+    when it is not such a sum.
+    """
+    gens = list(generators)
+    met = set()
+    for h in hives_up_to_degree(n, max_degree):
+        flat = h.to_flat()   # ends in the degree, 0 only for the zero hive
+        if flat[-1] and not any(tuple(map(sub, flat, g)) in met for g in gens):
+            gens.append(flat)
+            yield h
+        met.add(flat)
 
 
 @dataclass(frozen=True)
@@ -286,27 +283,12 @@ def _decompose_search(hive: Hive, pres: ConePresentation, first_only: bool) -> s
 
 
 def undecomposable_hives(n: int, max_degree: int, pres: ConePresentation) -> list[Hive]:
-    """Hives of degree <= max_degree that do not decompose over the basis
-    (empty when the basis generates up to that degree).
-
-    Processes the full enumerated set in degree order, so a hive decomposes
-    iff subtracting some basis element lands on an already-decomposable hive
-    (or on zero); validity of the difference is a set-membership test.
-    """
-    everything = hives_up_to_degree(n, max_degree)
-    zero = (0,) * triangle_size(n)
-    decomposable = {zero}
-    failures = []
-    for h in everything:
-        flat = h.to_flat()
-        if flat == zero:
-            continue
-        if any(tuple(a - c for a, c in zip(flat, b)) in decomposable
-               for b in pres.flats):
-            decomposable.add(flat)
-        else:
-            failures.append(h)
-    return failures
+    """Hives of degree <= max_degree that are not sums of basis elements and
+    of the hives listed before them: empty exactly when the basis generates
+    every hive up to that degree, and otherwise the missing generators."""
+    if n != pres.n:
+        raise ValueError(f"rank mismatch: hive {n}, presentation {pres.n}")
+    return list(_new_generators(n, max_degree, pres.flats))
 
 
 # ---------------------------------------------------------------------------

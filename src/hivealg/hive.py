@@ -146,12 +146,6 @@ def membership(n: int):
     return _compile(_in_cone_source(n), f"<hivealg in_cone n={n}>", "in_cone")
 
 
-def in_cone(flat, n: int) -> bool:
-    """Whether flat row-major coordinates of rank n form a hive: apex zero
-    and every cone row satisfied.  Stops at the first failure."""
-    return membership(n)(flat)
-
-
 def _check_shape(rows: Iterable[Iterable[int]]) -> Rows:
     rows = tuple(tuple(int(v) for v in row) for row in rows)
     if not rows:

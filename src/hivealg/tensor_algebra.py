@@ -232,29 +232,28 @@ class HighestWeightVector:
         }
 
 
-def highest_weight_vector(n: int, hive: Hive, check: bool = True) -> HighestWeightVector:
+def highest_weight_vector(n: int, hive: Hive) -> HighestWeightVector:
     """Lift a hive to an explicit highest weight vector: decompose it over
-    the Hilbert basis and multiply the matching generators."""
+    the Hilbert basis, multiply the matching generators, and check the
+    product."""
     table = build_generators(n)
     indices = cone.decompose(hive, cone.presentation(n))
     poly = Polynomial.one(n)
     for k in indices:
         poly = poly * table.generator(k)
     boundary = hive.boundary()
-    if check:
-        _check_highest_weight(f"lifted vector for hive {hive}", poly,
-                              Weight(*(pad(p, n) for p in boundary)), hive)
+    _check_highest_weight(f"lifted vector for hive {hive}", poly,
+                          Weight(*(pad(p, n) for p in boundary)), hive)
     return HighestWeightVector(boundary, hive, indices, poly)
 
 
-def hwv_basis(n: int, lam, mu, nu, check: bool = True) -> list[HighestWeightVector]:
+def hwv_basis(n: int, lam, mu, nu) -> list[HighestWeightVector]:
     """One highest weight vector per hive with boundary (lam, mu, nu); their
     initial monomials are asserted pairwise distinct, so they are a basis of
     the corresponding graded component."""
     from .counting import enumerate_hives
 
-    vectors = [highest_weight_vector(n, h, check=check)
-               for h in enumerate_hives(n, lam, mu, nu)]
+    vectors = [highest_weight_vector(n, h) for h in enumerate_hives(n, lam, mu, nu)]
     initials = [v.polynomial.leading_term()[0] for v in vectors]
     if len(set(initials)) != len(initials):
         raise ConsistencyError(

@@ -9,7 +9,7 @@ from hivealg.cone import (ConePresentation, NoDecompositionError,
                           hives_up_to_degree, inequalities_input_text,
                           presentation, undecomposable_hives,
                           verify_relations)
-from hivealg.hive import Hive, hive_violations, in_cone
+from hivealg.hive import Hive, hive_violations, membership
 
 RANK4_INEQUALITY_ROWS = [
     "-1 1 0 0 0 0 0 0 0 0 0 0 0 0 0",
@@ -56,7 +56,7 @@ def test_rank4_inequality_rows_are_pinned_exactly():
 def test_rank2_system_shape_and_zero_membership():
     system = cone_inequalities(2)
     assert len(system.rows) == 6 + 3
-    assert in_cone((0,) * 6, 2)
+    assert membership(2)((0,) * 6)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -79,7 +79,7 @@ def test_membership_agrees_with_validation_on_random_arrays(n):
             rows.append(flat[k:k + i])
             k += i
         valid = flat[0] == 0 and not hive_violations(rows)
-        assert in_cone(tuple(flat), n) == valid
+        assert membership(n)(tuple(flat)) == valid
         members += valid
     assert 0 < members < 1000  # sample straddles the boundary
 
@@ -174,18 +174,51 @@ def test_decompositions_multiply_out():
         assert sum((pres.basis[k - 1] for k in indices), Hive.zero(4)) == h
 
 
+def without(pres, drop):
+    """The presentation with basis element drop (0-based) left out."""
+    return ConePresentation(pres.n,
+                            pres.basis[:drop] + pres.basis[drop + 1:],
+                            pres.degrees[:drop] + pres.degrees[drop + 1:],
+                            ())
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_basis_is_minimal(n):
     pres = presentation(n)
     for drop in range(len(pres.basis)):
-        rest = ConePresentation(
-            n,
-            pres.basis[:drop] + pres.basis[drop + 1:],
-            pres.degrees[:drop] + pres.degrees[drop + 1:],
-            (),
-        )
         with pytest.raises(NoDecompositionError):
-            decompose(pres.basis[drop], rest)
+            decompose(pres.basis[drop], without(pres, drop))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_undecomposable_lists_exactly_the_dropped_generator(n):
+    # generators have degree <= 6, so degree 8 meets each of them
+    pres = presentation(n)
+    for drop, h in enumerate(pres.basis):
+        assert undecomposable_hives(n, 8, without(pres, drop)) == [h]
+
+
+def test_undecomposable_rejects_a_presentation_of_another_rank():
+    with pytest.raises(ValueError, match="rank mismatch: hive 3, presentation 4"):
+        undecomposable_hives(3, 6, presentation(4))
+    with pytest.raises(ValueError, match="rank mismatch: hive 4, presentation 3"):
+        undecomposable_hives(4, 6, presentation(3))
+
+
+def brute_force_irreducibles(n, max_degree):
+    """Nonzero hives that are not the sum of two nonzero hives, by trying
+    every other nonzero hive as one summand."""
+    nonzero = [h.to_flat() for h in hives_up_to_degree(n, max_degree)
+               if any(h.to_flat())]
+    members = set(nonzero)
+    return [Hive.from_flat(h) for h in nonzero
+            if not any(tuple(a - b for a, b in zip(h, g)) in members
+                       for g in nonzero if g != h)]
+
+
+@pytest.mark.parametrize("n, max_degree", [(2, 8), (3, 8), (4, 8), (5, 6)])
+def test_hilbert_basis_matches_brute_force(n, max_degree):
+    assert list(hilbert_basis(n, max_degree)) == brute_force_irreducibles(n, max_degree)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

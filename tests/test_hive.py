@@ -4,7 +4,7 @@ import pytest
 
 from hivealg.cone import hives_up_to_degree, presentation
 from hivealg.hive import (Hive, InvalidHiveError, MalformedArrayError,
-                          hive_violations, in_cone)
+                          hive_violations, membership)
 
 WORKED_H = ((0,), (2, 3), (3, 4, 5), (3, 5, 6, 6))
 WORKED_H_PRIME = ((0,), (2, 3), (3, 5, 5), (3, 5, 6, 6))
@@ -102,8 +102,8 @@ def test_difference_detects_cone_exit():
                                            pres.basis[0].to_flat()))
 
     rest = minus_h1(WORKED_H_PRIME)   # h' - h_1 = h_6 + h_7
-    assert in_cone(rest, 3) and rest == (pres.basis[5] + pres.basis[6]).to_flat()
-    assert not in_cone(minus_h1(WORKED_H), 3)
+    assert membership(3)(rest) and rest == (pres.basis[5] + pres.basis[6]).to_flat()
+    assert not membership(3)(minus_h1(WORKED_H))
 
 
 def test_flat_and_json_round_trips():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hivealg.cone import (NoDecompositionError, all_decompositions, decompose,
                           hives_up_to_degree, presentation)
 from hivealg.hive import (Hive, InvalidHiveError, cone_rows, flat_index,
-                          hive_violations, in_cone, triangle_size)
+                          hive_violations, membership, triangle_size)
 
 RANKS = st.integers(2, 5)
 
@@ -50,7 +50,7 @@ arrays = st.one_of(random_arrays(), perturbed_hives())
 @given(arrays)
 def test_in_cone_agrees_with_violation_report(case):
     n, flat = case
-    assert in_cone(flat, n) == (flat[0] == 0 and hive_violations(rows_of(flat, n)) == [])
+    assert membership(n)(flat) == (flat[0] == 0 and hive_violations(rows_of(flat, n)) == [])
 
 
 @settings(max_examples=300)
@@ -60,7 +60,7 @@ def test_increasing_edge_is_rejected_by_a_rhombus(case):
     assume(any(a < b for edge in edges_of(flat, n) for a, b in zip(edge, edge[1:])))
     found = hive_violations(rows_of(flat, n))
     assert any(v.kind.startswith("rhombus") for v in found)
-    assert not in_cone(flat, n)
+    assert not membership(n)(flat)
     with pytest.raises(InvalidHiveError):
         Hive.from_rows(rows_of(flat, n))
 

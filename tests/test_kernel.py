@@ -21,7 +21,7 @@ from hivealg import counting, hive
 from hivealg.cone import hives_up_to_degree
 from hivealg.counting import (_kernel, boundary_triples, enumerate_hives,
                               lr_coefficient, lr_via_tableaux)
-from hivealg.hive import (cone_rows, flat_index, hive_violations, in_cone, membership,
+from hivealg.hive import (cone_rows, flat_index, hive_violations, membership,
                           triangle_size)
 from hivealg.shapes import contains, pad, partitions_of
 
@@ -377,10 +377,10 @@ def test_in_cone_rejects_coefficients_other_than_one(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_in_cone_zero_and_shifted_arrays(n):
     size = triangle_size(n)
-    assert in_cone([0] * size, n)   # every row holds with equality
+    assert membership(n)([0] * size)   # every row holds with equality
     # each row's coefficients sum to 0, so a constant shift fails the apex only
     assert [v.kind for v in hive_violations(rows_of([1] * size, n))] == ["apex"]
-    assert not in_cone([1] * size, n)
+    assert not membership(n)([1] * size)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -395,7 +395,7 @@ def test_in_cone_rejects_each_row_failing_alone(n):
                 moved = flat[:k] + [flat[k] + step] + flat[k + 1:]
                 found = hive_violations(rows_of(moved, n))
                 if len(found) == 1:
-                    assert not in_cone(moved, n)
+                    assert not membership(n)(moved)
                     failing_alone.add((found[0].kind, found[0].i, found[0].j))
     # the rhombus rows make every edge decrease and give
     # lambda_n >= mu_n + nu_n, so only the edge rows of part n are needed
@@ -422,4 +422,4 @@ def membership_cases(draw):
 @given(membership_cases())
 def test_in_cone_agrees_with_interpreted_rows(case):
     n, flat = case
-    assert in_cone(flat, n) == membership(n)(flat) == interpreted_in_cone(flat, n)
+    assert membership(n)(flat) == interpreted_in_cone(flat, n)
