@@ -181,7 +181,7 @@ def _dispatch(args) -> int:
     if cmd == "hilbert-basis":
         _require_rank(args.n, COUNTING_RANKS, "counting")
         basis = cone.hilbert_basis(args.n, args.max_degree)
-        _emit(args, [" ".join(str(v) for v in h.to_flat()) for h in basis],
+        _emit(args, [" ".join(str(v) for v in h.flat) for h in basis],
               [h.to_json_dict() for h in basis])
         return 0
 
@@ -239,6 +239,8 @@ def _hp_series(args) -> int:
 def _hwv(args) -> int:
     _require_rank(args.n, PRESENTED_RANKS, "tensor product algebras")
     if args.hive:
+        if any(v is not None for v in (args.lam, args.mu, args.nu)):
+            raise UsageError("hwv takes either --hive or --lambda/--mu/--nu, not both")
         vectors = [tensor_algebra.highest_weight_vector(args.n, _parse_hive(args.hive, args.n))]
     else:
         vectors = tensor_algebra.hwv_basis(args.n, *_boundary_args(args))

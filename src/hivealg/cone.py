@@ -5,11 +5,10 @@ plain-text export formats used by lattice-point software."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import chain
+from functools import lru_cache
 from operator import sub
 
-from .counting import _iter_hive_rows, boundary_triples
+from .counting import _check_rank, _iter_hive_flats, boundary_triples
 from .hive import Hive, cone_rows, membership, triangle_size
 from .report import CheckResult, ConsistencyError
 
@@ -130,14 +129,12 @@ def cone_inequalities(n: int) -> InequalitySystem:
 def hives_up_to_degree(n: int, max_degree: int) -> tuple[Hive, ...]:
     """Every hive of degree <= max_degree, by sweeping boundary triples and
     enumerating interiors; sorted by (degree, coordinates)."""
+    _check_rank(n)
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    # flat coordinates are distinct and end in the degree
-    found = sorted((rows[-1][-1], tuple(chain.from_iterable(rows)), rows)
-                   for d in range(max_degree + 1)
-                   for triple in boundary_triples(n, d)
-                   for rows in _iter_hive_rows(n, *triple))
-    return tuple(Hive(n, rows) for _d, _flat, rows in found)
+    return tuple(Hive(n, flat) for d in range(max_degree + 1)
+                 for flat in sorted(f for triple in boundary_triples(n, d)
+                                    for f in _iter_hive_flats(n, *triple)))
 
 
 def hilbert_basis(n: int, max_degree: int = 12) -> tuple[Hive, ...]:
@@ -163,7 +160,7 @@ def _new_generators(n: int, max_degree: int, generators):
     gens = list(generators)
     met = set()
     for h in hives_up_to_degree(n, max_degree):
-        flat = h.to_flat()   # ends in the degree, 0 only for the zero hive
+        flat = h.flat   # ends in the degree, 0 only for the zero hive
         if flat[-1] and not any(tuple(map(sub, flat, g)) in met for g in gens):
             gens.append(flat)
             yield h
@@ -178,11 +175,6 @@ class ConePresentation:
     basis: tuple[Hive, ...]
     degrees: tuple[int, ...]
     relations: tuple[BinomialRelation, ...]
-
-    @cached_property
-    def flats(self) -> tuple[tuple[int, ...], ...]:
-        """Flat coordinates of the basis hives, in basis order; built once."""
-        return tuple(h.to_flat() for h in self.basis)
 
 
 @lru_cache(maxsize=4)
@@ -211,9 +203,9 @@ def verify_relations(pres: ConePresentation) -> list[CheckResult]:
         left = [0] * triangle_size(pres.n)
         right = [0] * triangle_size(pres.n)
         for k in rel.left:
-            left = [a + b for a, b in zip(left, pres.flats[k - 1])]
+            left = [a + b for a, b in zip(left, pres.basis[k - 1].flat)]
         for k in rel.right:
-            right = [a + b for a, b in zip(right, pres.flats[k - 1])]
+            right = [a + b for a, b in zip(right, pres.basis[k - 1].flat)]
         if left == right:
             results.append(CheckResult(f"hive relation {rel.name}", True))
         else:
@@ -251,7 +243,7 @@ def _decompose_search(hive: Hive, pres: ConePresentation, first_only: bool) -> s
     if hive.n != pres.n:
         raise ValueError(f"rank mismatch: hive {hive.n}, presentation {pres.n}")
     member = membership(pres.n)
-    basis_flats = pres.flats
+    basis_flats = [h.flat for h in pres.basis]
     zero = (0,) * triangle_size(pres.n)
     found: set[tuple[int, ...]] = set()
 
@@ -278,7 +270,7 @@ def _decompose_search(hive: Hive, pres: ConePresentation, first_only: bool) -> s
                 return True
         return False
 
-    search(hive.to_flat(), 0, [])
+    search(hive.flat, 0, [])
     return found
 
 
@@ -288,7 +280,7 @@ def undecomposable_hives(n: int, max_degree: int, pres: ConePresentation) -> lis
     every hive up to that degree, and otherwise the missing generators."""
     if n != pres.n:
         raise ValueError(f"rank mismatch: hive {n}, presentation {pres.n}")
-    return list(_new_generators(n, max_degree, pres.flats))
+    return list(_new_generators(n, max_degree, (h.flat for h in pres.basis)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +307,7 @@ def generators_input_text(n: int) -> str:
     coordinate order, and the grading that reads off the last coordinate."""
     pres = presentation(n)
     dim = triangle_size(n)
-    vectors = sorted(pres.flats)
+    vectors = sorted(h.flat for h in pres.basis)
     lines = [f"amb_space {dim}", f"cone {len(vectors)}"]
     lines += [" " + " ".join(str(c) for c in v) for v in vectors]
     lines.append("")

@@ -7,7 +7,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .hive import Hive, _compile, _linear, _require_unit, cone_rows, flat_index
-from .shapes import Parts, contains, is_dominant, normalize, pad, partitions_of
+from .shapes import Parts, contains, normalize, pad, partitions_of, require_partitions
 from .tableau import enumerate_tableaux
 
 SeriesPrefix = tuple[int, ...]
@@ -87,7 +87,7 @@ def _fill_plan(n: int):
 def _boundary_array(n: int, lam: Parts, mu: Parts, nu: Parts) -> list[int] | None:
     """Flat array with the three edges set from partial sums of the boundary
     and the interior left at zero, or None when a row on the boundary alone
-    fails.  Inputs as for _iter_hive_rows."""
+    fails.  Inputs as for _iter_hive_flats."""
     row_bounds, _interior, boundary_only, _attached = _fill_plan(n)
     arr = [0] * row_bounds[-1][1]
     for i in range(n):  # left and right edges: partial sums of mu and lam
@@ -114,13 +114,10 @@ def _kernel_source(n: int, count: bool) -> str:
     pairs among them, so an interval that no hive can fill comes out empty
     early.  It then loops over the interval, writing a[pos] and calling
     _e<k+1>.  Counting, the last entry returns the length of its interval;
-    enumerating, the last loop yields the row tuples."""
-    row_bounds, interior, _boundary_only, attached = _fill_plan(n)
-    rows = "(" + ", ".join(
-        "(" + ", ".join(f"a[{k}]" for k in range(start, stop)) + ",)"
-        for start, stop in row_bounds) + ")"
+    enumerating, the last loop yields the flat coordinates, tuple(a)."""
+    _row_bounds, interior, _boundary_only, attached = _fill_plan(n)
     if not interior:
-        return f"def _e0(a):\n    {'return 1' if count else 'yield ' + rows}\n"
+        return f"def _e0(a):\n    {'return 1' if count else 'yield tuple(a)'}\n"
     lines = []
     for k, (pos, rows_k) in enumerate(zip(interior, attached)):
         low, high = [], []
@@ -145,7 +142,7 @@ def _kernel_source(n: int, count: bool) -> str:
         else:
             lines += ["    for v in range(lo, hi + 1):",
                       f"        a[{pos}] = v",
-                      f"        yield {rows}" if last else f"        yield from _e{k + 1}(a)"]
+                      "        yield tuple(a)" if last else f"        yield from _e{k + 1}(a)"]
         lines.append("")
     return "\n".join(lines)
 
@@ -153,8 +150,8 @@ def _kernel_source(n: int, count: bool) -> str:
 @lru_cache(maxsize=32)
 def _kernel(n: int, count: bool):
     """The compiled DFS over the interior of a rank-n hive: called on a
-    _boundary_array, it returns the number of hives (count) or yields the row
-    tuples of each in search order.  The source holds only integer indices
+    _boundary_array, it returns the number of hives (count) or yields the flat
+    coordinates of each in search order.  The source holds only integer indices
     from cone_rows, compiled by hive._compile under its filename.
 
     One function per entry rather than one nested loop: CPython rejects more
@@ -163,8 +160,8 @@ def _kernel(n: int, count: bool):
     return _compile(_kernel_source(n, count), filename, "_e0")
 
 
-def _iter_hive_rows(n: int, lam: Parts, mu: Parts, nu: Parts) -> Iterator[tuple]:
-    """Yield the row tuples of every hive with the given boundary, in the
+def _iter_hive_flats(n: int, lam: Parts, mu: Parts, nu: Parts) -> Iterator[Parts]:
+    """Yield the flat coordinates of every hive with the given boundary, in the
     kernel's search order, which is not lexicographic (enumerate_hives sorts).
 
     Inputs must be dominant, zero-padded to length n, with
@@ -210,9 +207,7 @@ def _boundary_triple(n, lam, mu, nu) -> tuple[Parts, Parts, Parts] | None:
     strips them; nonzero parts beyond n admit no hive."""
     _check_rank(n)
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
-    for name, p in (("lambda", lam), ("mu", mu), ("nu", nu)):
-        if not is_dominant(p):
-            raise ValueError(f"{name} = {normalize(p)} is not a partition")
+    require_partitions(lam, mu, nu)
     if sum(lam) != sum(mu) + sum(nu) or any(lam[n:]) or any(mu[n:]) or any(nu[n:]):
         return None
     return (lam[:n] + (0,) * (n - len(lam)), mu[:n] + (0,) * (n - len(mu)),
@@ -225,8 +220,7 @@ def enumerate_hives(n, lam, mu, nu) -> list[Hive]:
     triple = _boundary_triple(n, lam, mu, nu)
     if triple is None:
         return []
-    # rows have fixed lengths, so row tuples sort as the flat coordinates do
-    return [Hive(n, rows) for rows in sorted(_iter_hive_rows(n, *triple))]
+    return [Hive(n, flat) for flat in sorted(_iter_hive_flats(n, *triple))]
 
 
 @lru_cache(maxsize=None)
@@ -264,6 +258,8 @@ def md_sum(n: int, d: int) -> int:
 def hp_series_enumerated(n: int, max_degree: int) -> SeriesPrefix:
     """Coefficients m_0..m_D of the Hilbert-Poincare series, by enumeration."""
     _check_rank(n)
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
     return tuple(md_sum(n, d) for d in range(max_degree + 1))
 
 
@@ -361,9 +357,7 @@ def lr_via_schur(n, lam, mu, nu) -> int:
     """Third route: coefficient of s_lam in the product s_mu * s_nu."""
     _check_rank(n)
     lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
-    for name, p in (("lambda", lam), ("mu", mu), ("nu", nu)):
-        if not is_dominant(p):
-            raise ValueError(f"{name} = {p} is not a partition")
+    require_partitions(lam, mu, nu)
     if max(len(lam), len(mu), len(nu)) > n or sum(lam) != sum(mu) + sum(nu):
         return 0
     return _schur_product_expansion(n, mu, nu).get(lam, 0)

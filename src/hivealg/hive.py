@@ -12,6 +12,7 @@ import linecache
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from operator import add
 from typing import Iterable, NamedTuple
 
 from .shapes import Parts
@@ -158,14 +159,6 @@ def _check_shape(rows: Iterable[Iterable[int]]) -> Rows:
     return rows
 
 
-def _edges(rows: Rows) -> Boundary:
-    n = len(rows) - 1
-    lam = tuple(rows[i + 1][i + 1] - rows[i][i] for i in range(n))
-    mu = tuple(rows[i + 1][0] - rows[i][0] for i in range(n))
-    nu = tuple(rows[n][j + 1] - rows[n][j] for j in range(n))
-    return Boundary(lam, mu, nu)
-
-
 def hive_violations(rows: Iterable[Iterable[int]]) -> list[Violation]:
     """Every violated hive condition, as (kind, i, j, message), in the order
     of cone_rows.
@@ -192,11 +185,12 @@ def hive_violations(rows: Iterable[Iterable[int]]) -> list[Violation]:
 
 @dataclass(frozen=True)
 class Hive:
-    """A validated hive.  Construct through from_rows/from_flat; direct
-    construction skips validation and is reserved for internal fast paths."""
+    """A validated hive, stored as its flat row-major coordinates.  Construct
+    through from_rows/from_flat; direct construction skips validation and is
+    reserved for internal fast paths."""
 
     n: int
-    rows: Rows
+    flat: Parts
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "Hive":
@@ -204,45 +198,51 @@ class Hive:
         bad = hive_violations(rows)
         if bad:
             raise InvalidHiveError(bad)
-        return cls(len(rows) - 1, rows)
+        return cls(len(rows) - 1, tuple(chain.from_iterable(rows)))
 
     @classmethod
     def from_flat(cls, coords: Iterable[int]) -> "Hive":
         coords = tuple(int(v) for v in coords)
         n = rank_for_length(len(coords))
-        rows = tuple(tuple(coords[flat_index(i, 1):flat_index(i, i) + 1])
-                     for i in range(1, n + 2))
-        return cls.from_rows(rows)
+        return cls.from_rows(coords[flat_index(i, 1):flat_index(i + 1, 1)]
+                             for i in range(1, n + 2))
 
     @classmethod
     def zero(cls, n: int) -> "Hive":
         if n < 1:
             raise ValueError("rank must be >= 1")
-        return cls(n, tuple((0,) * i for i in range(1, n + 2)))
+        return cls(n, (0,) * triangle_size(n))
+
+    @property
+    def rows(self) -> Rows:
+        """Row i holds h[i][1..i]; derived, for display and row readers."""
+        return tuple(self.flat[flat_index(i, 1):flat_index(i + 1, 1)]
+                     for i in range(1, self.n + 2))
 
     def entry(self, i: int, j: int) -> int:
-        return self.rows[i - 1][j - 1]
+        return self.flat[flat_index(i, j)]
 
     def to_flat(self) -> Parts:
-        return tuple(chain.from_iterable(self.rows))
+        return self.flat
 
     @property
     def degree(self) -> int:
         """Grading value h[n+1][n+1] = |lambda| = |mu| + |nu|."""
-        return self.rows[-1][-1]
+        return self.flat[-1]
 
     def boundary(self) -> Boundary:
-        return _edges(self.rows)
+        h, edge = self.entry, range(1, self.n + 1)
+        return Boundary(tuple(h(i + 1, i + 1) - h(i, i) for i in edge),
+                        tuple(h(i + 1, 1) - h(i, 1) for i in edge),
+                        tuple(h(self.n + 1, j + 1) - h(self.n + 1, j) for j in edge))
 
     def __add__(self, other: "Hive") -> "Hive":
         if not isinstance(other, Hive):
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"rank mismatch: {self.n} != {other.n}")
-        rows = tuple(tuple(a + b for a, b in zip(ra, rb))
-                     for ra, rb in zip(self.rows, other.rows))
         # closed under addition: both summands satisfy every linear condition
-        return Hive(self.n, rows)
+        return Hive(self.n, tuple(map(add, self.flat, other.flat)))
 
     def __str__(self) -> str:
         return "; ".join(" ".join(str(v) for v in row) for row in self.rows)

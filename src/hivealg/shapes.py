@@ -30,6 +30,14 @@ def normalize(parts: Iterable[int]) -> Parts:
     return seq[:end]
 
 
+def require_partitions(lam: Parts, mu: Parts, nu: Parts) -> None:
+    """Raise ValueError naming the first of lambda, mu, nu that is not a
+    partition."""
+    for name, p in (("lambda", lam), ("mu", mu), ("nu", nu)):
+        if not is_dominant(p):
+            raise ValueError(f"{name} = {normalize(p)} is not a partition")
+
+
 def pad(parts: Iterable[int], length: int) -> Parts:
     """Zero-pad to the given length; reject nonzero parts beyond it."""
     seq = tuple(parts)

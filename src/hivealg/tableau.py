@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .hive import Hive
 from .report import ConsistencyError
-from .shapes import Parts, contains, is_dominant, normalize, pad
+from .shapes import Parts, contains, is_dominant, normalize, pad, require_partitions
 
 EntryRows = tuple[tuple[int, ...], ...]
 
@@ -100,9 +100,7 @@ def enumerate_tableaux(n, lam, mu, nu) -> list[LRTableau]:
     """All LR tableaux on lam/mu with content nu and entries in 1..n,
     in a fixed backtracking order."""
     lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
-    for name, p in (("lambda", lam), ("mu", mu), ("nu", nu)):
-        if not is_dominant(p):
-            raise ValueError(f"{name} = {p} is not a partition")
+    require_partitions(lam, mu, nu)
     if max(len(lam), len(mu), len(nu)) > n:
         return []
     if not contains(lam, mu) or sum(lam) != sum(mu) + sum(nu):

@@ -115,6 +115,14 @@ def test_hwv_single_hive(capsys):
     assert "initial monomial: x[1][1]^2" in out
 
 
+@pytest.mark.parametrize("flags", [["--lambda", "9"], ["--mu", "9"], ["--nu", ""],
+                                   ["--lambda", "9", "--mu", "9", "--nu", "9"]])
+def test_hwv_rejects_a_hive_with_boundary_flags(capsys, flags):
+    assert run(["hwv", "-n", "3", "--hive", "0;2,3;3,4,5;3,5,6,6"] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not both" in captured.err
+
+
 def test_hwv_boundary_json(capsys):
     assert run(["hwv", "-n", "3", "--format", "json",
                 "--lambda", "3,2,1", "--mu", "2,1", "--nu", "2,1"]) == 0

@@ -34,8 +34,10 @@ def test_lr_coefficient_rejects_non_partitions():
     lambda n: lr_via_schur(n, (), (), ()),
     lambda n: md_sum(n, 0),
     lambda n: hp_series_enumerated(n, 2),
+    lambda n: cone.hives_up_to_degree(n, 3),
+    lambda n: cone.hilbert_basis(n, 3),
 ], ids=["lr_coefficient", "enumerate_hives", "lr_via_tableaux", "lr_via_schur",
-        "md_sum", "hp_series_enumerated"])
+        "md_sum", "hp_series_enumerated", "hives_up_to_degree", "hilbert_basis"])
 def test_counting_rejects_rank_below_one(call, n):
     with pytest.raises(ValueError, match="rank must be >= 1"):
         call(n)
@@ -81,6 +83,15 @@ def test_hp_series_enumerated_prefixes():
     assert hp_series_enumerated(2, 5) == (1, 2, 6, 10, 20, 30)
     assert hp_series_enumerated(3, 5) == (1, 2, 6, 14, 29, 56)
     assert hp_series_enumerated(4, 5) == (1, 2, 6, 14, 34, 68)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hp_series_enumerated(2, -1),
+    lambda: hp_series_closed_form((1,), (1,), -1),
+], ids=["enumerated", "closed_form"])
+def test_series_reject_a_negative_degree(call):
+    with pytest.raises(ValueError, match="max_degree must be >= 0"):
+        call()
 
 
 def test_closed_form_geometric_series():

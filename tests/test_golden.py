@@ -1,10 +1,12 @@
-"""Byte-for-byte pins of CLI output that depends on the polynomial layer.
+"""Byte-for-byte pins of CLI output.
 
-The digests are SHA-256 of stdout, computed with the tuple-exponent
-polynomials that the packed-int representation replaced; a change of
-representation or of term order must leave them as they are.  The
-boundary-mode digests were computed before boundary-mode hwv was routed
-through tensor_algebra.hwv_basis, so they pin that route too.
+The digests are SHA-256 of stdout.  Those of hwv and verify were computed
+with the tuple-exponent polynomials that the packed-int representation
+replaced; a change of representation or of term order must leave them as
+they are.  The boundary-mode digests were computed before boundary-mode hwv
+was routed through tensor_algebra.hwv_basis, so they pin that route too.
+The hives and hilbert-basis digests were computed while Hive stored row
+tuples, so they pin the flat storage that replaced them.
 """
 
 import hashlib
@@ -34,6 +36,15 @@ BOUNDARY_HWV_DIGESTS = {
         "30f3f7c7ea175547f7d675bf49e9e832ec36e278dd58fa2f7a612d8ca0c13c93",
         "649283f4c94339cc4f41155fbed916cc3ba95b2b2d1b115e7f5af3ce6d752b7e"),
 }
+HIVE_LIST_DIGESTS = {
+    # (text digest, JSON digest)
+    ("hives", "-n", "4", "--lambda", "6,4,2,1", "--mu", "4,2,1", "--nu", "3,2,1"): (
+        "71ae3e6d69b1437d33d902e8b4c20a8dd69021cb4fb19b9509bc432d5cc1c7cc",
+        "4e725e9383bac34d987fc3feb0dda5bd5220b98f87ae62789b9bab03b2a5ef1b"),
+    ("hilbert-basis", "-n", "4", "--max-degree", "12"): (
+        "09b899af180101b2278d019d95d3bbf1a0c36a5dd23b583d9d3d81a5f4d32d95",
+        "03d1ecefc99465c0761968ed55e9f1a265e28f38775c807920f6e25b070a5d82"),
+}
 VERIFY_4_JSON_DIGEST = "0ae5fc71585108fbe1ad96708adb4517f5816a8e7e18d3c5259d81579f8e7d2c"
 
 
@@ -57,6 +68,13 @@ def test_boundary_hwv_output_is_pinned(capsys, boundary):
     text, json_digest = BOUNDARY_HWV_DIGESTS[boundary]
     assert stdout_digest(capsys, argv) == text
     assert stdout_digest(capsys, argv + ["--format", "json"]) == json_digest
+
+
+@pytest.mark.parametrize("argv", sorted(HIVE_LIST_DIGESTS), ids=lambda argv: argv[0])
+def test_hive_list_output_is_pinned(capsys, argv):
+    text, json_digest = HIVE_LIST_DIGESTS[argv]
+    assert stdout_digest(capsys, list(argv)) == text
+    assert stdout_digest(capsys, list(argv) + ["--format", "json"]) == json_digest
 
 
 def test_verify_rank4_json_is_pinned(capsys):

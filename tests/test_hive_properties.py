@@ -1,5 +1,8 @@
 """Property tests of the one list of hive conditions (hive.cone_rows): the
-membership predicate, the violation report and decomposition agree."""
+membership predicate, the violation report and decomposition agree; and of
+the flat storage of Hive against rows read off by row length."""
+
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -7,22 +10,25 @@ from hypothesis import strategies as st
 
 from hivealg.cone import (NoDecompositionError, all_decompositions, decompose,
                           hives_up_to_degree, presentation)
-from hivealg.hive import (Hive, InvalidHiveError, cone_rows, flat_index,
-                          hive_violations, membership, triangle_size)
+from hivealg.hive import (Hive, InvalidHiveError, cone_rows, hive_violations,
+                          membership, triangle_size)
 
 RANKS = st.integers(2, 5)
 
 
 def rows_of(flat, n):
-    return [flat[flat_index(i, 1):flat_index(i + 1, 1)] for i in range(1, n + 2)]
+    """Rows of lengths 1..n+1, cut from the flat coordinates in turn."""
+    entries = iter(flat)
+    return tuple(tuple(islice(entries, i)) for i in range(1, n + 2))
 
 
 def edges_of(flat, n):
-    """(lambda, mu, nu) read off the array as in Hive.boundary()."""
+    """(lambda, mu, nu) read off the rows: the right edge, the left edge and
+    the bottom row."""
     rows = rows_of(flat, n)
-    lam = [rows[i + 1][i + 1] - rows[i][i] for i in range(n)]
-    mu = [rows[i + 1][0] - rows[i][0] for i in range(n)]
-    nu = [rows[n][j + 1] - rows[n][j] for j in range(n)]
+    lam = tuple(rows[i + 1][i + 1] - rows[i][i] for i in range(n))
+    mu = tuple(rows[i + 1][0] - rows[i][0] for i in range(n))
+    nu = tuple(rows[n][j + 1] - rows[n][j] for j in range(n))
     return lam, mu, nu
 
 
@@ -63,6 +69,30 @@ def test_increasing_edge_is_rejected_by_a_rhombus(case):
     assert not membership(n)(flat)
     with pytest.raises(InvalidHiveError):
         Hive.from_rows(rows_of(flat, n))
+
+
+@st.composite
+def hive_pairs(draw):
+    """Two hives of one rank n = 1..5 and degree <= 6."""
+    pool = hives_up_to_degree(draw(st.integers(1, 5)), 6)
+    return draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+
+
+@settings(max_examples=300)
+@given(hive_pairs())
+def test_flat_hive_reads_as_its_rows(pair):
+    a, b = pair
+    n = a.n
+    rows = rows_of(a.flat, n)
+    assert a.rows == rows and a.to_flat() == a.flat
+    assert Hive.from_rows(a.rows) == a and Hive.from_flat(a.to_flat()) == a
+    assert all(a.entry(i, j) == rows[i - 1][j - 1]
+               for i in range(1, n + 2) for j in range(1, i + 1))
+    assert a.degree == rows[-1][-1]
+    assert a.boundary() == edges_of(a.flat, n)
+    total = a + b
+    assert total.n == n and total.flat == tuple(x + y for x, y in zip(a.flat, b.flat))
+    assert total.boundary() == edges_of(total.flat, n)
 
 
 @st.composite
@@ -132,7 +162,7 @@ def test_decompositions_equal_the_interpreted_search(case):
 def test_apex_one_array_has_no_decomposition():
     # a valid hive shifted by one everywhere: every row holds, the apex fails
     flat = [v + 1 for v in presentation(4).basis[16].to_flat()]
-    shifted = Hive(4, tuple(rows_of(tuple(flat), 4)))
+    shifted = Hive(4, tuple(flat))
     assert shifted.entry(1, 1) == 1
     assert all_decompositions(shifted, presentation(4)) == frozenset()
     with pytest.raises(NoDecompositionError):
