@@ -187,7 +187,7 @@ def _dispatch(args) -> int:
 
     if cmd == "decompose":
         _require_rank(args.n, PRESENTED_RANKS, "cone presentations")
-        if not args.hive:
+        if args.hive is None:
             raise UsageError("decompose requires --hive")
         hive = _parse_hive(args.hive, args.n)
         indices = cone.decompose(hive, cone.presentation(args.n))
@@ -238,7 +238,7 @@ def _hp_series(args) -> int:
 
 def _hwv(args) -> int:
     _require_rank(args.n, PRESENTED_RANKS, "tensor product algebras")
-    if args.hive:
+    if args.hive is not None:
         if any(v is not None for v in (args.lam, args.mu, args.nu)):
             raise UsageError("hwv takes either --hive or --lambda/--mu/--nu, not both")
         vectors = [tensor_algebra.highest_weight_vector(args.n, _parse_hive(args.hive, args.n))]

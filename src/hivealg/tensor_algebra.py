@@ -67,76 +67,6 @@ _GENERATOR_TERMS: dict[int, tuple] = {
     ),
 }
 
-# Torus weight (lambda, mu, nu) of each generator.
-GENERATOR_WEIGHTS: dict[int, tuple[tuple[tuple[int, ...], ...], ...]] = {
-    2: (
-        ((1, 1), (0, 0), (1, 1)),
-        ((1, 1), (1, 0), (1, 0)),
-        ((1, 0), (1, 0), (0, 0)),
-        ((1, 1), (1, 1), (0, 0)),
-        ((1, 0), (0, 0), (1, 0)),
-    ),
-    3: (
-        ((1, 0, 0), (0, 0, 0), (1, 0, 0)),
-        ((1, 1, 1), (0, 0, 0), (1, 1, 1)),
-        ((1, 1, 0), (0, 0, 0), (1, 1, 0)),
-        ((1, 0, 0), (1, 0, 0), (0, 0, 0)),
-        ((1, 1, 0), (1, 0, 0), (1, 0, 0)),
-        ((1, 1, 1), (1, 0, 0), (1, 1, 0)),
-        ((1, 1, 0), (1, 1, 0), (0, 0, 0)),
-        ((1, 1, 1), (1, 1, 0), (1, 0, 0)),
-        ((1, 1, 1), (1, 1, 1), (0, 0, 0)),
-        ((2, 1, 1), (1, 1, 0), (1, 1, 0)),
-    ),
-    4: (
-        ((1, 0, 0, 0), (0, 0, 0, 0), (1, 0, 0, 0)),
-        ((1, 1, 0, 0), (0, 0, 0, 0), (1, 1, 0, 0)),
-        ((1, 1, 1, 0), (0, 0, 0, 0), (1, 1, 1, 0)),
-        ((1, 1, 1, 1), (0, 0, 0, 0), (1, 1, 1, 1)),
-        ((1, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0)),
-        ((1, 1, 0, 0), (1, 0, 0, 0), (1, 0, 0, 0)),
-        ((1, 1, 1, 0), (1, 0, 0, 0), (1, 1, 0, 0)),
-        ((1, 1, 1, 1), (1, 0, 0, 0), (1, 1, 1, 0)),
-        ((1, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, 0)),
-        ((1, 1, 1, 0), (1, 1, 0, 0), (1, 0, 0, 0)),
-        ((1, 1, 1, 1), (1, 1, 0, 0), (1, 1, 0, 0)),
-        ((1, 1, 1, 0), (1, 1, 1, 0), (0, 0, 0, 0)),
-        ((1, 1, 1, 1), (1, 1, 1, 0), (1, 0, 0, 0)),
-        ((1, 1, 1, 1), (1, 1, 1, 1), (0, 0, 0, 0)),
-        ((2, 1, 1, 0), (1, 1, 0, 0), (1, 1, 0, 0)),
-        ((2, 1, 1, 1), (1, 1, 0, 0), (1, 1, 1, 0)),
-        ((2, 2, 1, 1), (1, 1, 0, 0), (2, 1, 1, 0)),
-        ((2, 1, 1, 1), (1, 1, 1, 0), (1, 1, 0, 0)),
-        ((2, 2, 1, 1), (1, 1, 1, 0), (1, 1, 1, 0)),
-        ((2, 2, 1, 1), (2, 1, 1, 0), (1, 1, 0, 0)),
-    ),
-}
-
-# Relations among the generators, as signed products of generator indices;
-# each expands to the zero polynomial.
-PRESENTATION_RELATIONS: dict[int, tuple[tuple[str, tuple[tuple[int, tuple[int, ...]], ...]], ...]] = {
-    2: (),
-    3: (("r1", ((1, (1, 6, 7)), (-1, (5, 10)), (1, (3, 4, 8)))),),
-    4: (
-        ("r1", ((1, (1, 7, 9)), (-1, (6, 15)), (1, (2, 5, 10)))),
-        ("r2", ((1, (1, 8, 9)), (-1, (6, 16)), (1, (5, 17)))),
-        ("r3", ((1, (1, 11, 12)), (-1, (10, 18)), (1, (13, 15)))),
-        ("r4", ((1, (6, 11, 12)), (-1, (10, 20)), (1, (7, 9, 13)))),
-        ("r5", ((1, (2, 8, 10)), (-1, (7, 17)), (1, (3, 6, 11)))),
-        ("r6", ((1, (2, 8, 12)), (-1, (7, 19)), (1, (3, 20)))),
-        ("r7", ((1, (6, 18)), (-1, (1, 20)), (-1, (2, 5, 13)))),
-        ("r8", ((1, (7, 16)), (-1, (8, 15)), (-1, (3, 5, 11)))),
-        ("r9", ((1, (10, 19)), (-1, (12, 17)), (-1, (3, 9, 13)))),
-        ("r10", ((1, (15, 17)), (-1, (2, 10, 16)), (-1, (1, 3, 9, 11)))),
-        ("r11", ((1, (15, 19)), (-1, (2, 12, 16)), (-1, (3, 9, 18)))),
-        ("r12", ((1, (15, 20)), (-1, (7, 9, 18)), (-1, (2, 5, 11, 12)))),
-        ("r13", ((1, (16, 20)), (-1, (5, 11, 19)), (-1, (8, 9, 18)))),
-        ("r14", ((1, (17, 20)), (-1, (6, 11, 19)), (-1, (2, 8, 9, 13)))),
-        ("r15", ((1, (17, 18)), (-1, (1, 11, 19)), (-1, (2, 13, 16)))),
-    ),
-}
-
-
 @dataclass(frozen=True)
 class GeneratorTable:
     """The generators g_1..g_m of the rank-n tensor product algebra, indexed
@@ -144,8 +74,6 @@ class GeneratorTable:
 
     n: int
     generators: tuple[Polynomial, ...]
-    weights: tuple[Weight, ...]
-    hive_basis: tuple[Hive, ...]
 
     def generator(self, index: int) -> Polynomial:
         """1-based access, matching the h_i numbering."""
@@ -177,11 +105,12 @@ def lemma_initial_exponents(n: int, tab: LRTableau):
     return monomial_exponents(n, factors)
 
 
-def _check_highest_weight(name: str, poly: Polynomial, weight: Weight, hive: Hive) -> None:
-    """The paper's central fact for one vector: poly has torus weight
-    `weight`, is killed by all 3(n-1) raising operators, and its leading
-    term is 1 times the tableau monomial of `hive`."""
+def _check_highest_weight(name: str, poly: Polynomial, hive: Hive) -> None:
+    """The paper's central fact for one vector: poly has the boundary of
+    `hive` as torus weight, is killed by all 3(n-1) raising operators, and
+    its leading term is 1 times the tableau monomial of `hive`."""
     n = poly.n
+    weight = Weight(*hive.boundary())
     if poly.weight() != weight:
         raise ConsistencyError(f"{name} has weight {poly.weight()}, expected {weight}")
     for factor in (1, 2, 3):
@@ -200,17 +129,15 @@ def _check_highest_weight(name: str, poly: Polynomial, weight: Weight, hive: Hiv
 @lru_cache(maxsize=4)
 def build_generators(n: int) -> GeneratorTable:
     """Construct and fully validate the generator table for n = 2, 3, 4:
-    each generator is checked against its tabulated torus weight and the
-    index-matched Hilbert basis hive."""
+    each generator is checked against the index-matched Hilbert basis hive,
+    whose boundary is its torus weight."""
     if n not in _GENERATOR_TERMS:
         raise ValueError(f"no generator data for rank {n}")
-    pres = cone.presentation(n)
     generators = tuple(_signed_sum(n, terms, lambda col: minor(n, ColumnTableau(*col)))
                        for terms in _GENERATOR_TERMS[n])
-    weights = tuple(Weight(*w) for w in GENERATOR_WEIGHTS[n])
-    for idx, (g, w, h) in enumerate(zip(generators, weights, pres.basis), start=1):
-        _check_highest_weight(f"g_{idx}", g, w, h)
-    return GeneratorTable(n, generators, weights, pres.basis)
+    for idx, (g, h) in enumerate(zip(generators, cone.presentation(n).basis), start=1):
+        _check_highest_weight(f"g_{idx}", g, h)
+    return GeneratorTable(n, generators)
 
 
 @dataclass(frozen=True)
@@ -241,10 +168,8 @@ def highest_weight_vector(n: int, hive: Hive) -> HighestWeightVector:
     poly = Polynomial.one(n)
     for k in indices:
         poly = poly * table.generator(k)
-    boundary = hive.boundary()
-    _check_highest_weight(f"lifted vector for hive {hive}", poly,
-                          Weight(*(pad(p, n) for p in boundary)), hive)
-    return HighestWeightVector(boundary, hive, indices, poly)
+    _check_highest_weight(f"lifted vector for hive {hive}", poly, hive)
+    return HighestWeightVector(hive.boundary(), hive, indices, poly)
 
 
 def hwv_basis(n: int, lam, mu, nu) -> list[HighestWeightVector]:
@@ -266,7 +191,7 @@ def verify_presentation_relations(n: int) -> list[CheckResult]:
     identically zero."""
     table = build_generators(n)
     results = []
-    for name, signed_terms in PRESENTATION_RELATIONS[n]:
+    for name, signed_terms in cone.PRESENTATION_RELATIONS[n]:
         total = _signed_sum(n, signed_terms, table.generator)
         if total.is_zero:
             results.append(CheckResult(f"relation {name}", True))

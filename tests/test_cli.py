@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +80,15 @@ def test_decompose(capsys):
 def test_decompose_requires_hive(capsys):
     assert run(["decompose", "-n", "3"]) == 1
     assert "--hive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "-n", "2", "--hive", ""],
+    ["hwv", "-n", "2", "--hive", ""],
+    ["hwv", "-n", "2", "--hive", "", "--lambda", "1"]])
+def test_an_empty_hive_is_not_a_missing_one(capsys, argv):
+    assert run(argv) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_hive_rank_mismatch_is_domain_error(capsys):
@@ -210,6 +220,33 @@ def test_output_to_directory_is_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write") and str(tmp_path) in err
     assert "Traceback" not in err
+
+
+def readme_cli_examples():
+    """(argv, expected first line of stdout or None) for each line of the
+    README's CLI block.  A comment `-> output`, or one that is all numbers,
+    gives the output."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        command, _, comment = line.partition(" #")
+        comment = comment.strip()
+        if comment.startswith("-> "):
+            expected = comment.removeprefix("-> ")
+        elif comment.replace(" ", "").isdigit():
+            expected = comment
+        else:
+            expected = None
+        argv = shlex.split(command)
+        assert argv[0] == "hivealg", line
+        yield pytest.param(argv[1:], expected, id=" ".join(argv[1:]))
+
+
+@pytest.mark.parametrize("argv, expected", readme_cli_examples())
+def test_readme_cli_example(capsys, argv, expected):
+    assert run(argv) == 0
+    if expected is not None:
+        assert capsys.readouterr().out.splitlines()[0] == expected
 
 
 def test_threads_flag_is_unknown(capsys):

@@ -1,9 +1,12 @@
 import pytest
 
-from hivealg.cone import all_decompositions, hives_up_to_degree, presentation
+from hivealg import cone, tensor_algebra
+from hivealg.cone import (BinomialRelation, ConePresentation,
+                          all_decompositions, hives_up_to_degree,
+                          presentation, verify_relations)
 from hivealg.hive import Hive
 from hivealg.polynomial import ColumnTableau, Polynomial, Weight, minor
-from hivealg.report import failures
+from hivealg.report import ConsistencyError, failures
 from hivealg.tableau import hive_to_tableau
 from hivealg.tensor_algebra import (build_generators, highest_weight_vector,
                                     hwv_basis, lemma_initial_exponents,
@@ -22,7 +25,7 @@ def mono(n, *factors):
 def test_generator_tables_build_and_validate(n, count):
     table = build_generators(n)
     assert len(table.generators) == count
-    assert len(table.hive_basis) == count
+    assert len(presentation(n).basis) == count
 
 
 def test_rank2_first_generator_weight():
@@ -136,6 +139,58 @@ def _product(table, indices):
     for k in indices:
         out = out * table.generator(k)
     return out
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_first_two_terms_of_each_relation_are_its_leading_binomial(n):
+    table = build_generators(n)
+    for name, terms in cone.PRESENTATION_RELATIONS[n]:
+        first, second, *rest = (_product(table, indices).leading_term()
+                                for _, indices in terms)
+        assert first == second, name
+        assert all(exps < first[0] for exps, _ in rest), name
+
+
+# ---------------------------------------------------------------------------
+# The checks on the pinned tables stay live: a broken table is rejected.
+
+@pytest.fixture
+def rebuilt():
+    """Drop the cached presentations and generator tables before and after a
+    test that patches the tables they are built from."""
+    presentation.cache_clear()
+    build_generators.cache_clear()
+    yield
+    presentation.cache_clear()
+    build_generators.cache_clear()
+
+
+def test_unbalanced_pinned_binomial_is_rejected(rebuilt, monkeypatch):
+    relations = dict(cone.PRESENTATION_RELATIONS)
+    name, (first, second, third) = relations[4][12]
+    assert name == "r13"
+    relations[4] = relations[4][:12] + ((name, (first, third, second)),) + relations[4][13:]
+    monkeypatch.setattr(cone, "PRESENTATION_RELATIONS", relations)
+    with pytest.raises(ConsistencyError, match=r"unbalanced pinned relations: hive relation r13$"):
+        presentation(4)
+
+
+def test_verify_relations_reports_an_unbalanced_binomial():
+    broken = ConePresentation(4, presentation(4).basis,
+                              (BinomialRelation("r13", (16, 20), (5, 11, 19)),))
+    [result] = verify_relations(broken)
+    assert not result.ok
+    assert result.line().startswith("FAIL  hive relation r13: sides differ at coordinate ")
+
+
+def test_swapped_generator_terms_are_rejected(rebuilt, monkeypatch):
+    terms = dict(tensor_algebra._GENERATOR_TERMS)
+    rank4 = list(terms[4])
+    rank4[14], rank4[15] = rank4[15], rank4[14]
+    terms[4] = tuple(rank4)
+    monkeypatch.setattr(tensor_algebra, "_GENERATOR_TERMS", terms)
+    with pytest.raises(ConsistencyError, match="g_15 has weight"):
+        build_generators(4)
 
 
 def test_independence_of_rank2_generators():
