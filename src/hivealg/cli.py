@@ -55,7 +55,7 @@ def _parse_hive(text: str, n: int) -> Hive:
 
 
 def _write(args, text: str) -> None:
-    if args.output:
+    if args.output is not None:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:

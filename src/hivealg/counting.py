@@ -84,41 +84,52 @@ def _fill_plan(n: int):
                         for terms in attached[k]) for k in interior))
 
 
-def _boundary_array(n: int, lam: Parts, mu: Parts, nu: Parts) -> list[int] | None:
-    """Flat array with the three edges set from partial sums of the boundary
-    and the interior left at zero, or None when a row on the boundary alone
-    fails.  Inputs as for _iter_hive_flats."""
+def _interval(name: str, bounds: list[str], cmp: str) -> list[str]:
+    """Lines setting name to the tightest of bounds, each one after the
+    first kept when it compares cmp against the bound so far."""
+    lines = [f"    {name} = {bounds[0]}"]
+    for bound in bounds[1:]:
+        lines += [f"    t = {bound}", f"    if t {cmp} {name}: {name} = t"]
+    return lines
+
+
+def _entry_lines(n: int, count: bool) -> list[str]:
+    """entry(lam, mu, nu) on a padded triple: the left, right and bottom
+    edges as partial sums of mu, lam and nu (the bottom from |mu|; it sets
+    the shared corner, so the last lam sum is left out), one list literal
+    of the flat array with the interior at zero, then each row on the
+    boundary alone; a failing one leaves no hive.  Otherwise the search
+    starts at _e0."""
     row_bounds, _interior, boundary_only, _attached = _fill_plan(n)
-    arr = [0] * row_bounds[-1][1]
-    for i in range(n):  # left and right edges: partial sums of mu and lam
-        arr[row_bounds[i + 1][0]] = arr[row_bounds[i][0]] + mu[i]
-        arr[row_bounds[i + 1][1] - 1] = arr[row_bounds[i][1] - 1] + lam[i]
-    bottom = row_bounds[n][0]
-    for j in range(n):  # bottom edge: |mu| plus partial sums of nu
-        arr[bottom + j + 1] = arr[bottom + j] + nu[j]
+    cells, sums = ["0"] * row_bounds[-1][1], {}
+    for name, part, prev, edge in (
+            ("m", "mu", "", [flat_index(i, 1) for i in range(2, n + 2)]),
+            ("l", "lam", "", [flat_index(i, i) for i in range(2, n + 2)]),
+            ("b", "nu", f"m{n} + ", [flat_index(n + 1, j) for j in range(2, n + 2)])):
+        for i, k in enumerate(edge):
+            cells[k] = f"{name}{i + 1}"
+            sums[cells[k]] = f"{prev}{part}[{i}]"
+            prev = f"{cells[k]} + "
+    lines = ["def entry(lam, mu, nu):",
+             *(f"    {cell} = {value}" for cell, value in sums.items() if cell in cells),
+             f"    a = [{', '.join(cells)}]"]
     for terms in boundary_only:
-        if sum(c * arr[k] for k, c in terms) < 0:
-            return None
-    return arr
-
-
-def _bound(candidates: list[str], pick: str) -> str:
-    return candidates[0] if len(candidates) == 1 else f"{pick}({', '.join(candidates)})"
+        lines += [f"    if {_linear(terms)} < 0:", f"        return{' 0' if count else ''}"]
+    lines.append("    return _e0(a)" if count else "    yield from _e0(a)")
+    return lines
 
 
 def _kernel_source(n: int, count: bool) -> str:
     """One function per interior entry, in fill order (_fill_plan: bottom
-    row first, right to left).  _e<k>(a) reads its interval from the
-    boundary and the entries placed before it: the max over the plan's
+    row first, right to left), then entry.  _e<k>(a) reads its interval from
+    the boundary and the entries placed before it: the max over the plan's
     lower rows of that entry and the min over its upper rows, the cancelled
     pairs among them, so an interval that no hive can fill comes out empty
     early.  It then loops over the interval, writing a[pos] and calling
     _e<k+1>.  Counting, the last entry returns the length of its interval;
     enumerating, the last loop yields the flat coordinates, tuple(a)."""
     _row_bounds, interior, _boundary_only, attached = _fill_plan(n)
-    if not interior:
-        return f"def _e0(a):\n    {'return 1' if count else 'yield tuple(a)'}\n"
-    lines = []
+    lines = [] if interior else ["def _e0(a):", "    return 1" if count else "    yield tuple(a)", ""]
     for k, (pos, rows_k) in enumerate(zip(interior, attached)):
         low, high = [], []
         for coeff, rest in rows_k:
@@ -127,9 +138,7 @@ def _kernel_source(n: int, count: bool) -> str:
             (low if coeff == 1 else high).append(_linear((q, -coeff * c) for q, c in rest))
         if not low or not high:
             raise ValueError(f"interior entry a[{pos}] has an unbounded interval")
-        lines += [f"def _e{k}(a):",
-                  f"    lo = {_bound(low, 'max')}",
-                  f"    hi = {_bound(high, 'min')}"]
+        lines += [f"def _e{k}(a):", *_interval("lo", low, ">"), *_interval("hi", high, "<")]
         last = k == len(interior) - 1
         if count and last:
             lines.append("    return hi - lo + 1 if hi >= lo else 0")
@@ -144,20 +153,21 @@ def _kernel_source(n: int, count: bool) -> str:
                       f"        a[{pos}] = v",
                       "        yield tuple(a)" if last else f"        yield from _e{k + 1}(a)"]
         lines.append("")
-    return "\n".join(lines)
+    return "\n".join(lines + _entry_lines(n, count)) + "\n"
 
 
 @lru_cache(maxsize=32)
 def _kernel(n: int, count: bool):
-    """The compiled DFS over the interior of a rank-n hive: called on a
-    _boundary_array, it returns the number of hives (count) or yields the flat
-    coordinates of each in search order.  The source holds only integer indices
-    from cone_rows, compiled by hive._compile under its filename.
+    """The compiled rank-n hive search: entry(lam, mu, nu), on a padded
+    triple with |lam| = |mu| + |nu|, returns the number of hives (count) or
+    yields the flat coordinates of each in search order.  The source holds
+    only integer indices from cone_rows, compiled by hive._compile under
+    its filename.
 
     One function per entry rather than one nested loop: CPython rejects more
     than 20 statically nested blocks, and rank 8 has 21 interior entries."""
     filename = f"<hivealg kernel n={n} {'count' if count else 'enumerate'}>"
-    return _compile(_kernel_source(n, count), filename, "_e0")
+    return _compile(_kernel_source(n, count), filename, "entry")
 
 
 def _iter_hive_flats(n: int, lam: Parts, mu: Parts, nu: Parts) -> Iterator[Parts]:
@@ -168,9 +178,7 @@ def _iter_hive_flats(n: int, lam: Parts, mu: Parts, nu: Parts) -> Iterator[Parts
     sum(lam) == sum(mu) + sum(nu); edges are fixed by partial sums and only
     strictly interior entries are searched.
     """
-    arr = _boundary_array(n, lam, mu, nu)
-    if arr is not None:
-        yield from _kernel(n, False)(arr)
+    return _kernel(n, False)(lam, mu, nu)
 
 
 def boundary_triples(n: int, d: int) -> Iterator[tuple[Parts, Parts, Parts]]:
@@ -200,18 +208,39 @@ def _check_rank(n: int) -> None:
         raise ValueError("rank must be >= 1")
 
 
+@lru_cache(maxsize=32)
+def _triple_check(n: int):
+    """The compiled rank-n check on a triple padded to length n: each part
+    weakly decreasing down to a non-negative last part, one line each, and
+    |lam| = |mu| + |nu|."""
+    def entries(p):
+        return [f"{p}[{i}]" for i in range(n)]
+
+    lines = [" >= ".join(entries(p) + ["0"]) for p in ("lam", "mu", "nu")]
+    lines.append(f"{' + '.join(entries('lam'))} == {' + '.join(entries('mu') + entries('nu'))}")
+    source = "def triple_ok(lam, mu, nu):\n    return (" + "\n            and ".join(lines) + ")\n"
+    return _compile(source, f"<hivealg triple check n={n}>", "triple_ok")
+
+
 def _boundary_triple(n, lam, mu, nu) -> tuple[Parts, Parts, Parts] | None:
     """Pad a boundary triple to length n, or None when no hive can carry it.
     Trailing zeros change neither dominance nor the sums, so each part is
-    checked as given (a tuple is not copied) and only the error message
-    strips them; nonzero parts beyond n admit no hive."""
+    checked as given and only the error message strips them; nonzero parts
+    beyond n admit no hive.  A tuple of length n is returned as it is: the
+    _hive_count keys share the tuples of boundary_triples."""
     _check_rank(n)
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
+    if len(lam) > n or len(mu) > n or len(nu) > n:
+        require_partitions(lam, mu, nu)
+        if any(lam[n:]) or any(mu[n:]) or any(nu[n:]):
+            return None
+        lam, mu, nu = lam[:n], mu[:n], nu[:n]
+    zeros = (0,) * n
+    lam, mu, nu = lam + zeros[len(lam):], mu + zeros[len(mu):], nu + zeros[len(nu):]
+    if _triple_check(n)(lam, mu, nu):
+        return lam, mu, nu
     require_partitions(lam, mu, nu)
-    if sum(lam) != sum(mu) + sum(nu) or any(lam[n:]) or any(mu[n:]) or any(nu[n:]):
-        return None
-    return (lam[:n] + (0,) * (n - len(lam)), mu[:n] + (0,) * (n - len(mu)),
-            nu[:n] + (0,) * (n - len(nu)))
+    return None
 
 
 def enumerate_hives(n, lam, mu, nu) -> list[Hive]:
@@ -225,8 +254,7 @@ def enumerate_hives(n, lam, mu, nu) -> list[Hive]:
 
 @lru_cache(maxsize=None)
 def _hive_count(n: int, lam: Parts, mu: Parts, nu: Parts) -> int:
-    arr = _boundary_array(n, lam, mu, nu)
-    return 0 if arr is None else _kernel(n, True)(arr)
+    return _kernel(n, True)(lam, mu, nu)
 
 
 def lr_coefficient(n, lam, mu, nu) -> int:

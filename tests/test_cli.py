@@ -214,6 +214,15 @@ def test_output_into_missing_directory_is_error(tmp_path, capsys):
     assert "Traceback" not in err and not target.exists()
 
 
+def test_empty_output_path_is_error(capsys):
+    # an empty path names no file; it must not fall back to stdout
+    assert run(["hives", "-n", "2", "--lambda", "2,1", "--mu", "1", "--nu", "1,1",
+                "--output", ""]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot write")
+    assert "Traceback" not in err
+
+
 def test_output_to_directory_is_error(tmp_path, capsys):
     assert run(["export-cone", "-n", "2", "--format", "appendix-inequalities",
                 "--output", str(tmp_path)]) == 1

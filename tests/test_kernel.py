@@ -9,6 +9,7 @@ saturation of LR coefficients; and membership agrees with a row-by-row
 reading of cone_rows."""
 
 import inspect
+import linecache
 import re
 from collections import Counter
 from functools import lru_cache
@@ -32,17 +33,98 @@ def test_kernel_builds_for_every_rank(count):
         assert callable(_kernel(n, count))
 
 
+def kernel_source(n, count):
+    """The whole generated kernel source, as linecache holds it."""
+    kernel = _kernel(n, count)
+    return "".join(linecache.getlines(kernel.__code__.co_filename))
+
+
 def test_kernel_source_is_inspectable():
     kernel = _kernel(4, True)
-    source = inspect.getsource(kernel)
+    source = kernel_source(4, True)
     assert kernel.__code__.co_filename == "<hivealg kernel n=4 count>"
+    assert inspect.getsource(kernel).startswith("def entry(lam, mu, nu):\n")
     # bounds of the first interior entry, h[4][3] = a[8]: its three rhombus
     # rows, then the sums that cancel a[7] and a[4]
-    assert ("lo = max(a[13] + a[5] - a[9], a[12] + a[9] - a[13], "
-            "a[11] + a[3] + a[13] - a[6] - a[12], a[6] + a[13] - a[11], "
-            "a[1] + a[12] - a[3], a[1] + a[9] - a[2], "
-            "a[3] + a[2] + a[9] - a[1] - a[5], a[5] + a[6] - a[3])") in source
-    assert "hi = min(a[13] + a[9] - a[14], a[12] + a[6] - a[10], a[5] + a[1] - a[0])" in source
+    assert ("def _e0(a):\n"
+            "    lo = a[13] + a[5] - a[9]\n"
+            "    t = a[12] + a[9] - a[13]\n"
+            "    if t > lo: lo = t\n"
+            "    t = a[11] + a[3] + a[13] - a[6] - a[12]\n"
+            "    if t > lo: lo = t\n"
+            "    t = a[6] + a[13] - a[11]\n"
+            "    if t > lo: lo = t\n"
+            "    t = a[1] + a[12] - a[3]\n"
+            "    if t > lo: lo = t\n"
+            "    t = a[1] + a[9] - a[2]\n"
+            "    if t > lo: lo = t\n"
+            "    t = a[3] + a[2] + a[9] - a[1] - a[5]\n"
+            "    if t > lo: lo = t\n"
+            "    t = a[5] + a[6] - a[3]\n"
+            "    if t > lo: lo = t\n"
+            "    hi = a[13] + a[9] - a[14]\n"
+            "    t = a[12] + a[6] - a[10]\n"
+            "    if t < hi: hi = t\n"
+            "    t = a[5] + a[1] - a[0]\n"
+            "    if t < hi: hi = t\n") in source
+    assert "max(" not in source and "min(" not in source
+
+
+def read_linear(text):
+    """{flat index: coeff} of a generated sum of +-a[k], read independently
+    of _linear."""
+    return {int(k): (-1 if sign == "-" else 1)
+            for sign, k in re.findall(r"(-?)\s*a\[(\d+)\]", text)}
+
+
+@pytest.mark.parametrize("count", [True, False])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_kernel_source_bounds_every_plan_row_and_sets_every_edge(n, count):
+    _row_bounds, _interior, boundary_only, attached = counting._fill_plan(n)
+    bodies = {}
+    for block in kernel_source(n, count).split("\ndef "):
+        head, _, body = block.partition("\n")
+        bodies[head.removeprefix("def ").split("(")[0]] = body.splitlines()
+    for k, rows_k in enumerate(attached):
+        lines = bodies[f"_e{k}"]
+        read = {"lo": [], "hi": []}
+        for line, after in zip(lines, lines[1:] + [""]):
+            first = re.fullmatch(r"    (lo|hi) = (.*)", line)
+            update = re.fullmatch(r"    if t (<|>) (lo|hi): \2 = t", after)
+            if first:
+                read[first[1]].append(read_linear(first[2]))
+            elif line.startswith("    t = ") and update:
+                assert update[1] == {"lo": ">", "hi": "<"}[update[2]]
+                read[update[2]].append(read_linear(line))
+        # coeff * a[pos] + rest >= 0: a lower bound -rest, or an upper one rest
+        want = {"lo": [], "hi": []}
+        for coeff, rest in rows_k:
+            want["lo" if coeff == 1 else "hi"].append({q: -coeff * c for q, c in rest})
+        for side in want:
+            assert (Counter(frozenset(r.items()) for r in read[side])
+                    == Counter(frozenset(r.items()) for r in want[side])), (k, side)
+
+    # entry: part entries weighted so that each partial sum reads back as
+    # the set of entries it adds up; every cell of the list literal, in
+    # flat_index order, against boundary_flat
+    entry = bodies["entry"]
+    parts = {p: [1 << (n * s + i) for i in range(n)] for s, p in enumerate(("lam", "mu", "nu"))}
+    sums = dict(m.groups() for m in map(re.compile(r"    (\w+) = (.*)").fullmatch, entry) if m)
+
+    def value(expr):
+        total = 0
+        for term in expr.split(" + "):
+            entry_of = re.fullmatch(r"(lam|mu|nu)\[(\d+)\]", term)
+            total += (parts[entry_of[1]][int(entry_of[2])] if entry_of
+                      else 0 if term == "0" else value(sums[term]))
+        return total
+
+    cells = sums["a"].removeprefix("[").removesuffix("]").split(", ")
+    assert [value(cell) for cell in cells] == boundary_flat(n, *parts.values())
+    checks = [read_linear(line) for line in entry if line.startswith("    if ")]
+    assert all(line.endswith(" < 0:") for line in entry if line.startswith("    if "))
+    assert checks == [dict(terms) for terms in boundary_only]
+    assert entry[-1] == ("    return _e0(a)" if count else "    yield from _e0(a)")
 
 
 def test_kernel_rejects_coefficients_other_than_one(monkeypatch):
@@ -230,17 +312,24 @@ def test_plan_rows_hold_on_enumerated_hives(triple):
 # ---------------------------------------------------------------------------
 # The fill order: the search runs bottom row first, the output is sorted
 
-def row_major_hives(n, lam, mu, nu):
-    """Oracle: the flat coordinates of every hive with the padded boundary
-    (lam, mu, nu), filling the interior in row-major order, each entry
-    bounded by the cone rows whose largest interior index it is, each
-    interval swept upward; so they come in lexicographic order."""
+def boundary_flat(n, lam, mu, nu):
+    """The flat array of the padded boundary (lam, mu, nu), its edges set
+    from partial sums and its interior at zero."""
     flat = [0] * triangle_size(n)
     for i in range(1, n + 1):  # left and right edges, then the bottom one
         flat[flat_index(i + 1, 1)] = flat[flat_index(i, 1)] + mu[i - 1]
         flat[flat_index(i + 1, i + 1)] = flat[flat_index(i, i)] + lam[i - 1]
     for j in range(1, n + 1):
         flat[flat_index(n + 1, j + 1)] = flat[flat_index(n + 1, j)] + nu[j - 1]
+    return flat
+
+
+def row_major_hives(n, lam, mu, nu):
+    """Oracle: the flat coordinates of every hive with the padded boundary
+    (lam, mu, nu), filling the interior in row-major order, each entry
+    bounded by the cone rows whose largest interior index it is, each
+    interval swept upward; so they come in lexicographic order."""
+    flat = boundary_flat(n, lam, mu, nu)
     interior = [flat_index(i, j) for i in range(3, n + 1) for j in range(2, i)]
     rows = {k: [] for k in [None] + interior}
     for *_, terms in cone_rows(n):
@@ -292,9 +381,9 @@ def test_enumeration_order_is_lexicographic(triple):
 def plan_nodes(n, lam, mu, nu):
     """Interior DFS nodes (entries set to one value) that _fill_plan(n)
     visits for a padded boundary, read row by row from the plan."""
-    _row_bounds, interior, _boundary_only, attached = counting._fill_plan(n)
-    flat = counting._boundary_array(n, lam, mu, nu)
-    if flat is None:
+    _row_bounds, interior, boundary_only, attached = counting._fill_plan(n)
+    flat = boundary_flat(n, lam, mu, nu)
+    if any(sum(c * flat[k] for k, c in terms) < 0 for terms in boundary_only):
         return 0
 
     def visit(place):
