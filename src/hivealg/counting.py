@@ -4,10 +4,11 @@ counts m_d, and Hilbert-Poincare series (enumerated and closed form)."""
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import ge
 from typing import Iterator
 
 from .hive import Hive, _compile, _linear, _require_unit, cone_rows, flat_index
-from .shapes import Parts, contains, normalize, pad, partitions_of, require_partitions
+from .shapes import Parts, normalize, pad, partitions_of, require_partitions
 from .tableau import enumerate_tableaux
 
 SeriesPrefix = tuple[int, ...]
@@ -114,7 +115,8 @@ def _entry_lines(n: int, count: bool) -> list[str]:
              *(f"    {cell} = {value}" for cell, value in sums.items() if cell in cells),
              f"    a = [{', '.join(cells)}]"]
     for terms in boundary_only:
-        lines += [f"    if {_linear(terms)} < 0:", f"        return{' 0' if count else ''}"]
+        lines += [f"    if {_linear((k, c) for k, c in terms if k)} < 0:",
+                  f"        return{' 0' if count else ''}"]
     lines.append("    return _e0(a)" if count else "    yield from _e0(a)")
     return lines
 
@@ -134,8 +136,8 @@ def _kernel_source(n: int, count: bool) -> str:
         low, high = [], []
         for coeff, rest in rows_k:
             _require_unit((coeff, *(c for _, c in rest)), f"a row on a[{pos}]")
-            # coeff * a[pos] + rest >= 0: a[pos] >= -rest, or a[pos] <= rest
-            (low if coeff == 1 else high).append(_linear((q, -coeff * c) for q, c in rest))
+            # coeff * a[pos] + rest >= 0: a[pos] >= -rest, or a[pos] <= rest (a[0] = 0)
+            (low if coeff == 1 else high).append(_linear((q, -coeff * c) for q, c in rest if q))
         if not low or not high:
             raise ValueError(f"interior entry a[{pos}] has an unbounded interval")
         lines += [f"def _e{k}(a):", *_interval("lo", low, ">"), *_interval("hi", high, "<")]
@@ -188,8 +190,8 @@ def boundary_triples(n: int, d: int) -> Iterator[tuple[Parts, Parts, Parts]]:
     partitions_of order."""
     lams = [pad(lam, n) for lam in partitions_of(d, n)]
     by_size = [[pad(p, n) for p in partitions_of(j, n)] for j in range(d + 1)]
-    # bit i of a mask stands for lams[i]; lam_1 decreases along lams
-    above = {p: sum(1 << i for i, lam in enumerate(lams) if contains(lam, p))
+    # bit i of a mask stands for lams[i]; lam_1 decreases along lams (all padded)
+    above = {p: sum(1 << i for i, lam in enumerate(lams) if all(map(ge, lam, p)))
              for parts in by_size for p in parts}
     fits = [sum(1 << i for i, lam in enumerate(lams) if lam[0] <= cap)
             for cap in range(d + 1)]

@@ -279,19 +279,27 @@ class Polynomial:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        pieces = []
+        # each distinct top and bottom half of a key (n^2 fields) is rendered once
+        half = self.n * self.n
+        names, shift = _names(self.n)[0], 8 * half
+        top_names, bottom_names, low = names[:half], names[half:], (1 << shift) - 1
+        tops, bottoms, pieces = {}, {}, []
         for exps in sorted(self.terms, reverse=True):
             c = self.terms[exps]
-            mono = render_monomial(self.n, exps)
-            if mono == "1":
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
+            top, bottom = exps >> shift, exps & low
+            t = tops.get(top)
+            if t is None:
+                t = tops[top] = _render(top_names, top.to_bytes(half, "big"))
+            b = bottoms.get(bottom)
+            if b is None:
+                b = bottoms[bottom] = _render(bottom_names, bottom.to_bytes(half, "big"))
+            mono = f"{t}*{b}" if t and b else t or b
+            a = abs(c)
+            body = str(a) if not mono else mono if a == 1 else f"{a}*{mono}"
             pieces.append(("- " if c < 0 else "+ ") + body)
-        head = pieces[0][2:] if pieces[0][0] == "+" else "-" + pieces[0][2:]
-        return " ".join([head] + pieces[1:])
+        del tops, bottoms  # freed before the join, which sets the peak memory
+        pieces[0] = pieces[0][2:] if pieces[0][0] == "+" else "-" + pieces[0][2:]
+        return " ".join(pieces)
 
     def __repr__(self) -> str:
         return f"Polynomial(n={self.n}, {len(self.terms)} terms)"
@@ -305,11 +313,14 @@ class Polynomial:
                 for exps in sorted(self.terms, reverse=True)]
 
 
+def _render(names: tuple[str, ...], powers: bytes) -> str:
+    """The factors name^e of an exponent vector, joined by *; "" for none."""
+    return "*".join([names[idx] if e == 1 else f"{names[idx]}^{e}"
+                     for idx, e in enumerate(powers) if e])
+
+
 def render_monomial(n: int, exps: Exponents) -> str:
-    names = _names(n)[0]
-    parts = [names[idx] if e == 1 else f"{names[idx]}^{e}"
-             for idx, e in enumerate(exps.to_bytes(variable_count(n), "big")) if e]
-    return "*".join(parts) if parts else "1"
+    return _render(_names(n)[0], exps.to_bytes(variable_count(n), "big")) or "1"
 
 
 def monomial_exponents(n: int, factors: Iterable[tuple[str, int, int]]) -> Exponents:
@@ -324,10 +335,10 @@ def monomial_exponents(n: int, factors: Iterable[tuple[str, int, int]]) -> Expon
 
 
 @lru_cache(maxsize=64)
-def _raising_moves(n: int, factor: int, k: int) -> tuple[tuple[int, int], ...]:
-    """For each variable pair of a raising operator: the index of the
-    variable it differentiates, and the packed change that moves one power
-    from that variable to its partner."""
+def _raising_moves(n: int, factor: int, k: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The mask of the fields a raising operator differentiates, and for each
+    variable pair: the differentiated field's bit offset, and the packed
+    change that moves one power from that variable to its partner."""
     pairs = []  # (index gaining a power, index differentiated)
     if factor == 1:
         for j in range(1, n + 1):
@@ -339,7 +350,9 @@ def _raising_moves(n: int, factor: int, k: int) -> tuple[tuple[int, int], ...]:
     else:
         for i in range(1, n + 1):
             pairs.append((variable_index(n, "y", i, k), variable_index(n, "y", i, k + 1)))
-    return tuple((tgt, (1 << _shift(n, src)) - (1 << _shift(n, tgt))) for src, tgt in pairs)
+    mask = sum(0xFF << _shift(n, tgt) for _, tgt in pairs)
+    return mask, tuple((_shift(n, tgt), (1 << _shift(n, src)) - (1 << _shift(n, tgt)))
+                       for src, tgt in pairs)
 
 
 def raising_derivation(factor: int, k: int, p: Polynomial) -> Polynomial:
@@ -348,27 +361,31 @@ def raising_derivation(factor: int, k: int, p: Polynomial) -> Polynomial:
     (x[k][j] d/dx[k+1][j] + y[k][j] d/dy[k+1][j], summed over j), factor 2
     on x-columns, factor 3 on y-columns.  A polynomial is invariant under
     the product of the three unipotent groups iff every one of the 3(n-1)
-    operators annihilates it."""
+    operators annihilates it.  A memo local to the call maps a term's
+    differentiated fields (key & mask) to the moves that hit a nonzero
+    exponent, with that exponent, so each term visits only its hits."""
     n = p.n
     if factor not in (1, 2, 3):
         raise ValueError("factor must be 1, 2, or 3")
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in 1..{n - 1}")
-    moves = _raising_moves(n, factor, k)
-    size = variable_count(n)
+    mask, moves = _raising_moves(n, factor, k)
+    hits: dict[int, tuple[tuple[int, int], ...]] = {}
     out: dict[Exponents, int] = {}
     get = out.get
     for exps, c in p.terms.items():
-        powers = exps.to_bytes(size, "big")
-        for tgt, delta in moves:
-            e = powers[tgt]
-            if e:
-                key = exps + delta
-                s = get(key, 0) + c * e
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+        fields = exps & mask
+        found = hits.get(fields)
+        if found is None:
+            found = hits[fields] = tuple((delta, e) for shift, delta in moves
+                                         if (e := fields >> shift & 0xFF))
+        for delta, e in found:
+            key = exps + delta
+            s = get(key, 0) + c * e
+            if s:
+                out[key] = s
+            else:
+                del out[key]
     return Polynomial(n, out)
 
 

@@ -4,14 +4,16 @@ Random polynomials for n = 2..4 are drawn as {exponent tuple: coefficient},
 turned into Polynomials through monomial_exponents, and every operation is
 compared with the same operation on the tuples.  Then the 8-bit fields are
 checked at the top of their range: degree 255 works, and anything that
-could pass it raises ValueError.
+could pass it raises ValueError.  Last, str() of whole polynomials for
+n = 1..4, whose halves it renders apart, and the raising operators on
+products of minors, where terms cancel.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hivealg.polynomial import (NotHomogeneousError, Polynomial, Weight,
+from hivealg.polynomial import (NotHomogeneousError, Polynomial, Weight, det,
                                 monomial_exponents, raising_derivation,
                                 render_monomial, variable_count, variable_index,
                                 variable_labels)
@@ -285,3 +287,97 @@ def test_weight_at_degree_255():
     assert (a - b).weight() == Weight((100, 155), (100, 155), (0, 0))
     with pytest.raises(NotHomogeneousError):
         (var(2, "x", 1, 1) ** 255 + var(2, "x", 2, 1) ** 255).weight()
+
+
+# -- whole-polynomial rendering ------------------------------------------------
+
+
+def oracle_str(n, p):
+    if not p:
+        return "0"
+    pieces = []
+    for e in sorted(p, reverse=True):
+        c, mono = p[e], oracle_render(n, e)
+        body = str(abs(c)) if mono == "1" else mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+        pieces.append(("-" if c < 0 else "+", body))
+    head = ("-" if pieces[0][0] == "-" else "") + pieces[0][1]
+    return " ".join([head] + [f"{sign} {body}" for sign, body in pieces[1:]])
+
+
+def half_monomials(n):
+    """Exponent tuples with every power in the top n^2 fields, in the bottom
+    n^2, or anywhere; powers up to 31 give two-digit exponents."""
+    size, half = variable_count(n), n * n
+    return st.sampled_from([range(size), range(half), range(half, size)]).flatmap(
+        lambda fields: st.dictionaries(st.sampled_from(fields), st.integers(1, 31),
+                                       max_size=4)).map(
+        lambda d: tuple(d.get(idx, 0) for idx in range(size)))
+
+
+def tuple_of(n, *powers):
+    """The exponent tuple with the given (index, power) pairs."""
+    exps = [0] * variable_count(n)
+    for idx, e in powers:
+        exps[idx] = e
+    return tuple(exps)
+
+
+# n = 3 has 9 fields a half: x[2][1..3] is in the top, y[2][1..3] in the bottom
+@example((3, {tuple_of(3, (7, 12)): -3, tuple_of(3, (9, 1)): 1, tuple_of(3): 5,
+              tuple_of(3, (8, 2), (9, 10)): -1, tuple_of(3, (0, 1), (17, 1)): 11}))
+@example((1, {tuple_of(1, (0, 1)): -1, tuple_of(1, (1, 10)): 2, tuple_of(1): -7}))
+@example((2, {tuple_of(2): -1}))
+@settings(max_examples=50)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(n), st.dictionaries(half_monomials(n), COEFFS, max_size=8))))
+def test_str_matches_oracle(case):
+    n, p = case
+    assert str(to_poly(n, p)) == oracle_str(n, p)
+
+
+# -- raising operators on products of minors -------------------------------------
+
+
+def decode(n, poly):
+    size = variable_count(n)
+    return {tuple(key.to_bytes(size, "big")): c for key, c in poly.terms.items()}
+
+
+@st.composite
+def minor_products(draw):
+    """(n, product): up to three minors of the combined n x 2n matrix [X | Y]
+    times up to two variables.  An operator moves a power between two rows
+    or two columns of a minor, so many terms cancel, and the terms of a
+    product share their differentiated fields, so the memo is reused."""
+    n = draw(st.integers(2, 4))
+    poly = Polynomial.one(n)
+    for _ in range(draw(st.integers(1, 3))):
+        s = draw(st.integers(1, min(n, 3)))
+        rows = sorted(draw(st.lists(st.integers(1, n), min_size=s, max_size=s, unique=True)))
+        cols = sorted(draw(st.lists(st.integers(0, 2 * n - 1), min_size=s, max_size=s,
+                                    unique=True)))
+        poly = poly * det([[Polynomial.variable(n, "xy"[c // n], r, c % n + 1) for c in cols]
+                           for r in rows])
+    for kind, i, j in draw(st.lists(st.sampled_from(variable_labels(n)), max_size=2)):
+        poly = poly * Polynomial.variable(n, kind, i, j)
+    return n, poly
+
+
+@settings(max_examples=60)
+@given(minor_products())
+def test_raising_derivations_of_minor_products_match_oracle(case):
+    n, poly = case
+    terms = decode(n, poly)
+    for factor in (1, 2, 3):
+        for k in range(1, n):
+            raised = raising_derivation(factor, k, poly).terms
+            assert raised == to_terms(n, oracle_raising(n, factor, k, terms))
+            assert all(raised.values())
+
+
+def test_raising_derivations_kill_products_of_leading_minors():
+    # a product of leading minors is a highest weight vector: under the
+    # k = 1 operators every term cancels, and the k = 2 ones find no term
+    x, y = (det([[var(3, kind, i, j) for j in (1, 2)] for i in (1, 2)]) for kind in "xy")
+    p = x * y * x
+    assert all(raising_derivation(f, k, p).is_zero for f in (1, 2, 3) for k in (1, 2))

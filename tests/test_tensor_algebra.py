@@ -8,8 +8,9 @@ from hivealg.hive import Hive
 from hivealg.polynomial import ColumnTableau, Polynomial, Weight, minor
 from hivealg.report import ConsistencyError, failures
 from hivealg.tableau import hive_to_tableau
-from hivealg.tensor_algebra import (build_generators, highest_weight_vector,
-                                    hwv_basis, lemma_initial_exponents,
+from hivealg.tensor_algebra import (_check_highest_weight, build_generators,
+                                    highest_weight_vector, hwv_basis,
+                                    lemma_initial_exponents,
                                     verify_classical_identities,
                                     verify_independence,
                                     verify_presentation_relations)
@@ -191,6 +192,17 @@ def test_swapped_generator_terms_are_rejected(rebuilt, monkeypatch):
     monkeypatch.setattr(tensor_algebra, "_GENERATOR_TERMS", terms)
     with pytest.raises(ConsistencyError, match="g_15 has weight"):
         build_generators(4)
+
+
+def test_check_runs_the_raising_operators():
+    # the leading monomial of g_1 alone has g_1's weight and leading term,
+    # so only a raising operator can reject it
+    lead, _ = build_generators(2).generator(1).leading_term()
+    h1 = presentation(2).basis[0]
+    assert Polynomial(2, {lead: 1}).weight() == Weight(*h1.boundary())
+    with pytest.raises(ConsistencyError,
+                       match=r"not annihilated by raising operator \(1, 1\)"):
+        _check_highest_weight("v", Polynomial(2, {lead: 1}), h1)
 
 
 def test_independence_of_rank2_generators():
