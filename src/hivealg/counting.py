@@ -7,7 +7,7 @@ from functools import lru_cache
 from operator import ge
 from typing import Iterator
 
-from .hive import Hive, _compile, _linear, _require_unit, cone_rows, flat_index
+from .hive import Hive, _compile, _edge_cells, _linear, _require_unit, cone_rows, flat_index
 from .shapes import Parts, normalize, pad, partitions_of, require_partitions
 from .tableau import enumerate_tableaux
 
@@ -85,77 +85,73 @@ def _fill_plan(n: int):
                         for terms in attached[k]) for k in interior))
 
 
+_BLOCK_LIMIT = 20  # CPython's CO_MAXBLOCKS: nested loops (blocks) per function
+
+
 def _interval(name: str, bounds: list[str], cmp: str) -> list[str]:
     """Lines setting name to the tightest of bounds, each one after the
     first kept when it compares cmp against the bound so far."""
-    lines = [f"    {name} = {bounds[0]}"]
+    lines = [f"{name} = {bounds[0]}"]
     for bound in bounds[1:]:
-        lines += [f"    t = {bound}", f"    if t {cmp} {name}: {name} = t"]
-    return lines
-
-
-def _entry_lines(n: int, count: bool) -> list[str]:
-    """entry(lam, mu, nu) on a padded triple: the left, right and bottom
-    edges as partial sums of mu, lam and nu (the bottom from |mu|; it sets
-    the shared corner, so the last lam sum is left out), one list literal
-    of the flat array with the interior at zero, then each row on the
-    boundary alone; a failing one leaves no hive.  Otherwise the search
-    starts at _e0."""
-    row_bounds, _interior, boundary_only, _attached = _fill_plan(n)
-    cells, sums = ["0"] * row_bounds[-1][1], {}
-    for name, part, prev, edge in (
-            ("m", "mu", "", [flat_index(i, 1) for i in range(2, n + 2)]),
-            ("l", "lam", "", [flat_index(i, i) for i in range(2, n + 2)]),
-            ("b", "nu", f"m{n} + ", [flat_index(n + 1, j) for j in range(2, n + 2)])):
-        for i, k in enumerate(edge):
-            cells[k] = f"{name}{i + 1}"
-            sums[cells[k]] = f"{prev}{part}[{i}]"
-            prev = f"{cells[k]} + "
-    lines = ["def entry(lam, mu, nu):",
-             *(f"    {cell} = {value}" for cell, value in sums.items() if cell in cells),
-             f"    a = [{', '.join(cells)}]"]
-    for terms in boundary_only:
-        lines += [f"    if {_linear((k, c) for k, c in terms if k)} < 0:",
-                  f"        return{' 0' if count else ''}"]
-    lines.append("    return _e0(a)" if count else "    yield from _e0(a)")
+        lines += [f"t = {bound}", f"if t {cmp} {name}: {name} = t"]
     return lines
 
 
 def _kernel_source(n: int, count: bool) -> str:
-    """One function per interior entry, in fill order (_fill_plan: bottom
-    row first, right to left), then entry.  _e<k>(a) reads its interval from
-    the boundary and the entries placed before it: the max over the plan's
-    lower rows of that entry and the min over its upper rows, the cancelled
-    pairs among them, so an interval that no hive can fill comes out empty
-    early.  It then loops over the interval, writing a[pos] and calling
-    _e<k+1>.  Counting, the last entry returns the length of its interval;
-    enumerating, the last loop yields the flat coordinates, tuple(a)."""
-    _row_bounds, interior, _boundary_only, attached = _fill_plan(n)
-    lines = [] if interior else ["def _e0(a):", "    return 1" if count else "    yield tuple(a)", ""]
-    for k, (pos, rows_k) in enumerate(zip(interior, attached)):
+    """entry(lam, mu, nu) on a padded triple, with entry k the local a<k>:
+    the left, right and bottom edges as partial sums of mu, lam and nu (the
+    bottom from |mu| sets the shared corner), then each row on the boundary
+    alone, a failing one leaving no hive.  Then one nested loop per interior
+    entry in fill order (_fill_plan), over the max of its lower rows to the
+    min of its upper rows, read from the entries placed before it.
+    Counting, the last entry adds its interval length to the total;
+    enumerating, the innermost loop yields the flat coordinates, the apex as
+    0.  A nest that would pass _BLOCK_LIMIT loops goes on in _rest<p>, which
+    takes the locals placed before fill place p as arguments."""
+    row_bounds, interior, boundary_only, attached = _fill_plan(n)
+
+    def local(k):
+        return _linear(((k, 1),), "a{}")
+
+    edges, (lam, mu, nu) = {}, _edge_cells(n)
+    for part, cells in (("mu", mu), ("lam", lam[:-1]), ("nu", nu)):
+        for i, (prev, k) in enumerate(zip(cells, cells[1:])):
+            edges[k] = f"{local(prev)} + {part}[{i}]" if prev else f"{part}[{i}]"
+    lines = ["def entry(lam, mu, nu):", *(f"    {local(k)} = {sum_}" for k, sum_ in edges.items())]
+    for terms in boundary_only:
+        lines += [f"    if {_linear(((k, c) for k, c in terms if k), 'a{}')} < 0:",
+                  f"        return{' 0' if count else ''}"]
+    call, start, end = (("total += ", ["    total = 0"], ["    return total"]) if count
+                        else ("yield from ", [], []))
+    lines += start
+    placed, loops = sorted(edges), 0
+    for place, (pos, rows_k) in enumerate(zip(interior, attached)):
         low, high = [], []
         for coeff, rest in rows_k:
             _require_unit((coeff, *(c for _, c in rest)), f"a row on a[{pos}]")
             # coeff * a[pos] + rest >= 0: a[pos] >= -rest, or a[pos] <= rest (a[0] = 0)
-            (low if coeff == 1 else high).append(_linear((q, -coeff * c) for q, c in rest if q))
+            (low if coeff == 1 else high).append(
+                _linear(((q, -coeff * c) for q, c in rest if q), "a{}"))
         if not low or not high:
             raise ValueError(f"interior entry a[{pos}] has an unbounded interval")
-        lines += [f"def _e{k}(a):", *_interval("lo", low, ">"), *_interval("hi", high, "<")]
-        last = k == len(interior) - 1
-        if count and last:
-            lines.append("    return hi - lo + 1 if hi >= lo else 0")
-        elif count:
-            lines += ["    t = 0",
-                      "    for v in range(lo, hi + 1):",
-                      f"        a[{pos}] = v",
-                      f"        t += _e{k + 1}(a)",
-                      "    return t"]
-        else:
-            lines += ["    for v in range(lo, hi + 1):",
-                      f"        a[{pos}] = v",
-                      "        yield tuple(a)" if last else f"        yield from _e{k + 1}(a)"]
-        lines.append("")
-    return "\n".join(lines + _entry_lines(n, count)) + "\n"
+        last = count and place == len(interior) - 1
+        if loops == _BLOCK_LIMIT and not last:
+            args = ", ".join(map(local, placed))
+            lines += ["    " * (loops + 1) + f"{call}_rest{place}({args})", *end,
+                      "", f"def _rest{place}({args}):", *start]
+            loops = 0
+        step = ("if hi >= lo: total += hi - lo + 1" if last
+                else f"for {local(pos)} in range(lo, hi + 1):")
+        lines += ["    " * (loops + 1) + line
+                  for line in (*_interval("lo", low, ">"), *_interval("hi", high, "<"), step)]
+        loops += 1
+        placed = sorted(placed + [pos])
+    if not count:  # row_bounds[-1][1] is the triangle size
+        cells = ", ".join(map(local, range(1, row_bounds[-1][1])))
+        lines.append("    " * (loops + 1) + f"yield (0, {cells})")
+    elif not interior:
+        lines.append("    total += 1")
+    return "\n".join(lines + end) + "\n"
 
 
 @lru_cache(maxsize=32)
@@ -164,10 +160,9 @@ def _kernel(n: int, count: bool):
     triple with |lam| = |mu| + |nu|, returns the number of hives (count) or
     yields the flat coordinates of each in search order.  The source holds
     only integer indices from cone_rows, compiled by hive._compile under
-    its filename.
-
-    One function per entry rather than one nested loop: CPython rejects more
-    than 20 statically nested blocks, and rank 8 has 21 interior entries."""
+    its filename.  One nested loop over locals, so a search node costs no
+    call and no list subscript; a further function only past the block
+    limit (rank 8 enumerating, rank 9 and up)."""
     filename = f"<hivealg kernel n={n} {'count' if count else 'enumerate'}>"
     return _compile(_kernel_source(n, count), filename, "entry")
 

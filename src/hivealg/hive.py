@@ -12,7 +12,7 @@ import linecache
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from operator import add
+from operator import add, sub
 from typing import Iterable, NamedTuple
 
 from .shapes import Parts
@@ -109,12 +109,12 @@ def _require_unit(coeffs, where: str) -> None:
         raise ValueError(f"{where} has a coefficient other than +-1")
 
 
-def _linear(terms) -> str:
-    """Source of sum(c * a[k]) for coefficients c of +-1, positive terms first."""
+def _linear(terms, cell: str = "a[{}]") -> str:
+    """Source of sum(c * a[k]) for c = +-1, positive terms first, a[k] as cell.format(k)."""
     out = ""
     for k, c in sorted(terms, key=lambda term: -term[1]):
         sign = "-" if c < 0 else "+"
-        out += f" {sign} a[{k}]" if out else ("-" if c < 0 else "") + f"a[{k}]"
+        out += f" {sign} {cell.format(k)}" if out else ("-" if c < 0 else "") + cell.format(k)
     return out
 
 
@@ -145,6 +145,16 @@ def membership(n: int):
     coordinates, it returns whether they form a hive (apex zero and every
     cone row satisfied)."""
     return _compile(_in_cone_source(n), f"<hivealg in_cone n={n}>", "in_cone")
+
+
+@lru_cache(maxsize=32)
+def _edge_cells(n: int) -> tuple[Parts, Parts, Parts]:
+    """Flat indices of the n + 1 cells of the lambda, mu and nu edges, each
+    from its end at the apex, nu's at the foot of mu: part i of an edge is
+    its cell i + 1 less its cell i."""
+    cells = range(1, n + 2)
+    return (tuple(flat_index(i, i) for i in cells), tuple(flat_index(i, 1) for i in cells),
+            tuple(flat_index(n + 1, j) for j in cells))
 
 
 def _check_shape(rows: Iterable[Iterable[int]]) -> Rows:
@@ -207,12 +217,6 @@ class Hive:
         return cls.from_rows(coords[flat_index(i, 1):flat_index(i + 1, 1)]
                              for i in range(1, n + 2))
 
-    @classmethod
-    def zero(cls, n: int) -> "Hive":
-        if n < 1:
-            raise ValueError("rank must be >= 1")
-        return cls(n, (0,) * triangle_size(n))
-
     @property
     def rows(self) -> Rows:
         """Row i holds h[i][1..i]; derived, for display and row readers."""
@@ -231,10 +235,8 @@ class Hive:
         return self.flat[-1]
 
     def boundary(self) -> Boundary:
-        h, edge = self.entry, range(1, self.n + 1)
-        return Boundary(tuple(h(i + 1, i + 1) - h(i, i) for i in edge),
-                        tuple(h(i + 1, 1) - h(i, 1) for i in edge),
-                        tuple(h(self.n + 1, j + 1) - h(self.n + 1, j) for j in edge))
+        edges = (tuple(map(self.flat.__getitem__, cells)) for cells in _edge_cells(self.n))
+        return Boundary(*(tuple(map(sub, edge[1:], edge)) for edge in edges))
 
     def __add__(self, other: "Hive") -> "Hive":
         if not isinstance(other, Hive):

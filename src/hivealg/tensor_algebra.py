@@ -105,12 +105,12 @@ def lemma_initial_exponents(n: int, tab: LRTableau):
     return monomial_exponents(n, factors)
 
 
-def _check_highest_weight(name: str, poly: Polynomial, hive: Hive) -> None:
-    """The paper's central fact for one vector: poly has the boundary of
-    `hive` as torus weight, is killed by all 3(n-1) raising operators, and
-    its leading term is 1 times the tableau monomial of `hive`."""
+def _check_highest_weight(name: str, poly: Polynomial, hive: Hive, boundary: Boundary) -> None:
+    """The paper's central fact for one vector: poly has torus weight
+    `boundary`, that of `hive`, is killed by all 3(n-1) raising operators,
+    and its leading term is 1 times the tableau monomial of `hive`."""
     n = poly.n
-    weight = Weight(*hive.boundary())
+    weight = Weight(*boundary)
     if poly.weight() != weight:
         raise ConsistencyError(f"{name} has weight {poly.weight()}, expected {weight}")
     for factor in (1, 2, 3):
@@ -136,7 +136,7 @@ def build_generators(n: int) -> GeneratorTable:
     generators = tuple(_signed_sum(n, terms, lambda col: minor(n, ColumnTableau(*col)))
                        for terms in _GENERATOR_TERMS[n])
     for idx, (g, h) in enumerate(zip(generators, cone.presentation(n).basis), start=1):
-        _check_highest_weight(f"g_{idx}", g, h)
+        _check_highest_weight(f"g_{idx}", g, h, h.boundary())
     return GeneratorTable(n, generators)
 
 
@@ -168,8 +168,9 @@ def highest_weight_vector(n: int, hive: Hive) -> HighestWeightVector:
     poly = Polynomial.one(n)
     for k in indices:
         poly = poly * table.generator(k)
-    _check_highest_weight(f"lifted vector for hive {hive}", poly, hive)
-    return HighestWeightVector(hive.boundary(), hive, indices, poly)
+    boundary = hive.boundary()
+    _check_highest_weight(f"lifted vector for hive {hive}", poly, hive, boundary)
+    return HighestWeightVector(boundary, hive, indices, poly)
 
 
 def hwv_basis(n: int, lam, mu, nu) -> list[HighestWeightVector]:

@@ -16,6 +16,11 @@ from hivealg.hive import (Hive, InvalidHiveError, cone_rows, hive_violations,
 RANKS = st.integers(2, 5)
 
 
+def zero_hive(n):
+    """The hive of degree 0: every entry 0."""
+    return Hive.from_flat((0,) * triangle_size(n))
+
+
 def rows_of(flat, n):
     """Rows of lengths 1..n+1, cut from the flat coordinates in turn."""
     entries = iter(flat)
@@ -107,9 +112,9 @@ def basis_sums(draw):
 def test_decompose_sums_back_to_the_hive(case):
     n, picks = case
     basis = presentation(n).basis
-    hive = sum((basis[k - 1] for k in picks), Hive.zero(n))
+    hive = sum((basis[k - 1] for k in picks), zero_hive(n))
     indices = decompose(hive, presentation(n))
-    assert sum((basis[k - 1] for k in indices), Hive.zero(n)) == hive
+    assert sum((basis[k - 1] for k in indices), zero_hive(n)) == hive
 
 
 def interpreted_decompositions(hive, pres, first_only):
@@ -154,7 +159,7 @@ def interpreted_decompositions(hive, pres, first_only):
 def test_decompositions_equal_the_interpreted_search(case):
     n, picks = case
     pres = presentation(n)
-    hive = sum((pres.basis[k - 1] for k in picks), Hive.zero(n))
+    hive = sum((pres.basis[k - 1] for k in picks), zero_hive(n))
     assert {decompose(hive, pres)} == interpreted_decompositions(hive, pres, True)
     assert all_decompositions(hive, pres) == interpreted_decompositions(hive, pres, False)
 

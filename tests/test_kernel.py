@@ -1,18 +1,20 @@
 """The generated code: the hive kernel (counting._kernel) and the cone
 membership predicate (hive.membership).  Both build at every rank and their
-source is inspectable; the kernel's plan holds the cone rows plus cancelled
-pairs of them, all of which every hive satisfies, and its bottom-row-up
-fill order prunes; enumeration comes out in lexicographic order whatever
-the search order; counts agree with enumeration and with the tableau route,
-also at ranks too deep for one nested loop, and with the symmetries and
-saturation of LR coefficients; and membership agrees with a row-by-row
-reading of cone_rows."""
+source is inspectable; the kernel nests one loop per interior entry, split
+across functions only at CPython's block limit; its plan holds the cone
+rows plus cancelled pairs of them, all of which every hive satisfies, and
+its bottom-row-up fill order prunes; enumeration comes out in
+lexicographic order whatever the search order; counts agree with
+enumeration and with the tableau route, also at ranks whose nest passes
+that limit, and with the symmetries and saturation of LR coefficients; and
+membership agrees with a row-by-row reading of cone_rows."""
 
 import inspect
 import linecache
 import re
 from collections import Counter
 from functools import lru_cache
+from itertools import takewhile
 
 import pytest
 from hypothesis import example, given, settings
@@ -44,96 +46,166 @@ def test_kernel_source_is_inspectable():
     source = kernel_source(4, True)
     assert kernel.__code__.co_filename == "<hivealg kernel n=4 count>"
     assert inspect.getsource(kernel).startswith("def entry(lam, mu, nu):\n")
-    # bounds of the first interior entry, h[4][3] = a[8]: its three rhombus
-    # rows, then the sums that cancel a[7] and a[4]
-    assert ("def _e0(a):\n"
-            "    lo = a[13] + a[5] - a[9]\n"
-            "    t = a[12] + a[9] - a[13]\n"
+    # bounds of the first interior entry, h[4][3] = a8: its three rhombus
+    # rows, then the sums that cancel a7 and a4; then its loop
+    assert ("    total = 0\n"
+            "    lo = a13 + a5 - a9\n"
+            "    t = a12 + a9 - a13\n"
             "    if t > lo: lo = t\n"
-            "    t = a[11] + a[3] + a[13] - a[6] - a[12]\n"
+            "    t = a11 + a3 + a13 - a6 - a12\n"
             "    if t > lo: lo = t\n"
-            "    t = a[6] + a[13] - a[11]\n"
+            "    t = a6 + a13 - a11\n"
             "    if t > lo: lo = t\n"
-            "    t = a[1] + a[12] - a[3]\n"
+            "    t = a1 + a12 - a3\n"
             "    if t > lo: lo = t\n"
-            "    t = a[1] + a[9] - a[2]\n"
+            "    t = a1 + a9 - a2\n"
             "    if t > lo: lo = t\n"
-            "    t = a[3] + a[2] + a[9] - a[1] - a[5]\n"
+            "    t = a3 + a2 + a9 - a1 - a5\n"
             "    if t > lo: lo = t\n"
-            "    t = a[5] + a[6] - a[3]\n"
+            "    t = a5 + a6 - a3\n"
             "    if t > lo: lo = t\n"
-            "    hi = a[13] + a[9] - a[14]\n"
-            "    t = a[12] + a[6] - a[10]\n"
+            "    hi = a13 + a9 - a14\n"
+            "    t = a12 + a6 - a10\n"
             "    if t < hi: hi = t\n"
-            "    t = a[5] + a[1]\n"
-            "    if t < hi: hi = t\n") in source
+            "    t = a5 + a1\n"
+            "    if t < hi: hi = t\n"
+            "    for a8 in range(lo, hi + 1):\n") in source
     assert "max(" not in source and "min(" not in source
 
 
 @pytest.mark.parametrize("count", [True, False])
 def test_kernel_source_never_reads_the_apex(count):
-    # entry sets a[0] = 0, so no bound or boundary row reads it
-    for n in range(2, 9):
-        assert not re.search(r"\ba\[0\]", kernel_source(n, count)), n
+    # the apex is 0: no bound or boundary row reads a local a0, and the
+    # enumerated coordinates start with the literal 0
+    for n in range(1, 11):
+        source = kernel_source(n, count)
+        assert not re.search(r"\ba0\b", source), n
+        assert count or "yield (0, a1, " in source, n
 
 
 def read_linear(text):
-    """{flat index: coeff} of a generated sum of +-a[k], read independently
+    """{flat index: coeff} of a generated sum of +-a<k>, read independently
     of _linear."""
     return {int(k): (-1 if sign == "-" else 1)
-            for sign, k in re.findall(r"(-?)\s*a\[(\d+)\]", text)}
+            for sign, k in re.findall(r"(-?)\s*\ba(\d+)\b", text)}
+
+
+LOOP = re.compile(r"( *)for a(\d+) in range\(lo, hi \+ 1\):")
+LAST_COUNT = "if hi >= lo: total += hi - lo + 1"
+
+
+def edge_cells(n):
+    """Flat indices of the boundary cells but the apex."""
+    return sorted({flat_index(i, 1) for i in range(2, n + 2)}
+                  | {flat_index(i, i) for i in range(2, n + 2)}
+                  | {flat_index(n + 1, j) for j in range(2, n + 2)})
+
+
+def kernel_functions(n, count):
+    """{function name: its lines} of the generated kernel, in source order."""
+    functions = {}
+    for block in kernel_source(n, count).split("\ndef "):
+        head, _, body = block.removeprefix("def ").partition("\n")
+        functions[head.split("(")[0]] = [head, *body.splitlines()]
+    return functions
 
 
 @pytest.mark.parametrize("count", [True, False])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_kernel_source_bounds_every_plan_row_and_sets_every_edge(n, count):
-    _row_bounds, _interior, boundary_only, attached = counting._fill_plan(n)
-    bodies = {}
-    for block in kernel_source(n, count).split("\ndef "):
-        head, _, body = block.partition("\n")
-        bodies[head.removeprefix("def ").split("(")[0]] = body.splitlines()
-    for k, rows_k in enumerate(attached):
-        lines = bodies[f"_e{k}"]
-        read = {"lo": [], "hi": []}
-        for line, after in zip(lines, lines[1:] + [""]):
-            first = re.fullmatch(r"    (lo|hi) = (.*)", line)
-            update = re.fullmatch(r"    if t (<|>) (lo|hi): \2 = t", after)
-            if first:
-                read[first[1]].append(read_linear(first[2]))
-            elif line.startswith("    t = ") and update:
-                assert update[1] == {"lo": ">", "hi": "<"}[update[2]]
-                read[update[2]].append(read_linear(line))
-        # coeff * a[pos] + rest >= 0: a lower bound -rest, or an upper one
-        # rest; the apex a[0] is 0 (the list literal is checked below) and
-        # is left out
+    _row_bounds, interior, boundary_only, attached = counting._fill_plan(n)
+    functions = kernel_functions(n, count)
+    lines = [line.strip() for body in functions.values() for line in body]
+    # each entry's bounds are the lo and hi lines before its loop, or, for
+    # the last entry counted, before the line adding its interval length
+    bounded, read = [], {"lo": [], "hi": []}
+    for line, after in zip(lines, lines[1:] + [""]):
+        first = re.fullmatch(r"(lo|hi) = (.*)", line)
+        update = re.fullmatch(r"if t (<|>) (lo|hi): \2 = t", after)
+        loop = LOOP.fullmatch(line)
+        if first:
+            read[first[1]].append(read_linear(first[2]))
+        elif line.startswith("t = ") and update:
+            assert update[1] == {"lo": ">", "hi": "<"}[update[2]]
+            read[update[2]].append(read_linear(line))
+        elif loop or line == LAST_COUNT:
+            bounded.append((int(loop[2]) if loop else interior[-1], read))
+            read = {"lo": [], "hi": []}
+    # each plan row once, entries in fill order; coeff * a[pos] + rest >= 0
+    # is a lower bound -rest or an upper one rest, and the apex a[0] = 0 is
+    # left out
+    assert [pos for pos, _ in bounded] == list(interior)
+    for (pos, read), rows_k in zip(bounded, attached):
         want = {"lo": [], "hi": []}
         for coeff, rest in rows_k:
             want["lo" if coeff == 1 else "hi"].append({q: -coeff * c for q, c in rest if q})
         for side in want:
             assert (Counter(frozenset(r.items()) for r in read[side])
-                    == Counter(frozenset(r.items()) for r in want[side])), (k, side)
+                    == Counter(frozenset(r.items()) for r in want[side])), (pos, side)
+    assert lines.count(LAST_COUNT) == (1 if count and interior else 0)
 
-    # entry: part entries weighted so that each partial sum reads back as
-    # the set of entries it adds up; every cell of the list literal, in
-    # flat_index order, against boundary_flat
-    entry = bodies["entry"]
+    # entry starts with the edge sums and the rows on the boundary alone.
+    # Part entries are weighted so that each partial sum reads back as the
+    # set of entries it adds up; every boundary cell but the apex is set
+    # once, to its value in boundary_flat
+    entry = functions["entry"]
+    assert entry[0] == "entry(lam, mu, nu):"
+    head = list(takewhile(lambda line: re.fullmatch(r"    (a\d+ = .*|if .*|    return.*)", line),
+                          entry[1:]))
     parts = {p: [1 << (n * s + i) for i in range(n)] for s, p in enumerate(("lam", "mu", "nu"))}
-    sums = dict(m.groups() for m in map(re.compile(r"    (\w+) = (.*)").fullmatch, entry) if m)
+    sums = dict(m.groups() for m in map(re.compile(r"    a(\d+) = (.*)").fullmatch, head) if m)
 
     def value(expr):
         total = 0
         for term in expr.split(" + "):
             entry_of = re.fullmatch(r"(lam|mu|nu)\[(\d+)\]", term)
             total += (parts[entry_of[1]][int(entry_of[2])] if entry_of
-                      else 0 if term == "0" else value(sums[term]))
+                      else value(sums[term.removeprefix("a")]))
         return total
 
-    cells = sums["a"].removeprefix("[").removesuffix("]").split(", ")
-    assert [value(cell) for cell in cells] == boundary_flat(n, *parts.values())
-    checks = [read_linear(line) for line in entry if line.startswith("    if ")]
-    assert all(line.endswith(" < 0:") for line in entry if line.startswith("    if "))
-    assert checks == [{k: c for k, c in terms if k} for terms in boundary_only]
-    assert entry[-1] == ("    return _e0(a)" if count else "    yield from _e0(a)")
+    flat = boundary_flat(n, *parts.values())
+    assert len(sums) == len([line for line in head if re.match(r"    a\d+ = ", line)])
+    assert {int(k): value(expr) for k, expr in sums.items()} == {k: flat[k] for k in edge_cells(n)}
+    checks = [line for line in head if line.startswith("    if ")]
+    assert all(line.endswith(" < 0:") for line in checks)
+    assert [read_linear(line) for line in checks] == [{k: c for k, c in terms if k}
+                                                       for terms in boundary_only]
+    assert [line for line in head if line.startswith("        ")] == (
+        ["        return 0" if count else "        return"] * len(checks))
+    # then the search: counting returns the total, enumerating yields the
+    # flat coordinates from the innermost loop
+    if count:
+        assert entry[-1] == "    return total"
+        assert interior or entry[-2] == "    total += 1"
+    else:
+        cells = ", ".join(f"a{k}" for k in range(1, triangle_size(n)))
+        assert [line for line in lines if line.startswith("yield (")] == [f"yield (0, {cells})"]
+
+
+@pytest.mark.parametrize("count", [True, False])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_kernel_nests_one_loop_per_entry_split_only_at_the_block_limit(n, count):
+    """Each function's loops nest one inside the last, at most
+    counting._BLOCK_LIMIT deep; a full one ends by passing the locals placed
+    so far, in flat order, to _rest<p>, which goes on with fill place p."""
+    _row_bounds, interior, _boundary_only, _attached = counting._fill_plan(n)
+    loops = len(interior) - (1 if count and interior else 0)
+    functions = kernel_functions(n, count)
+    limit = counting._BLOCK_LIMIT
+    assert list(functions) == ["entry"] + [f"_rest{p}" for p in range(limit, loops, limit)]
+    assert n > 7 or len(functions) == 1
+    place = 0
+    for name, body in functions.items():
+        if name != "entry":
+            args = ", ".join(f"a{k}" for k in sorted(edge_cells(n) + list(interior[:place])))
+            assert body[0] == f"{name}({args}):"
+            call = ("total += " if count else "yield from ") + f"{name}({args})"
+            assert previous[-2 if count else -1] == " " * (4 * (limit + 1)) + call
+        depths = [(len(m[1]), int(m[2])) for m in map(LOOP.fullmatch, body) if m]
+        assert [pos for _, pos in depths] == list(interior[:loops][place:place + limit])
+        assert [depth for depth, _ in depths] == [4 * d for d in range(1, len(depths) + 1)]
+        place, previous = place + len(depths), body
+    assert place == loops
 
 
 def test_kernel_rejects_coefficients_other_than_one(monkeypatch):
@@ -146,16 +218,23 @@ def test_kernel_rejects_coefficients_other_than_one(monkeypatch):
         counting._kernel_source(3, True)
 
 
+# Rank 8 enumerating is the first search to pass counting._BLOCK_LIMIT
+# nested loops; ranks 9 and 10 cross it once in both kernels and rank 11
+# twice.
 @pytest.mark.parametrize("n, lam, mu, nu, expected", [
     (8, (6, 4, 3, 2, 2, 1, 1), (4, 3, 2, 1), (3, 2, 2, 1, 1), 10),
     (8, (4, 3, 2, 2, 1, 1, 1, 1), (3, 2, 1, 1), (2, 2, 1, 1, 1, 1), 4),
     (9, (5, 3, 3, 2, 2, 1, 1), (3, 2, 2, 1, 1), (3, 2, 1, 1, 1), 6),
     (9, (4, 3, 3, 2, 2, 1, 1, 1, 1), (3, 2, 1, 1, 1), (2, 2, 2, 1, 1, 1, 1), 4),
+    (10, (5, 3, 3, 2, 2, 1, 1, 1, 1), (3, 2, 2, 1, 1, 1), (3, 2, 1, 1, 1, 1), 6),
+    (11, (5, 3, 3, 2, 2, 2, 1, 1, 1, 1), (3, 2, 2, 1, 1, 1, 1), (3, 2, 1, 1, 1, 1, 1), 6),
 ])
 def test_deep_ranks_agree_with_tableaux(n, lam, mu, nu, expected):
     assert lr_via_tableaux(n, lam, mu, nu) == expected
     assert lr_coefficient(n, lam, mu, nu) == expected
     assert len(enumerate_hives(n, lam, mu, nu)) == expected
+    padded = [pad(p, n) for p in (lam, mu, nu)]
+    assert sorted(counting._iter_hive_flats(n, *padded)) == list(row_major_hives(n, *padded))
 
 
 @st.composite

@@ -1,7 +1,7 @@
 import pytest
 
 from hivealg.counting import enumerate_hives
-from hivealg.hive import Hive
+from hivealg.hive import Hive, triangle_size
 from hivealg.shapes import partitions_of
 from hivealg.tableau import (LRTableau, TableauError, enumerate_tableaux,
                              hive_to_tableau, tableau_to_hive,
@@ -105,7 +105,7 @@ def test_superstandard_column_maps_to_first_basis_hive():
 def test_hive_to_tableau_worked_example_and_zero():
     h = Hive.from_rows([[0], [2, 3], [3, 4, 5], [3, 5, 6, 6]])
     assert hive_to_tableau(h).rows == ((1,), (2,), (1,))
-    assert hive_to_tableau(Hive.zero(3)) == LRTableau((), (), ())
+    assert hive_to_tableau(Hive.from_flat((0,) * triangle_size(3))) == LRTableau((), (), ())
 
 
 def test_round_trip_small_degrees():

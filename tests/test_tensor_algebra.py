@@ -4,7 +4,7 @@ from hivealg import cone, tensor_algebra
 from hivealg.cone import (BinomialRelation, ConePresentation,
                           all_decompositions, hives_up_to_degree,
                           presentation, verify_relations)
-from hivealg.hive import Hive
+from hivealg.hive import Hive, triangle_size
 from hivealg.polynomial import ColumnTableau, Polynomial, Weight, minor
 from hivealg.report import ConsistencyError, failures
 from hivealg.tableau import hive_to_tableau
@@ -79,7 +79,7 @@ def test_worked_example_vector_f_prime():
 
 
 def test_zero_hive_lifts_to_one():
-    vec = highest_weight_vector(3, Hive.zero(3))
+    vec = highest_weight_vector(3, Hive.from_flat((0,) * triangle_size(3)))
     assert vec.decomposition == ()
     assert vec.polynomial == Polynomial.one(3)
 
@@ -202,7 +202,7 @@ def test_check_runs_the_raising_operators():
     assert Polynomial(2, {lead: 1}).weight() == Weight(*h1.boundary())
     with pytest.raises(ConsistencyError,
                        match=r"not annihilated by raising operator \(1, 1\)"):
-        _check_highest_weight("v", Polynomial(2, {lead: 1}), h1)
+        _check_highest_weight("v", Polynomial(2, {lead: 1}), h1, h1.boundary())
 
 
 def test_independence_of_rank2_generators():
