@@ -1,6 +1,6 @@
-"""The hive cone as a polyhedral object: inequality systems, degree-bounded
-Hilbert basis search, decomposition over a fixed basis, and the two
-plain-text export formats used by lattice-point software."""
+"""The hive cone as a polyhedral object: degree-bounded Hilbert basis
+search, decomposition over a fixed basis, and the two plain-text export
+formats used by lattice-point software."""
 
 from __future__ import annotations
 
@@ -90,35 +90,6 @@ class BinomialRelation:
     name: str
     left: tuple[int, ...]   # 1-based basis indices, with multiplicity
     right: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class InequalitySystem:
-    """Facet description of the hive cone in flat coordinates: 3n boundary
-    non-negativity rows plus 3*n(n-1)/2 rhombus rows, and one equation fixing
-    the apex entry to zero."""
-
-    n: int
-    rows: tuple[tuple[int, ...], ...]
-    equations: tuple[tuple[int, ...], ...]
-
-
-@lru_cache(maxsize=16)
-def cone_inequalities(n: int) -> InequalitySystem:
-    """The rows of hive.cone_rows as dense vectors, plus the apex equation."""
-    if n < 2:
-        raise ValueError("rank must be >= 2")
-    dim = triangle_size(n)
-
-    def dense(terms) -> tuple[int, ...]:
-        out = [0] * dim
-        for k, c in terms:
-            out[k] = c
-        return tuple(out)
-
-    equation = (1,) + (0,) * (dim - 1)
-    return InequalitySystem(n, tuple(dense(terms) for *_, terms in cone_rows(n)),
-                            (equation,))
 
 
 @lru_cache(maxsize=4)
@@ -279,18 +250,21 @@ def undecomposable_hives(n: int, max_degree: int, pres: ConePresentation) -> lis
 # Plain-text export formats
 
 def inequalities_input_text(n: int) -> str:
-    """Cone-by-inequalities input file: row count, dimension, the inequality
-    rows, then the single apex equation block."""
-    system = cone_inequalities(n)
+    """Cone-by-inequalities input file: row count, dimension, each row of
+    hive.cone_rows as a dense vector, then the single apex equation block."""
+    if n < 2:
+        raise ValueError("rank must be >= 2")
     dim = triangle_size(n)
-    lines = [str(len(system.rows)), str(dim)]
-    lines += [" ".join(str(c) for c in row) for row in system.rows]
-    lines.append("inequalities")
-    lines.append("")
-    lines.append(str(len(system.equations)))
-    lines.append(str(dim))
-    lines += [" ".join(str(c) for c in row) for row in system.equations]
-    lines.append("equations")
+
+    def dense(terms) -> str:
+        out = [0] * dim
+        for k, c in terms:
+            out[k] = c
+        return " ".join(map(str, out))
+
+    rows = cone_rows(n)
+    lines = [str(len(rows)), str(dim), *(dense(terms) for *_, terms in rows),
+             "inequalities", "", "1", str(dim), dense([(0, 1)]), "equations"]
     return "\n".join(lines) + "\n"
 
 

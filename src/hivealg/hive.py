@@ -169,19 +169,12 @@ def _check_shape(rows: Iterable[Iterable[int]]) -> Rows:
     return rows
 
 
-def hive_violations(rows: Iterable[Iterable[int]]) -> list[Violation]:
-    """Every violated hive condition, as (kind, i, j, message), in the order
-    of cone_rows.
-
-    Raises MalformedArrayError when the entries do not even form a triangle;
-    constraint violations are reported, not raised.
-    """
-    rows = _check_shape(rows)
-    flat = [v for row in rows for v in row]
+def _violations(n: int, flat) -> list[Violation]:
+    """hive_violations of rank-n flat coordinates, whose shape is given."""
     found: list[Violation] = []
     if flat[0] != 0:
         found.append(Violation("apex", 1, 1, f"h[1][1] = {flat[0]}, expected 0"))
-    for kind, i, j, terms in cone_rows(len(rows) - 1):
+    for kind, i, j, terms in cone_rows(n):
         value = sum(c * flat[k] for k, c in terms)
         if value >= 0:
             continue
@@ -191,6 +184,17 @@ def hive_violations(rows: Iterable[Iterable[int]]) -> list[Violation]:
             detail = f"{kind}_{i} = {value} is negative"
         found.append(Violation(kind, i, j, detail))
     return found
+
+
+def hive_violations(rows: Iterable[Iterable[int]]) -> list[Violation]:
+    """Every violated hive condition, as (kind, i, j, message), in the order
+    of cone_rows.
+
+    Raises MalformedArrayError when the entries do not even form a triangle;
+    constraint violations are reported, not raised.
+    """
+    rows = _check_shape(rows)
+    return _violations(len(rows) - 1, tuple(chain.from_iterable(rows)))
 
 
 @dataclass(frozen=True)
@@ -204,27 +208,22 @@ class Hive:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "Hive":
-        rows = _check_shape(rows)
-        bad = hive_violations(rows)
-        if bad:
-            raise InvalidHiveError(bad)
-        return cls(len(rows) - 1, tuple(chain.from_iterable(rows)))
+        return cls.from_flat(chain.from_iterable(_check_shape(rows)))
 
     @classmethod
     def from_flat(cls, coords: Iterable[int]) -> "Hive":
-        coords = tuple(int(v) for v in coords)
-        n = rank_for_length(len(coords))
-        return cls.from_rows(coords[flat_index(i, 1):flat_index(i + 1, 1)]
-                             for i in range(1, n + 2))
+        flat = tuple(int(v) for v in coords)
+        n = rank_for_length(len(flat))
+        bad = _violations(n, flat)
+        if bad:
+            raise InvalidHiveError(bad)
+        return cls(n, flat)
 
     @property
     def rows(self) -> Rows:
         """Row i holds h[i][1..i]; derived, for display and row readers."""
         return tuple(self.flat[flat_index(i, 1):flat_index(i + 1, 1)]
                      for i in range(1, self.n + 2))
-
-    def entry(self, i: int, j: int) -> int:
-        return self.flat[flat_index(i, j)]
 
     def to_flat(self) -> Parts:
         return self.flat

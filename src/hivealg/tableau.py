@@ -10,8 +10,9 @@ directions is explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
-from .hive import Hive
+from .hive import Hive, flat_index
 from .report import ConsistencyError
 from .shapes import Parts, contains, is_dominant, normalize, pad, require_partitions
 
@@ -175,15 +176,15 @@ def hive_to_tableau(hive: Hive) -> LRTableau:
     n = hive.n
     lam, mu, nu = hive.boundary()
 
-    def extended(i: int, j: int) -> int:
-        return hive.entry(i, min(j, i))
+    def steps(i: int) -> list[int]:
+        """h[i][j+1] - h[i][j] for j = 1..n: 0 from j = i on."""
+        row = hive.flat[flat_index(i, 1):flat_index(i + 1, 1)]
+        return list(map(sub, row[1:], row)) + [0] * (n + 1 - i)
 
     rows = []
     for i in range(1, len(normalize(lam)) + 1):
         entries = []
-        for j in range(1, n + 1):
-            t = ((extended(i + 1, j + 1) - extended(i + 1, j))
-                 - (extended(i, j + 1) - extended(i, j)))
+        for j, t in enumerate(map(sub, steps(i + 1), steps(i)), start=1):
             if t < 0:
                 raise ConsistencyError(
                     f"negative multiplicity t[{i}][{j}] = {t} for hive {hive}")

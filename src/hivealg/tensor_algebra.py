@@ -108,21 +108,23 @@ def lemma_initial_exponents(n: int, tab: LRTableau):
 def _check_highest_weight(name: str, poly: Polynomial, hive: Hive, boundary: Boundary) -> None:
     """The paper's central fact for one vector: poly has torus weight
     `boundary`, that of `hive`, is killed by all 3(n-1) raising operators,
-    and its leading term is 1 times the tableau monomial of `hive`."""
+    and its leading term is 1 times the tableau monomial of `hive`.  `name`
+    is formatted with the hive only when a check fails."""
     n = poly.n
     weight = Weight(*boundary)
     if poly.weight() != weight:
-        raise ConsistencyError(f"{name} has weight {poly.weight()}, expected {weight}")
+        raise ConsistencyError(
+            f"{name.format(hive)} has weight {poly.weight()}, expected {weight}")
     for factor in (1, 2, 3):
         for k in range(1, n):
             if not raising_derivation(factor, k, poly).is_zero:
-                raise ConsistencyError(
-                    f"{name} is not annihilated by raising operator ({factor}, {k})")
+                raise ConsistencyError(f"{name.format(hive)} is not annihilated "
+                                       f"by raising operator ({factor}, {k})")
     exps, coeff = poly.leading_term()
     expected = lemma_initial_exponents(n, hive_to_tableau(hive))
     if coeff != 1 or exps != expected:
         raise ConsistencyError(
-            f"{name} has initial monomial {coeff}*{render_monomial(n, exps)}, "
+            f"{name.format(hive)} has initial monomial {coeff}*{render_monomial(n, exps)}, "
             f"expected {render_monomial(n, expected)}")
 
 
@@ -169,7 +171,7 @@ def highest_weight_vector(n: int, hive: Hive) -> HighestWeightVector:
     for k in indices:
         poly = poly * table.generator(k)
     boundary = hive.boundary()
-    _check_highest_weight(f"lifted vector for hive {hive}", poly, hive, boundary)
+    _check_highest_weight("lifted vector for hive {}", poly, hive, boundary)
     return HighestWeightVector(boundary, hive, indices, poly)
 
 

@@ -4,8 +4,9 @@
 import time
 from collections import defaultdict
 
-from hivealg.cone import (cone_inequalities, hilbert_basis, hives_up_to_degree,
-                          presentation, undecomposable_hives)
+from hivealg.cone import (hilbert_basis, hives_up_to_degree,
+                          inequalities_input_text, presentation,
+                          undecomposable_hives)
 from hivealg.counting import (enumerate_hives, hp_series_enumerated,
                               hp_series_reference, lr_coefficient,
                               lr_via_schur, lr_via_tableaux)
@@ -208,9 +209,8 @@ def test_criterion_09_initial_algebra_isomorphism():
 
 def test_criterion_10_appendix_fidelity():
     t0 = time.time()
-    system = cone_inequalities(4)
-    rows = [" ".join(str(c) for c in row) for row in system.rows]
-    eqs = [" ".join(str(c) for c in row) for row in system.equations]
-    ok = rows == APPENDIX_ROWS and eqs == [APPENDIX_EQUATION]
+    lines = inequalities_input_text(4).splitlines()
+    ok = (lines[:2] == ["30", "15"] and lines[2:32] == APPENDIX_ROWS
+          and lines[32:] == ["inequalities", "", "1", "15", APPENDIX_EQUATION, "equations"])
     _report(10, "rank-4 export reproduces the 30 inequality rows and the "
                 "equation row byte-exactly", ok, t0)

@@ -4,12 +4,13 @@ from dataclasses import fields
 import pytest
 
 from hivealg.cone import (ConePresentation, NoDecompositionError,
-                          all_decompositions, cone_inequalities, decompose,
+                          all_decompositions, decompose,
                           generators_input_text, hilbert_basis,
                           hives_up_to_degree, inequalities_input_text,
                           presentation, undecomposable_hives,
                           verify_relations)
-from hivealg.hive import Hive, hive_violations, membership, triangle_size
+from hivealg.hive import (Hive, cone_rows, hive_violations, membership,
+                          triangle_size)
 
 RANK4_INEQUALITY_ROWS = [
     "-1 1 0 0 0 0 0 0 0 0 0 0 0 0 0",
@@ -52,16 +53,31 @@ def zero_hive(n):
 
 
 def test_rank4_inequality_rows_are_pinned_exactly():
-    system = cone_inequalities(4)
-    got = [" ".join(str(c) for c in row) for row in system.rows]
-    assert got == RANK4_INEQUALITY_ROWS
-    assert [" ".join(str(c) for c in r) for r in system.equations] == [RANK4_EQUATION_ROW]
+    lines = inequalities_input_text(4).splitlines()
+    assert lines[:2] == ["30", "15"]
+    assert lines[2:32] == RANK4_INEQUALITY_ROWS
+    assert lines[32:] == ["inequalities", "", "1", "15", RANK4_EQUATION_ROW, "equations"]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_export_writes_each_cone_row_then_the_apex_equation(n):
+    dim = triangle_size(n)
+    count = 3 * n + 3 * n * (n - 1) // 2
+    lines = inequalities_input_text(n).splitlines()
+    assert lines[:2] == [str(count), str(dim)] and len(lines) == count + 8
+    vectors = [[int(c) for c in line.split()] for line in lines[2:2 + count]]
+    assert all(len(v) == dim for v in vectors)
+    assert [{k: c for k, c in enumerate(v) if c} for v in vectors] == \
+        [dict(terms) for *_, terms in cone_rows(n)]
+    assert lines[2 + count:] == ["inequalities", "", "1", str(dim),
+                                 " ".join(["1"] + ["0"] * (dim - 1)), "equations"]
 
 
 def test_rank2_system_shape_and_zero_membership():
-    system = cone_inequalities(2)
-    assert len(system.rows) == 6 + 3
+    assert inequalities_input_text(2).splitlines()[:2] == [str(6 + 3), "6"]
     assert membership(2)((0,) * 6)
+    with pytest.raises(ValueError, match="rank must be >= 2"):
+        inequalities_input_text(1)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -235,9 +235,8 @@ def test_boundary_triple_keeps_padded_tuples():
 
 # The keys one process needs at once: the last four degree bounds; the 28
 # (d, n) keys of a series batch (hp-series -n 4 to 15 and -n 5 to 11); every
-# rank with cone data (2..8) or with generators (2, 3, 4).
-LEAST_MAXSIZE = {cone.hives_up_to_degree: 4, shapes.partitions_of: 28,
-                 cone.cone_inequalities: 7, cone.presentation: 3,
+# rank with generators (2, 3, 4).
+LEAST_MAXSIZE = {cone.hives_up_to_degree: 4, shapes.partitions_of: 28, cone.presentation: 3,
                  polynomial.variable_labels: 3, tensor_algebra.build_generators: 3}
 
 
@@ -245,7 +244,7 @@ LEAST_MAXSIZE = {cone.hives_up_to_degree: 4, shapes.partitions_of: 28,
     counting.schur_monomials, counting._schur_product_expansion,
     cone.hives_up_to_degree, counting._kernel, hive.membership,
     counting._fill_plan, counting._triple_check, hive.cone_rows, shapes.partitions_of,
-    cone.cone_inequalities, cone.presentation, polynomial.variable_labels,
+    cone.presentation, polynomial.variable_labels,
     tensor_algebra.build_generators])
 def test_caches_are_bounded(cached):
     maxsize = cached.cache_info().maxsize

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hivealg import hive as hive_module
 from hivealg.cone import hives_up_to_degree, presentation
 from hivealg.hive import (Hive, InvalidHiveError, MalformedArrayError,
                           hive_violations, membership, triangle_size)
@@ -109,6 +110,39 @@ def test_difference_detects_cone_exit():
     rest = minus_h1(WORKED_H_PRIME)   # h' - h_1 = h_6 + h_7
     assert membership(3)(rest) and rest == (pres.basis[5] + pres.basis[6]).to_flat()
     assert not membership(3)(minus_h1(WORKED_H))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_perturbed_hive_fails_flat_and_row_validation_alike(n):
+    # one entry moved by one: well-shaped, and mostly no longer a hive
+    rng = random.Random(n)
+    pool = hives_up_to_degree(n, 3)
+    rejected = 0
+    for hive in rng.sample(pool, min(len(pool), 20)):
+        for pos in range(triangle_size(n)):
+            for delta in (-1, 1):
+                flat = list(hive.flat)
+                flat[pos] += delta
+                rows = Hive(n, tuple(flat)).rows
+                expected = hive_violations(rows)
+                if not expected:
+                    assert Hive.from_flat(flat) == Hive.from_rows(rows) == Hive(n, tuple(flat))
+                    continue
+                rejected += 1
+                for build, given in ((Hive.from_flat, flat), (Hive.from_rows, rows)):
+                    with pytest.raises(InvalidHiveError) as err:
+                        build(given)
+                    assert err.value.violations == expected
+    assert rejected
+
+
+def test_only_row_input_runs_the_shape_check(monkeypatch):
+    calls = []
+    check = hive_module._check_shape
+    monkeypatch.setattr(hive_module, "_check_shape", lambda rows: calls.append(1) or check(rows))
+    h = Hive.from_flat((0, 2, 3, 3, 4, 5, 3, 5, 6, 6))
+    assert calls == []
+    assert Hive.from_rows(WORKED_H) == h and calls == [1]
 
 
 def test_flat_and_json_round_trips():

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from hivealg.cone import (NoDecompositionError, all_decompositions, decompose,
                           hives_up_to_degree, presentation)
-from hivealg.hive import (Hive, InvalidHiveError, cone_rows, hive_violations,
-                          membership, triangle_size)
+from hivealg.hive import (Hive, InvalidHiveError, cone_rows, flat_index,
+                          hive_violations, membership, triangle_size)
 
 RANKS = st.integers(2, 5)
 
@@ -91,7 +91,7 @@ def test_flat_hive_reads_as_its_rows(pair):
     rows = rows_of(a.flat, n)
     assert a.rows == rows and a.to_flat() == a.flat
     assert Hive.from_rows(a.rows) == a and Hive.from_flat(a.to_flat()) == a
-    assert all(a.entry(i, j) == rows[i - 1][j - 1]
+    assert all(a.flat[flat_index(i, j)] == rows[i - 1][j - 1]
                for i in range(1, n + 2) for j in range(1, i + 1))
     assert a.degree == rows[-1][-1]
     assert a.boundary() == edges_of(a.flat, n)
@@ -168,7 +168,7 @@ def test_apex_one_array_has_no_decomposition():
     # a valid hive shifted by one everywhere: every row holds, the apex fails
     flat = [v + 1 for v in presentation(4).basis[16].to_flat()]
     shifted = Hive(4, tuple(flat))
-    assert shifted.entry(1, 1) == 1
+    assert shifted.flat[0] == 1
     assert all_decompositions(shifted, presentation(4)) == frozenset()
     with pytest.raises(NoDecompositionError):
         decompose(shifted, presentation(4))

@@ -205,6 +205,21 @@ def test_check_runs_the_raising_operators():
         _check_highest_weight("v", Polynomial(2, {lead: 1}), h1, h1.boundary())
 
 
+def test_failing_lift_names_its_hive(monkeypatch):
+    # decompose answers h_1 for the hive h_2, so the product has h_1's weight
+    hive = presentation(3).basis[1]
+    monkeypatch.setattr(cone, "decompose", lambda h, pres: (1,))
+    with pytest.raises(ConsistencyError) as err:
+        highest_weight_vector(3, hive)
+    assert str(err.value).startswith(f"lifted vector for hive {hive} has weight ")
+
+
+def test_passing_lift_does_not_render_its_hive(monkeypatch):
+    hive = presentation(3).basis[1] + presentation(3).basis[2]
+    monkeypatch.setattr(Hive, "__str__", lambda self: pytest.fail("hive rendered"))
+    assert highest_weight_vector(3, hive).hive == hive
+
+
 def test_independence_of_rank2_generators():
     results = verify_independence()
     assert all(r.ok for r in results)
