@@ -223,8 +223,9 @@ def _boundary_triple(n, lam, mu, nu) -> tuple[Parts, Parts, Parts] | None:
     """Pad a boundary triple to length n, or None when no hive can carry it.
     Trailing zeros change neither dominance nor the sums, so each part is
     checked as given and only the error message strips them; nonzero parts
-    beyond n admit no hive.  A tuple of length n is returned as it is: the
-    _hive_count keys share the tuples of boundary_triples."""
+    beyond n admit no hive.  A tuple of length n is returned as it is, not
+    copied, so the cache keys lr_coefficient stores share its caller's
+    tuples."""
     _check_rank(n)
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
     if len(lam) > n or len(mu) > n or len(nu) > n:
@@ -273,11 +274,23 @@ def lr_via_tableaux(n, lam, mu, nu) -> int:
 
 def md_sum(n: int, d: int) -> int:
     """Sum of LR coefficients over triples with |lambda| = |mu| + |nu| = d,
-    all parts bounded by n: the degree-d dimension of the hive algebra."""
+    all parts bounded by n: the degree-d dimension of the hive algebra.
+
+    The coefficient is symmetric in (mu, nu), and so is the set
+    boundary_triples admits (its mask does not depend on their order), so
+    the count kernel runs on the mu <= nu half alone: a triple with mu < nu
+    counts twice, one with mu == nu once.  The triples come padded and
+    admitted, so neither lr_coefficient nor its cache is needed."""
     _check_rank(n)
     if d < 0:
         raise ValueError("degree must be >= 0")
-    return sum(lr_coefficient(n, *triple) for triple in boundary_triples(n, d))
+    count, total = _kernel(n, True), 0
+    for lam, mu, nu in boundary_triples(n, d):
+        if mu < nu:
+            total += 2 * count(lam, mu, nu)
+        elif mu == nu:
+            total += count(lam, mu, nu)
+    return total
 
 
 def hp_series_enumerated(n: int, max_degree: int) -> SeriesPrefix:

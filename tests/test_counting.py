@@ -79,6 +79,25 @@ def test_md_sums():
     assert md_sum(4, 4) == 34
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_md_sum_equals_lr_coefficients_over_the_sweep(n):
+    # md_sum counts only the mu <= nu half of the sweep; the full sum of
+    # lr_coefficient is the oracle, and the half is sound only while the
+    # admitted set is closed under swapping mu and nu
+    for d in range(8):
+        triples = list(boundary_triples(n, d))
+        assert {(lam, nu, mu) for lam, mu, nu in triples} == set(triples)
+        assert md_sum(n, d) == sum(lr_coefficient(n, *t) for t in triples)
+
+
+def test_series_leaves_the_count_cache_alone():
+    # the series path calls the count kernel directly, so the unbounded
+    # lr_coefficient cache does not grow with the degree swept
+    counting._hive_count.cache_clear()
+    hp_series_enumerated(4, 10)
+    assert counting._hive_count.cache_info().currsize == 0
+
+
 def test_hp_series_enumerated_prefixes():
     assert hp_series_enumerated(2, 5) == (1, 2, 6, 10, 20, 30)
     assert hp_series_enumerated(3, 5) == (1, 2, 6, 14, 29, 56)
@@ -106,6 +125,13 @@ def test_closed_form_matches_enumeration_at_rank_2():
 
 def test_closed_form_rank4_prefix():
     assert hp_series_reference(4, 9) == (1, 2, 6, 14, 34, 68, 142, 268, 508, 902)
+
+
+def test_closed_form_matches_enumeration_at_rank_4_to_degree_16():
+    # acceptance criterion 2 stops at degree 9; degrees 10..16 also check
+    # the numerator coefficients N_10..N_16, and through the palindrome
+    # N_16..N_22
+    assert hp_series_reference(4, 16) == hp_series_enumerated(4, 16)
 
 
 def test_rank4_numerator_is_palindromic():
@@ -225,9 +251,11 @@ def test_boundary_triple_matches_normalizing_check(case):
 
 
 def test_boundary_triple_keeps_padded_tuples():
-    # the _hive_count keys share the tuples boundary_triples holds; a fast
+    # a tuple already of length n is returned as given, not copied, so the
+    # cache keys lr_coefficient stores share its caller's tuples; a fast
     # path that copied them raised the peak RSS of the series benchmark
-    # workload (hp-series to degrees 15 and 11) from 26.4 to 35.6 MB
+    # workload (hp-series to degrees 15 and 11) from 26.4 to 35.6 MB,
+    # when md_sum still summed lr_coefficient
     for lam, mu, nu in boundary_triples(4, 6):
         triple = _boundary_triple(4, lam, mu, nu)
         assert all(got is given for got, given in zip(triple, (lam, mu, nu)))
