@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import sub
 
-from .counting import _check_rank, _iter_hive_flats, boundary_triples
+from .counting import _check_rank, _kernel, _padded_partitions
 from .hive import Hive, cone_rows, membership, triangle_size
 from .report import CheckResult, ConsistencyError
 
@@ -94,14 +94,16 @@ class BinomialRelation:
 
 @lru_cache(maxsize=4)
 def hives_up_to_degree(n: int, max_degree: int) -> tuple[Hive, ...]:
-    """Every hive of degree <= max_degree, by sweeping boundary triples and
-    enumerating interiors; sorted by (degree, coordinates)."""
+    """Every hive of degree <= max_degree, sorted by (degree, coordinates):
+    for each degree d, the pairs enumerate kernel's hives over every (mu,
+    nu) with |mu| + |nu| = d, the lambda edge free."""
     _check_rank(n)
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
+    flats, by_size = _kernel(n, False, True), _padded_partitions(n, max_degree)
     return tuple(Hive(n, flat) for d in range(max_degree + 1)
-                 for flat in sorted(f for triple in boundary_triples(n, d)
-                                    for f in _iter_hive_flats(n, *triple)))
+                 for flat in sorted(f for j in range(d + 1) for mu in by_size[j]
+                                    for nu in by_size[d - j] for f in flats(mu, nu)))
 
 
 def hilbert_basis(n: int, max_degree: int = 12) -> tuple[Hive, ...]:

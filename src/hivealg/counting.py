@@ -4,7 +4,6 @@ counts m_d, and Hilbert-Poincare series (enumerated and closed form)."""
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import ge
 from typing import Iterator
 
 from .hive import Hive, _compile, _edge_cells, _linear, _require_unit, cone_rows, flat_index
@@ -31,20 +30,24 @@ SERIES_DENOMINATOR: dict[int, tuple[int, ...]] = {
 
 
 @lru_cache(maxsize=32)
-def _fill_plan(n: int):
-    """Flat (start, stop) of each row; interior flat indices in fill order,
-    the reverse of row-major: rows n down to 3, each from its right end to
-    its left.  The bottom interior row, next to the nu edge and the tail of
-    lambda, is placed first, so the tightest intervals are met at the top
-    of the search.  Each cone row is attached to the interior entry it
-    mentions that is placed last (its smallest flat index); rows on the
-    boundary alone are kept apart.  The 3n edge rows come first in
-    cone_rows and are left out: every dominant boundary satisfies them.
+def _fill_plan(n: int, pairs: bool = False):
+    """Flat (start, stop) of each row; the free entries' flat indices in
+    fill order.  With lambda fixed, the free entries are the interior, in
+    the reverse of row-major order: rows n down to 3, each from its right
+    end to its left, so the bottom row, next to the nu edge and the tail of
+    lambda, whose intervals are tightest, is placed first.  With pairs, the
+    lambda cells h[j][j], j = 2..n, are free too, in columns 2..n from the
+    mu edge, each from row n up to its lambda cell: h[i][j] then has a lower
+    bound from rhombus2 at (i, j-1) and an upper one from rhombus1 there.
+    Each cone row is attached to the free entry it mentions that is placed
+    last; rows on the boundary alone are kept apart.  The edge rows of the
+    fixed edges come first in cone_rows and are left out: every dominant
+    boundary satisfies them.
 
-    Then one round of cancelled pairs: for each interior entry x, the sum of
+    Then one round of cancelled pairs: for each free entry x, the sum of
     each row bounding x from below with each row bounding it from above.  x
     cancels, and every hive satisfies the sum, so attaching it to the
-    interior entry it mentions that is placed last prunes partial fillings
+    free entry it mentions that is placed last prunes partial fillings
     that no hive extends before their subtree is entered.  A sum is kept
     only when every coefficient stays +-1: the bounds are then plain sums of
     entries, with no rounding division.  Sums already in the plan, and sums
@@ -54,25 +57,28 @@ def _fill_plan(n: int):
     interval bounds fall out once everything earlier is placed.
     """
     row_bounds = tuple((flat_index(i, 1), flat_index(i + 1, 1)) for i in range(1, n + 2))
-    interior = tuple(flat_index(i, j) for i in range(n, 2, -1) for j in range(i - 1, 1, -1))
+    interior = (tuple(flat_index(i, j) for j in range(2, n + 1) for i in range(n, j - 1, -1))
+                if pairs else
+                tuple(flat_index(i, j) for i in range(n, 2, -1) for j in range(i - 1, 1, -1)))
     boundary_only = []
     attached = {k: [] for k in interior}
+    place = {k: p for p, k in enumerate(interior)}
 
     def attach(terms) -> bool:
-        pivot = min((k for k, _ in terms if k in attached), default=None)
+        pivot = max((k for k, _ in terms if k in place), key=place.get, default=None)
         if pivot is not None:
             attached[pivot].append(terms)
         return pivot is not None
 
-    for *_, terms in cone_rows(n)[3 * n:]:
+    for *_, terms in cone_rows(n)[(2 if pairs else 3) * n:]:
         if not attach(terms):
             boundary_only.append(terms)
     # taken before any sum is attached: one round, of cone rows alone
-    pairs = [(low, up) for x in interior
-             for low in attached[x] if (x, 1) in low
-             for up in attached[x] if (x, -1) in up]
+    opposed = [(low, up) for x in interior
+               for low in attached[x] if (x, 1) in low
+               for up in attached[x] if (x, -1) in up]
     seen = {frozenset(terms) for rows in attached.values() for terms in rows}
-    for low, up in pairs:
+    for low, up in opposed:
         total: dict[int, int] = {}
         for k, c in low + up:
             total[k] = total.get(k, 0) + c
@@ -97,27 +103,31 @@ def _interval(name: str, bounds: list[str], cmp: str) -> list[str]:
     return lines
 
 
-def _kernel_source(n: int, count: bool) -> str:
+def _kernel_source(n: int, count: bool, pairs: bool = False) -> str:
     """entry(lam, mu, nu) on a padded triple, with entry k the local a<k>:
     the left, right and bottom edges as partial sums of mu, lam and nu (the
     bottom from |mu| sets the shared corner), then each row on the boundary
-    alone, a failing one leaving no hive.  Then one nested loop per interior
+    alone, a failing one leaving no hive.  Then one nested loop per free
     entry in fill order (_fill_plan), over the max of its lower rows to the
     min of its upper rows, read from the entries placed before it.
     Counting, the last entry adds its interval length to the total;
     enumerating, the innermost loop yields the flat coordinates, the apex as
     0.  A nest that would pass _BLOCK_LIMIT loops goes on in _rest<p>, which
-    takes the locals placed before fill place p as arguments."""
-    row_bounds, interior, boundary_only, attached = _fill_plan(n)
+    takes the locals placed before fill place p as arguments.  With pairs
+    it is entry(mu, nu), which sets the left and bottom edges alone and
+    searches the lambda cells with the interior."""
+    row_bounds, interior, boundary_only, attached = _fill_plan(n, True) if pairs else _fill_plan(n)
 
     def local(k):
         return _linear(((k, 1),), "a{}")
 
     edges, (lam, mu, nu) = {}, _edge_cells(n)
-    for part, cells in (("mu", mu), ("lam", lam[:-1]), ("nu", nu)):
+    fixed = (("mu", mu), ("nu", nu)) if pairs else (("mu", mu), ("lam", lam[:-1]), ("nu", nu))
+    for part, cells in fixed:
         for i, (prev, k) in enumerate(zip(cells, cells[1:])):
             edges[k] = f"{local(prev)} + {part}[{i}]" if prev else f"{part}[{i}]"
-    lines = ["def entry(lam, mu, nu):", *(f"    {local(k)} = {sum_}" for k, sum_ in edges.items())]
+    lines = [f"def entry({'mu, nu' if pairs else 'lam, mu, nu'}):",
+             *(f"    {local(k)} = {sum_}" for k, sum_ in edges.items())]
     for terms in boundary_only:
         lines += [f"    if {_linear(((k, c) for k, c in terms if k), 'a{}')} < 0:",
                   f"        return{' 0' if count else ''}"]
@@ -131,9 +141,9 @@ def _kernel_source(n: int, count: bool) -> str:
             _require_unit((coeff, *(c for _, c in rest)), f"a row on a[{pos}]")
             # coeff * a[pos] + rest >= 0: a[pos] >= -rest, or a[pos] <= rest (a[0] = 0)
             (low if coeff == 1 else high).append(
-                _linear(((q, -coeff * c) for q, c in rest if q), "a{}"))
+                _linear(((q, -coeff * c) for q, c in rest if q), "a{}") or "0")
         if not low or not high:
-            raise ValueError(f"interior entry a[{pos}] has an unbounded interval")
+            raise ValueError(f"free entry a[{pos}] has an unbounded interval")
         last = count and place == len(interior) - 1
         if loops == _BLOCK_LIMIT and not last:
             args = ", ".join(map(local, placed))
@@ -155,16 +165,17 @@ def _kernel_source(n: int, count: bool) -> str:
 
 
 @lru_cache(maxsize=32)
-def _kernel(n: int, count: bool):
+def _kernel(n: int, count: bool, pairs: bool = False):
     """The compiled rank-n hive search: entry(lam, mu, nu), on a padded
     triple with |lam| = |mu| + |nu|, returns the number of hives (count) or
-    yields the flat coordinates of each in search order.  The source holds
-    only integer indices from cone_rows, compiled by hive._compile under
-    its filename.  One nested loop over locals, so a search node costs no
-    call and no list subscript; a further function only past the block
-    limit (rank 8 enumerating, rank 9 and up)."""
-    filename = f"<hivealg kernel n={n} {'count' if count else 'enumerate'}>"
-    return _compile(_kernel_source(n, count), filename, "entry")
+    yields the flat coordinates of each in search order; with pairs,
+    entry(mu, nu) does so over every lambda.  The source holds only integer
+    indices from cone_rows, compiled by hive._compile under its filename.
+    One nested loop over locals, so a search node costs no call and no list
+    subscript; a further function only past the block limit (rank 8
+    enumerating, rank 9 and up; with pairs, a rank lower)."""
+    filename = f"<hivealg kernel n={n} {'pairs ' * pairs}{'count' if count else 'enumerate'}>"
+    return _compile(_kernel_source(n, count, pairs), filename, "entry")
 
 
 def _iter_hive_flats(n: int, lam: Parts, mu: Parts, nu: Parts) -> Iterator[Parts]:
@@ -178,26 +189,10 @@ def _iter_hive_flats(n: int, lam: Parts, mu: Parts, nu: Parts) -> Iterator[Parts
     return _kernel(n, False)(lam, mu, nu)
 
 
-def boundary_triples(n: int, d: int) -> Iterator[tuple[Parts, Parts, Parts]]:
-    """Every boundary (lam, mu, nu), zero-padded to length n, with
-    |lam| = |mu| + |nu| = d that can carry a hive: lam contains mu and nu,
-    and lam_1 <= mu_1 + nu_1.  Swept by |mu|, then mu, nu and lam, each in
-    partitions_of order."""
-    lams = [pad(lam, n) for lam in partitions_of(d, n)]
-    by_size = [[pad(p, n) for p in partitions_of(j, n)] for j in range(d + 1)]
-    # bit i of a mask stands for lams[i]; lam_1 decreases along lams (all padded)
-    above = {p: sum(1 << i for i, lam in enumerate(lams) if all(map(ge, lam, p)))
-             for parts in by_size for p in parts}
-    fits = [sum(1 << i for i, lam in enumerate(lams) if lam[0] <= cap)
-            for cap in range(d + 1)]
-    for j in range(d + 1):
-        for mu in by_size[j]:
-            for nu in by_size[d - j]:
-                admitted = above[mu] & above[nu] & fits[mu[0] + nu[0]]
-                while admitted:
-                    low = admitted & -admitted
-                    yield lams[low.bit_length() - 1], mu, nu
-                    admitted ^= low
+def _padded_partitions(n: int, d: int) -> list[list[Parts]]:
+    """By size j = 0..d, the partitions of j with at most n parts, each
+    padded to length n, in partitions_of order."""
+    return [[pad(p, n) for p in partitions_of(j, n)] for j in range(d + 1)]
 
 
 def _check_rank(n: int) -> None:
@@ -276,20 +271,23 @@ def md_sum(n: int, d: int) -> int:
     """Sum of LR coefficients over triples with |lambda| = |mu| + |nu| = d,
     all parts bounded by n: the degree-d dimension of the hive algebra.
 
-    The coefficient is symmetric in (mu, nu), and so is the set
-    boundary_triples admits (its mask does not depend on their order), so
-    the count kernel runs on the mu <= nu half alone: a triple with mu < nu
-    counts twice, one with mu == nu once.  The triples come padded and
-    admitted, so neither lr_coefficient nor its cache is needed."""
+    For one pair (mu, nu), the sum over lambda is the number of hives with
+    the mu and nu edges fixed and the lambda edge free, one call of the
+    pairs count kernel.  That sum is symmetric in (mu, nu), so only pairs
+    with |mu| <= |nu| are swept: a pair with |mu| < |nu| counts twice; on
+    the diagonal |mu| = |nu|, mu before nu in partitions_of order counts
+    twice and mu = nu once."""
     _check_rank(n)
     if d < 0:
         raise ValueError("degree must be >= 0")
-    count, total = _kernel(n, True), 0
-    for lam, mu, nu in boundary_triples(n, d):
-        if mu < nu:
-            total += 2 * count(lam, mu, nu)
-        elif mu == nu:
-            total += count(lam, mu, nu)
+    count, total, by_size = _kernel(n, True, True), 0, _padded_partitions(n, d)
+    for j in range(d // 2 + 1):
+        nus = by_size[d - j]
+        for a, mu in enumerate(by_size[j]):
+            if 2 * j < d:
+                total += 2 * sum(count(mu, nu) for nu in nus)
+            else:
+                total += count(mu, mu) + 2 * sum(count(mu, nu) for nu in nus[a + 1:])
     return total
 
 

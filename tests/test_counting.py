@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from hivealg import cone, counting, hive, polynomial, shapes, tensor_algebra
 from hivealg.counting import (SERIES_DENOMINATOR, SERIES_NUMERATOR,
-                              _boundary_triple, boundary_triples, enumerate_hives,
+                              _boundary_triple, enumerate_hives,
                               hp_series_closed_form, hp_series_enumerated,
                               hp_series_reference, lr_coefficient, lr_via_schur,
                               lr_via_tableaux, md_sum)
@@ -81,13 +81,19 @@ def test_md_sums():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_md_sum_equals_lr_coefficients_over_the_sweep(n):
-    # md_sum counts only the mu <= nu half of the sweep; the full sum of
-    # lr_coefficient is the oracle, and the half is sound only while the
-    # admitted set is closed under swapping mu and nu
+    # md_sum counts only the pairs with |mu| <= |nu|, the lambda edge free;
+    # the full sum of lr_coefficient over every admitted triple is the oracle
     for d in range(8):
-        triples = list(boundary_triples(n, d))
-        assert {(lam, nu, mu) for lam, mu, nu in triples} == set(triples)
-        assert md_sum(n, d) == sum(lr_coefficient(n, *t) for t in triples)
+        assert md_sum(n, d) == sum(lr_coefficient(n, *t) for t in swept_triples(n, d))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_hives_up_to_degree_equals_enumeration_over_the_sweep(n):
+    # the pairs kernel frees the lambda edge; the oracle enumerates each
+    # admitted triple with the fixed-lambda kernel
+    flats = sorted((h.to_flat() for d in range(7) for t in swept_triples(n, d)
+                    for h in enumerate_hives(n, *t)), key=lambda flat: (flat[-1], flat))
+    assert [h.to_flat() for h in cone.hives_up_to_degree(n, 6)] == flats
 
 
 def test_series_leaves_the_count_cache_alone():
@@ -178,7 +184,9 @@ def test_three_routes_agree_on_spot_checks():
 
 
 def swept_triples(n, d):
-    """Oracle: every (mu, nu) pair against every lam, tested one by one."""
+    """Oracle: every padded (lam, mu, nu) of degree d that can carry a hive
+    (lam contains mu and nu, lam_1 <= mu_1 + nu_1), every (mu, nu) pair
+    against every lam, tested one by one."""
     lams = [pad(lam, n) for lam in partitions_of(d, n)]
     return [(lam, mu, nu)
             for j in range(d + 1)
@@ -186,12 +194,6 @@ def swept_triples(n, d):
             for nu in (pad(p, n) for p in partitions_of(d - j, n))
             for lam in lams
             if lam[0] <= mu[0] + nu[0] and contains(lam, mu) and contains(lam, nu)]
-
-
-@pytest.mark.parametrize("n,max_degree", [(1, 4), (2, 8), (3, 8), (4, 8), (5, 7)])
-def test_boundary_triples_match_sweep_in_order(n, max_degree):
-    for d in range(max_degree + 1):
-        assert list(boundary_triples(n, d)) == swept_triples(n, d)
 
 
 def normalized_boundary_triple(n, lam, mu, nu):
@@ -256,7 +258,7 @@ def test_boundary_triple_keeps_padded_tuples():
     # path that copied them raised the peak RSS of the series benchmark
     # workload (hp-series to degrees 15 and 11) from 26.4 to 35.6 MB,
     # when md_sum still summed lr_coefficient
-    for lam, mu, nu in boundary_triples(4, 6):
+    for lam, mu, nu in swept_triples(4, 6):
         triple = _boundary_triple(4, lam, mu, nu)
         assert all(got is given for got, given in zip(triple, (lam, mu, nu)))
 

@@ -14,7 +14,7 @@ import linecache
 import re
 from collections import Counter
 from functools import lru_cache
-from itertools import takewhile
+from itertools import product, takewhile
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,22 +22,24 @@ from hypothesis import strategies as st
 
 from hivealg import counting, hive
 from hivealg.cone import hives_up_to_degree
-from hivealg.counting import (_kernel, boundary_triples, enumerate_hives,
-                              lr_coefficient, lr_via_tableaux)
+from hivealg.counting import _kernel, enumerate_hives, lr_coefficient, lr_via_tableaux
 from hivealg.hive import (cone_rows, flat_index, hive_violations, membership,
                           triangle_size)
 from hivealg.shapes import contains, pad, partitions_of
+from test_counting import swept_triples
 
 
 @pytest.mark.parametrize("count", [True, False])
 def test_kernel_builds_for_every_rank(count):
     for n in range(1, 11):
         assert callable(_kernel(n, count))
+    for n in range(1, 13):
+        assert callable(_kernel(n, count, True))
 
 
-def kernel_source(n, count):
+def kernel_source(n, count, pairs=False):
     """The whole generated kernel source, as linecache holds it."""
-    kernel = _kernel(n, count)
+    kernel = _kernel(n, count, pairs)
     return "".join(linecache.getlines(kernel.__code__.co_filename))
 
 
@@ -94,27 +96,36 @@ LOOP = re.compile(r"( *)for a(\d+) in range\(lo, hi \+ 1\):")
 LAST_COUNT = "if hi >= lo: total += hi - lo + 1"
 
 
-def edge_cells(n):
-    """Flat indices of the boundary cells but the apex."""
+def edge_cells(n, pairs=False):
+    """Flat indices of the boundary cells but the apex; with pairs, of the
+    mu and nu edges alone."""
     return sorted({flat_index(i, 1) for i in range(2, n + 2)}
-                  | {flat_index(i, i) for i in range(2, n + 2)}
+                  | {flat_index(i, i) for i in range(2, n + 2) if not pairs}
                   | {flat_index(n + 1, j) for j in range(2, n + 2)})
 
 
-def kernel_functions(n, count):
+def kernel_functions(n, count, pairs=False):
     """{function name: its lines} of the generated kernel, in source order."""
     functions = {}
-    for block in kernel_source(n, count).split("\ndef "):
+    for block in kernel_source(n, count, pairs).split("\ndef "):
         head, _, body = block.removeprefix("def ").partition("\n")
         functions[head.split("(")[0]] = [head, *body.splitlines()]
     return functions
 
 
+# Both plans: fixing lambda for n = 1..6, and freeing it (the pairs
+# kernel, ids "pairs<n>") for n = 1..12, whose nest passes the block limit
+# from rank 7 enumerating and rank 8 counting.
+PLANS = dict(argnames="n, pairs", argvalues=[(n, False) for n in range(1, 7)]
+             + [(n, True) for n in range(1, 13)],
+             ids=[str(n) for n in range(1, 7)] + [f"pairs{n}" for n in range(1, 13)])
+
+
 @pytest.mark.parametrize("count", [True, False])
-@pytest.mark.parametrize("n", range(1, 7))
-def test_kernel_source_bounds_every_plan_row_and_sets_every_edge(n, count):
-    _row_bounds, interior, boundary_only, attached = counting._fill_plan(n)
-    functions = kernel_functions(n, count)
+@pytest.mark.parametrize(**PLANS)
+def test_kernel_source_bounds_every_plan_row_and_sets_every_edge(n, pairs, count):
+    _row_bounds, interior, boundary_only, attached = counting._fill_plan(n, pairs)
+    functions = kernel_functions(n, count, pairs)
     lines = [line.strip() for body in functions.values() for line in body]
     # each entry's bounds are the lo and hi lines before its loop, or, for
     # the last entry counted, before the line adding its interval length
@@ -136,6 +147,7 @@ def test_kernel_source_bounds_every_plan_row_and_sets_every_edge(n, count):
     # left out
     assert [pos for pos, _ in bounded] == list(interior)
     for (pos, read), rows_k in zip(bounded, attached):
+        assert read["lo"] and read["hi"], pos
         want = {"lo": [], "hi": []}
         for coeff, rest in rows_k:
             want["lo" if coeff == 1 else "hi"].append({q: -coeff * c for q, c in rest if q})
@@ -149,7 +161,7 @@ def test_kernel_source_bounds_every_plan_row_and_sets_every_edge(n, count):
     # set of entries it adds up; every boundary cell but the apex is set
     # once, to its value in boundary_flat
     entry = functions["entry"]
-    assert entry[0] == "entry(lam, mu, nu):"
+    assert entry[0] == ("entry(mu, nu):" if pairs else "entry(lam, mu, nu):")
     head = list(takewhile(lambda line: re.fullmatch(r"    (a\d+ = .*|if .*|    return.*)", line),
                           entry[1:]))
     parts = {p: [1 << (n * s + i) for i in range(n)] for s, p in enumerate(("lam", "mu", "nu"))}
@@ -165,7 +177,8 @@ def test_kernel_source_bounds_every_plan_row_and_sets_every_edge(n, count):
 
     flat = boundary_flat(n, *parts.values())
     assert len(sums) == len([line for line in head if re.match(r"    a\d+ = ", line)])
-    assert {int(k): value(expr) for k, expr in sums.items()} == {k: flat[k] for k in edge_cells(n)}
+    assert ({int(k): value(expr) for k, expr in sums.items()}
+            == {k: flat[k] for k in edge_cells(n, pairs)})
     checks = [line for line in head if line.startswith("    if ")]
     assert all(line.endswith(" < 0:") for line in checks)
     assert [read_linear(line) for line in checks] == [{k: c for k, c in terms if k}
@@ -237,6 +250,21 @@ def test_deep_ranks_agree_with_tableaux(n, lam, mu, nu, expected):
     assert sorted(counting._iter_hive_flats(n, *padded)) == list(row_major_hives(n, *padded))
 
 
+# Rank 7 enumerating and rank 8 both ways pass counting._BLOCK_LIMIT
+# nested loops in the pairs kernel.
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pairs_kernel_sums_the_fixed_lambda_kernel_over_lambda(n):
+    count, flats = _kernel(n, True, True), _kernel(n, False, True)
+    for d in range(7):
+        lams = [pad(lam, n) for lam in partitions_of(d, n)]
+        for j in range(d + 1):
+            for mu, nu in product(partitions_of(j, n), partitions_of(d - j, n)):
+                mu, nu = pad(mu, n), pad(nu, n)
+                assert count(mu, nu) == sum(lr_coefficient(n, lam, mu, nu) for lam in lams)
+                assert sorted(flats(mu, nu)) == sorted(
+                    f for lam in lams for f in counting._iter_hive_flats(n, lam, mu, nu))
+
+
 @st.composite
 def dominant_triples(draw, low=2, high=6, size=7):
     """(n, lam, mu, nu) with |lam| = |mu| + |nu|, all with at most n parts,
@@ -252,7 +280,7 @@ def dominant_triples(draw, low=2, high=6, size=7):
 def multiple_triples(n: int) -> tuple:
     """Every (n, lam, mu, nu) of degree <= 10 whose coefficient, by the
     tableau route, is at least 2."""
-    return tuple((n, *t) for d in range(11) for t in boundary_triples(n, d)
+    return tuple((n, *t) for d in range(11) for t in swept_triples(n, d)
                  if lr_via_tableaux(n, *t) >= 2)
 
 
@@ -288,7 +316,7 @@ def test_swapping_mu_and_nu_keeps_the_coefficient(triple):
 @st.composite
 def admitted_triples(draw, low, high, size):
     """(n, lam, mu, nu) with size / 2 <= |mu|, |nu| <= size and lam one of
-    the boundaries boundary_triples admits (lam contains mu and nu, lam_1 <=
+    the boundaries swept_triples admits (lam contains mu and nu, lam_1 <=
     mu_1 + nu_1), so that the coefficient is often positive and sometimes
     above 1.  mu + nu is always admitted."""
     n = draw(st.integers(low, high))
@@ -352,50 +380,52 @@ def test_conjugation_symmetry(triple):
 # ---------------------------------------------------------------------------
 # The fill plan: cone rows plus one round of cancelled pairs
 
-def plan_rows(n):
-    """Every row of _fill_plan(n) as (the interior entry it is attached to,
-    or None on the boundary alone, {flat index: coeff})."""
-    _row_bounds, interior, boundary_only, attached = counting._fill_plan(n)
+def plan_rows(n, pairs=False):
+    """Every row of _fill_plan(n, pairs) as (the free entry it is attached
+    to, or None on the boundary alone, {flat index: coeff})."""
+    _row_bounds, interior, boundary_only, attached = counting._fill_plan(n, pairs)
     rows = [(None, dict(terms)) for terms in boundary_only]
     rows += [(pos, {pos: coeff, **dict(rest)})
              for pos, rows_k in zip(interior, attached) for coeff, rest in rows_k]
     return rows
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_added_rows_are_cancelled_pairs(n):
-    order = {k: place for place, k in enumerate(counting._fill_plan(n)[1])}
-    cone = [dict(terms) for *_, terms in cone_rows(n)[3 * n:]]
+@pytest.mark.parametrize("n, pairs", [(n, False) for n in range(1, 9)]
+                         + [(n, True) for n in range(1, 9)],
+                         ids=[str(n) for n in range(1, 9)] + [f"pairs{n}" for n in range(1, 9)])
+def test_added_rows_are_cancelled_pairs(n, pairs):
+    # the cone rows but those of the fixed edges, whose parts are dominant
+    order = {k: place for place, k in enumerate(counting._fill_plan(n, pairs)[1])}
+    cone = [dict(terms) for *_, terms in cone_rows(n)[(2 if pairs else 3) * n:]]
 
     def last(row):
-        """The interior entry of row that is placed last in plan order."""
+        """The free entry of row that is placed last in plan order."""
         return max((k for k in row if k in order), key=order.get, default=None)
 
-    pairs = []
+    sums = []
     for low in cone:
         for up in cone:
             x = last(low)
             if x is not None and last(up) == x and low[x] == 1 and up[x] == -1:
                 summed = Counter(low)
                 summed.update(up)
-                pairs.append({k: c for k, c in summed.items() if c})
-    rows = plan_rows(n)
+                sums.append({k: c for k, c in summed.items() if c})
+    rows = plan_rows(n, pairs)
     keys = [frozenset(row.items()) for _, row in rows]
     cone_keys = {frozenset(row.items()) for row in cone}
     assert len(set(keys)) == len(keys) and cone_keys <= set(keys)
     for pos, row in rows:
         assert pos == last(row)
     # the rest: every sum of a lower and an upper row of one entry x that
-    # keeps its coefficients +-1 and mentions an interior entry placed
-    # before x
-    added = {frozenset(p.items()) for p in pairs
+    # keeps its coefficients +-1 and mentions a free entry placed before x
+    added = {frozenset(p.items()) for p in sums
              if set(p.values()) <= {1, -1} and last(p) is not None}
     assert set(keys) - cone_keys == added - cone_keys
     assert n < 4 or len(rows) > len(cone)
 
 
-def assert_plan_holds(n, flat):
-    for _pos, row in plan_rows(n):
+def assert_plan_holds(n, flat, pairs=False):
+    for _pos, row in plan_rows(n, pairs):
         assert sum(c * flat[k] for k, c in row.items()) >= 0, row
 
 
@@ -403,6 +433,7 @@ def assert_plan_holds(n, flat):
 def test_plan_rows_hold_on_every_small_hive(n):
     for h in hives_up_to_degree(n, 6):
         assert_plan_holds(n, h.to_flat())
+        assert_plan_holds(n, h.to_flat(), pairs=True)
 
 
 @settings(max_examples=100)
@@ -511,7 +542,7 @@ RANK6_NODES = 15_519
 
 
 def test_fill_plan_prunes_rank6():
-    nodes = sum(plan_nodes(6, *triple) for d in range(9) for triple in boundary_triples(6, d))
+    nodes = sum(plan_nodes(6, *triple) for d in range(9) for triple in swept_triples(6, d))
     assert nodes <= RANK6_NODES
 
 
