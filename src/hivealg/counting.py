@@ -4,7 +4,6 @@ counts m_d, and Hilbert-Poincare series (enumerated and closed form)."""
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
 
 from .hive import Hive, _compile, _edge_cells, _linear, _require_unit, cone_rows, flat_index
 from .shapes import Parts, normalize, pad, partitions_of, require_partitions
@@ -166,27 +165,18 @@ def _kernel_source(n: int, count: bool, pairs: bool = False) -> str:
 
 @lru_cache(maxsize=32)
 def _kernel(n: int, count: bool, pairs: bool = False):
-    """The compiled rank-n hive search: entry(lam, mu, nu), on a padded
-    triple with |lam| = |mu| + |nu|, returns the number of hives (count) or
-    yields the flat coordinates of each in search order; with pairs,
-    entry(mu, nu) does so over every lambda.  The source holds only integer
-    indices from cone_rows, compiled by hive._compile under its filename.
-    One nested loop over locals, so a search node costs no call and no list
-    subscript; a further function only past the block limit (rank 8
-    enumerating, rank 9 and up; with pairs, a rank lower)."""
+    """The compiled rank-n hive search: entry(lam, mu, nu), on a dominant
+    triple padded to length n with |lam| = |mu| + |nu|, as _boundary_triple
+    returns one, gives the number of hives (count) or yields the flat
+    coordinates of each in search order, which is not lexicographic
+    (enumerate_hives sorts); with pairs, entry(mu, nu) does so over every
+    lambda.  The source holds only integer indices from cone_rows, compiled
+    by hive._compile under its filename.  One nested loop over locals, so a
+    search node costs no call and no list subscript; a further function only
+    past the block limit (rank 8 enumerating, rank 9 and up; with pairs, a
+    rank lower)."""
     filename = f"<hivealg kernel n={n} {'pairs ' * pairs}{'count' if count else 'enumerate'}>"
     return _compile(_kernel_source(n, count, pairs), filename, "entry")
-
-
-def _iter_hive_flats(n: int, lam: Parts, mu: Parts, nu: Parts) -> Iterator[Parts]:
-    """Yield the flat coordinates of every hive with the given boundary, in the
-    kernel's search order, which is not lexicographic (enumerate_hives sorts).
-
-    Inputs must be dominant, zero-padded to length n, with
-    sum(lam) == sum(mu) + sum(nu); edges are fixed by partial sums and only
-    strictly interior entries are searched.
-    """
-    return _kernel(n, False)(lam, mu, nu)
 
 
 def _padded_partitions(n: int, d: int) -> list[list[Parts]]:
@@ -219,8 +209,7 @@ def _boundary_triple(n, lam, mu, nu) -> tuple[Parts, Parts, Parts] | None:
     Trailing zeros change neither dominance nor the sums, so each part is
     checked as given and only the error message strips them; nonzero parts
     beyond n admit no hive.  A tuple of length n is returned as it is, not
-    copied, so the cache keys lr_coefficient stores share its caller's
-    tuples."""
+    copied."""
     _check_rank(n)
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
     if len(lam) > n or len(mu) > n or len(nu) > n:
@@ -242,23 +231,13 @@ def enumerate_hives(n, lam, mu, nu) -> list[Hive]:
     triple = _boundary_triple(n, lam, mu, nu)
     if triple is None:
         return []
-    return [Hive(n, flat) for flat in sorted(_iter_hive_flats(n, *triple))]
-
-
-@lru_cache(maxsize=None)
-def _hive_count(n: int, lam: Parts, mu: Parts, nu: Parts) -> int:
-    return _kernel(n, True)(lam, mu, nu)
+    return [Hive(n, flat) for flat in sorted(_kernel(n, False)(*triple))]
 
 
 def lr_coefficient(n, lam, mu, nu) -> int:
     """Littlewood-Richardson coefficient for GL(n), counted by hives."""
     triple = _boundary_triple(n, lam, mu, nu)
-    if triple is None:
-        return 0
-    lam, mu, nu = triple
-    if nu < mu:  # symmetric in (mu, nu); canonical order shares the cache
-        mu, nu = nu, mu
-    return _hive_count(n, lam, mu, nu)
+    return 0 if triple is None else _kernel(n, True)(*triple)
 
 
 def lr_via_tableaux(n, lam, mu, nu) -> int:

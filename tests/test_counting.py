@@ -1,8 +1,13 @@
+import importlib
+import pkgutil
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hivealg import cone, counting, hive, polynomial, shapes, tensor_algebra
+import hivealg
+from hivealg import cone, polynomial, shapes, tensor_algebra
 from hivealg.counting import (SERIES_DENOMINATOR, SERIES_NUMERATOR,
                               _boundary_triple, enumerate_hives,
                               hp_series_closed_form, hp_series_enumerated,
@@ -94,14 +99,6 @@ def test_hives_up_to_degree_equals_enumeration_over_the_sweep(n):
     flats = sorted((h.to_flat() for d in range(7) for t in swept_triples(n, d)
                     for h in enumerate_hives(n, *t)), key=lambda flat: (flat[-1], flat))
     assert [h.to_flat() for h in cone.hives_up_to_degree(n, 6)] == flats
-
-
-def test_series_leaves_the_count_cache_alone():
-    # the series path calls the count kernel directly, so the unbounded
-    # lr_coefficient cache does not grow with the degree swept
-    counting._hive_count.cache_clear()
-    hp_series_enumerated(4, 10)
-    assert counting._hive_count.cache_info().currsize == 0
 
 
 def test_hp_series_enumerated_prefixes():
@@ -253,11 +250,8 @@ def test_boundary_triple_matches_normalizing_check(case):
 
 
 def test_boundary_triple_keeps_padded_tuples():
-    # a tuple already of length n is returned as given, not copied, so the
-    # cache keys lr_coefficient stores share its caller's tuples; a fast
-    # path that copied them raised the peak RSS of the series benchmark
-    # workload (hp-series to degrees 15 and 11) from 26.4 to 35.6 MB,
-    # when md_sum still summed lr_coefficient
+    # a tuple already of length n is returned as given, not copied: padding
+    # costs the caller no allocation when its parts are already padded
     for lam, mu, nu in swept_triples(4, 6):
         triple = _boundary_triple(4, lam, mu, nu)
         assert all(got is given for got, given in zip(triple, (lam, mu, nu)))
@@ -270,12 +264,23 @@ LEAST_MAXSIZE = {cone.hives_up_to_degree: 4, shapes.partitions_of: 28, cone.pres
                  polynomial.variable_labels: 3, tensor_algebra.build_generators: 3}
 
 
-@pytest.mark.parametrize("cached", [
-    counting.schur_monomials, counting._schur_product_expansion,
-    cone.hives_up_to_degree, counting._kernel, hive.membership,
-    counting._fill_plan, counting._triple_check, hive.cone_rows, shapes.partitions_of,
-    cone.presentation, polynomial.variable_labels,
-    tensor_algebra.build_generators])
+def package_caches() -> list:
+    """Every function a hivealg module defines with an lru_cache, found by
+    its cache_info; a name another module imports is counted once, where it
+    is defined."""
+    modules = (importlib.import_module(f"hivealg.{m.name}")
+               for m in pkgutil.iter_modules(hivealg.__path__))
+    return [obj for module in modules for obj in vars(module).values()
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__]
+
+
+def test_every_cache_is_found():
+    # a cache on a method or a nested function would escape package_caches
+    sources = Path(hivealg.__file__).parent.glob("*.py")
+    assert len(package_caches()) == sum(p.read_text().count("@lru_cache") for p in sources)
+
+
+@pytest.mark.parametrize("cached", package_caches())
 def test_caches_are_bounded(cached):
     maxsize = cached.cache_info().maxsize
     assert maxsize is not None and maxsize >= LEAST_MAXSIZE.get(cached, 1)

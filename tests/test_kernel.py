@@ -247,7 +247,7 @@ def test_deep_ranks_agree_with_tableaux(n, lam, mu, nu, expected):
     assert lr_coefficient(n, lam, mu, nu) == expected
     assert len(enumerate_hives(n, lam, mu, nu)) == expected
     padded = [pad(p, n) for p in (lam, mu, nu)]
-    assert sorted(counting._iter_hive_flats(n, *padded)) == list(row_major_hives(n, *padded))
+    assert sorted(_kernel(n, False)(*padded)) == list(row_major_hives(n, *padded))
 
 
 # Rank 7 enumerating and rank 8 both ways pass counting._BLOCK_LIMIT
@@ -262,7 +262,7 @@ def test_pairs_kernel_sums_the_fixed_lambda_kernel_over_lambda(n):
                 mu, nu = pad(mu, n), pad(nu, n)
                 assert count(mu, nu) == sum(lr_coefficient(n, lam, mu, nu) for lam in lams)
                 assert sorted(flats(mu, nu)) == sorted(
-                    f for lam in lams for f in counting._iter_hive_flats(n, lam, mu, nu))
+                    f for lam in lams for f in _kernel(n, False)(lam, mu, nu))
 
 
 @st.composite
@@ -307,10 +307,11 @@ def test_count_equals_enumeration_and_tableaux(triple):
 @settings(max_examples=150)
 @given(mixed_triples())
 def test_swapping_mu_and_nu_keeps_the_coefficient(triple):
-    # enumerate_hives keeps the order it is given, unlike the cached count
+    # both routes search the triple in the order given, so each must be
+    # symmetric in (mu, nu) by itself
     n, lam, mu, nu = triple
     assert (len(enumerate_hives(n, lam, mu, nu)) == len(enumerate_hives(n, lam, nu, mu))
-            == lr_coefficient(n, lam, nu, mu))
+            == lr_coefficient(n, lam, mu, nu) == lr_coefficient(n, lam, nu, mu))
 
 
 @st.composite
