@@ -190,52 +190,33 @@ def decompose(hive: Hive, pres: ConePresentation) -> tuple[int, ...]:
     """Express a hive as a multiset of basis indices (returned sorted).
 
     Depth-first search over basis elements in index order, preferring high
-    multiplicities of low indices, so the result is the decomposition with
-    the lexicographically greatest exponent vector.
+    multiplicities of low indices, so the first decomposition reached is the
+    one with the lexicographically greatest exponent vector.
     """
-    result = _decompose_search(hive, pres, first_only=True)
-    if not result:
-        raise NoDecompositionError(f"hive {hive} does not decompose over the rank-{pres.n} basis")
-    return next(iter(result))
-
-
-def all_decompositions(hive: Hive, pres: ConePresentation) -> frozenset[tuple[int, ...]]:
-    """Every multiset of basis indices summing to the hive."""
-    return frozenset(_decompose_search(hive, pres, first_only=False))
-
-
-def _decompose_search(hive: Hive, pres: ConePresentation, first_only: bool) -> set[tuple[int, ...]]:
     if hive.n != pres.n:
         raise ValueError(f"rank mismatch: hive {hive.n}, presentation {pres.n}")
     member = membership(pres.n)
     basis_flats = [h.flat for h in pres.basis]
     zero = (0,) * triangle_size(pres.n)
-    found: set[tuple[int, ...]] = set()
 
-    def search(flat, k: int, picked: list[int]) -> bool:
+    def search(flat, k: int) -> tuple[int, ...] | None:
         if flat == zero:
-            found.add(tuple(picked))
-            return True
+            return ()
         if k == len(basis_flats):
-            return False
+            return None
         # feasible multiplicities of basis element k form an interval [0, top]
         stack = [flat]
-        current = flat
-        b = basis_flats[k]
-        while True:
-            current = tuple(map(sub, current, b))
-            if not member(current):
-                break
+        while member(current := tuple(map(sub, stack[-1], basis_flats[k]))):
             stack.append(current)
         for count in range(len(stack) - 1, -1, -1):
-            picked.extend([k + 1] * count)
-            done = search(stack[count], k + 1, picked)
-            del picked[len(picked) - count:]
-            if done and first_only:
-                return True
-        return False
+            rest = search(stack[count], k + 1)
+            if rest is not None:
+                return (k + 1,) * count + rest
+        return None
 
-    search(hive.flat, 0, [])
+    found = search(hive.flat, 0)
+    if found is None:
+        raise NoDecompositionError(f"hive {hive} does not decompose over the rank-{pres.n} basis")
     return found
 
 

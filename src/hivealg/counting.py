@@ -4,6 +4,7 @@ counts m_d, and Hilbert-Poincare series (enumerated and closed form)."""
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import index
 
 from .hive import Hive, _compile, _edge_cells, _linear, _require_unit, cone_rows, flat_index
 from .shapes import Parts, normalize, pad, partitions_of, require_partitions
@@ -279,20 +280,26 @@ def hp_series_enumerated(n: int, max_degree: int) -> SeriesPrefix:
 
 
 def hp_series_closed_form(numerator, denominator_exponents, max_degree: int) -> SeriesPrefix:
-    """Expand numerator(t) / prod (1 - t^e) as a power series up to t^D."""
+    """Expand numerator(t) / prod (1 - t^e) up to t^D; both must hold integers."""
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    coeffs = [0] * (max_degree + 1)
-    for k, c in enumerate(numerator):
-        if k > max_degree:
-            break
-        coeffs[k] = int(c)
-    for e in denominator_exponents:
+    exponents = [_integer("denominator exponent", e) for e in denominator_exponents]
+    coeffs = [_integer("numerator coefficient", c) for c in numerator][:max_degree + 1]
+    coeffs += [0] * (max_degree + 1 - len(coeffs))
+    for e in exponents:
         if e < 1:
             raise ValueError(f"denominator exponent {e} must be positive")
         for k in range(e, max_degree + 1):
             coeffs[k] += coeffs[k - e]
     return tuple(coeffs)
+
+
+def _integer(what: str, value) -> int:
+    """value read through operator.index, or a ValueError that names it."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
 def hp_series_reference(n: int, max_degree: int) -> SeriesPrefix:

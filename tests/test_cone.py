@@ -3,14 +3,14 @@ from dataclasses import fields
 
 import pytest
 
-from hivealg.cone import (ConePresentation, NoDecompositionError,
-                          all_decompositions, decompose,
+from hivealg.cone import (ConePresentation, NoDecompositionError, decompose,
                           generators_input_text, hilbert_basis,
                           hives_up_to_degree, inequalities_input_text,
                           presentation, undecomposable_hives,
                           verify_relations)
 from hivealg.hive import (Hive, cone_rows, hive_violations, membership,
                           triangle_size)
+from test_hive_properties import interpreted_decompositions
 
 RANK4_INEQUALITY_ROWS = [
     "-1 1 0 0 0 0 0 0 0 0 0 0 0 0 0",
@@ -170,25 +170,26 @@ def test_decompose_worked_example():
     assert decompose(zero_hive(3), pres) == ()
     found = decompose(h_prime, pres)
     assert sum((pres.basis[k - 1] for k in found), zero_hive(3)) == h_prime
-    assert (1, 6, 7) in all_decompositions(h_prime, pres)
+    assert (1, 6, 7) in interpreted_decompositions(h_prime, pres, False)
 
 
 def test_all_decompositions_sees_both_relation_sides():
     pres = presentation(3)
     h = pres.basis[0] + pres.basis[5] + pres.basis[6]
-    assert all_decompositions(h, pres) == {(1, 6, 7), (5, 10)}
+    assert interpreted_decompositions(h, pres, False) == {(1, 6, 7), (5, 10)}
+    assert decompose(h, pres) == (1, 6, 7)
 
 
 def test_all_decompositions_of_basis_elements_are_trivial():
     pres = presentation(3)
     for k, h in enumerate(pres.basis, start=1):
-        assert all_decompositions(h, pres) == {(k,)}
+        assert interpreted_decompositions(h, pres, False) == {(k,)}
 
 
 def test_rank4_relation_side_decomposes_both_ways():
     pres = presentation(4)
     h = pres.basis[0] + pres.basis[6] + pres.basis[8]  # h_1 + h_7 + h_9
-    assert (6, 15) in all_decompositions(h, pres)
+    assert (6, 15) in interpreted_decompositions(h, pres, False)
 
 
 def test_decompositions_multiply_out():
@@ -226,6 +227,10 @@ def test_undecomposable_rejects_a_presentation_of_another_rank():
         undecomposable_hives(3, 6, presentation(4))
     with pytest.raises(ValueError, match="rank mismatch: hive 4, presentation 3"):
         undecomposable_hives(4, 6, presentation(3))
+    with pytest.raises(ValueError, match="rank mismatch: hive 3, presentation 4"):
+        decompose(presentation(3).basis[0], presentation(4))
+    with pytest.raises(ValueError, match="rank mismatch: hive 4, presentation 3"):
+        decompose(presentation(4).basis[16], presentation(3))
 
 
 def brute_force_irreducibles(n, max_degree):

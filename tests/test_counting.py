@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -148,6 +149,19 @@ def test_closed_form_rejects_bad_exponents():
         hp_series_closed_form((1,), (0,), 3)
     with pytest.raises(ValueError):
         hp_series_reference(5, 3)
+
+
+@pytest.mark.parametrize("numerator, exponents, message", [
+    ((1.5, 0.9), (1,), "numerator coefficient 1.5 is not an integer"),
+    ((Fraction(1, 2),), (1,), "numerator coefficient Fraction(1, 2) is not an integer"),
+    (("2",), (1,), "numerator coefficient '2' is not an integer"),
+    ((1,), (1.5,), "denominator exponent 1.5 is not an integer"),
+    ((1,), ("2",), "denominator exponent '2' is not an integer"),
+])
+def test_closed_form_rejects_non_integers(numerator, exponents, message):
+    with pytest.raises(ValueError) as err:
+        hp_series_closed_form(numerator, exponents, 3)
+    assert str(err.value) == message
 
 
 def test_denominator_degree_counts():

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hivealg.cone import (NoDecompositionError, all_decompositions, decompose,
-                          hives_up_to_degree, presentation)
+from hivealg.cone import (NoDecompositionError, decompose, hives_up_to_degree,
+                          presentation)
 from hivealg.hive import (Hive, InvalidHiveError, cone_rows, flat_index,
                           hive_violations, membership, triangle_size)
 
@@ -101,9 +101,9 @@ def test_flat_hive_reads_as_its_rows(pair):
 
 
 @st.composite
-def basis_sums(draw):
-    n = draw(st.sampled_from((3, 4)))
-    picks = draw(st.lists(st.integers(1, len(presentation(n).basis)), max_size=12))
+def basis_sums(draw, ranks=(3, 4), max_size=12):
+    n = draw(st.sampled_from(ranks))
+    picks = draw(st.lists(st.integers(1, len(presentation(n).basis)), max_size=max_size))
     return n, picks
 
 
@@ -119,7 +119,9 @@ def test_decompose_sums_back_to_the_hive(case):
 
 def interpreted_decompositions(hive, pres, first_only):
     """The decomposition search as it read before membership was generated:
-    each trial subtraction is summed row by row over cone_rows."""
+    each trial subtraction is summed row by row over cone_rows.  With
+    first_only it stops at the first decomposition found; without, it returns
+    the hive's fibre, its full set of decompositions."""
     n = pres.n
     rows = [terms for *_, terms in cone_rows(n)]
     basis_flats = [b.to_flat() for b in pres.basis]
@@ -161,7 +163,21 @@ def test_decompositions_equal_the_interpreted_search(case):
     pres = presentation(n)
     hive = sum((pres.basis[k - 1] for k in picks), zero_hive(n))
     assert {decompose(hive, pres)} == interpreted_decompositions(hive, pres, True)
-    assert all_decompositions(hive, pres) == interpreted_decompositions(hive, pres, False)
+
+
+@settings(max_examples=60)
+@given(basis_sums(ranks=(2, 3, 4), max_size=8))
+def test_decompose_takes_the_greatest_exponent_vector(case):
+    # at most 8 summands: the fibre, and the oracle's time, grow fast with their number
+    n, picks = case
+    pres = presentation(n)
+    hive = sum((pres.basis[k - 1] for k in picks), zero_hive(n))
+
+    def exponents(indices):
+        return tuple(indices.count(k) for k in range(1, len(pres.basis) + 1))
+
+    assert decompose(hive, pres) == max(interpreted_decompositions(hive, pres, False),
+                                        key=exponents)
 
 
 def test_apex_one_array_has_no_decomposition():
@@ -169,6 +185,6 @@ def test_apex_one_array_has_no_decomposition():
     flat = [v + 1 for v in presentation(4).basis[16].to_flat()]
     shifted = Hive(4, tuple(flat))
     assert shifted.flat[0] == 1
-    assert all_decompositions(shifted, presentation(4)) == frozenset()
+    assert interpreted_decompositions(shifted, presentation(4), False) == set()
     with pytest.raises(NoDecompositionError):
         decompose(shifted, presentation(4))
