@@ -4,12 +4,12 @@ formats used by lattice-point software."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import sub
 
-from .counting import _check_rank, _kernel, _padded_partitions
-from .hive import Hive, cone_rows, membership, triangle_size
+from .counting import _check_rank, _integer, _interval, _kernel, _padded_partitions
+from .hive import Hive, _compile, _linear, _require_unit, cone_rows, triangle_size
 from .report import CheckResult, ConsistencyError
 
 # Hilbert bases of the hive cones for n = 2, 3, 4 in the numbering used
@@ -98,8 +98,7 @@ def hives_up_to_degree(n: int, max_degree: int) -> tuple[Hive, ...]:
     for each degree d, the pairs enumerate kernel's hives over every (mu,
     nu) with |mu| + |nu| = d, the lambda edge free."""
     _check_rank(n)
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
+    max_degree = _integer("max_degree", max_degree, 0)
     flats, by_size = _kernel(n, False, True), _padded_partitions(n, max_degree)
     return tuple(Hive(n, flat) for d in range(max_degree + 1)
                  for flat in sorted(f for j in range(d + 1) for mu in by_size[j]
@@ -112,8 +111,7 @@ def hilbert_basis(n: int, max_degree: int = 12) -> tuple[Hive, ...]:
     max_degree is at least twice the largest generator degree (a degree-d
     reducible hive splits into parts of degree < d).  Sorted by (degree,
     coordinates)."""
-    if max_degree < 1:
-        raise ValueError("max_degree must be >= 1")
+    max_degree = _integer("max_degree", max_degree, 1)
     return tuple(_new_generators(n, max_degree, ()))
 
 
@@ -140,9 +138,9 @@ def _new_generators(n: int, max_degree: int, generators):
 class ConePresentation:
     """A fixed generating set with additive relations."""
 
-    n: int
-    basis: tuple[Hive, ...]
-    relations: tuple[BinomialRelation, ...]
+    n: int  # hashed alone: decompose finds its search by the presentation on every call
+    basis: tuple[Hive, ...] = field(hash=False)
+    relations: tuple[BinomialRelation, ...] = field(hash=False)
 
 
 @lru_cache(maxsize=4)
@@ -186,6 +184,57 @@ class NoDecompositionError(ConsistencyError):
     basis this cannot happen, so it is an internal-consistency failure."""
 
 
+_CHUNK = 4  # levels per compile() call, whose transient memory grows with its tokens
+
+
+@lru_cache(maxsize=4)
+def _search(pres: ConePresentation):
+    """The compiled first-match search over pres's basis, built on first use.
+    search(a) on a hive's flat coordinates tests the apex and sets the slack
+    s<r> of each cone row r, none negative, and the degree d.  One nested
+    loop per basis element k, in basis order, runs c<k> from the min of
+    s<r> // row(b_k) over the rows with row(b_k) > 0 down to 0, taking
+    c<k> * row(b_k) off the slacks a later level reads; at d = 0 the rest is
+    the zero hive, and the picks are returned.  Every _CHUNK levels the nest
+    goes on in _levels<k>(the slacks still read, d), a piece compiled apart."""
+    rows = [terms for *_, terms in cone_rows(pres.n)]
+    _require_unit((c for terms in rows for _, c in terms), f"a rank-{pres.n} cone row")
+    raised = [{r: v for r, terms in enumerate(rows)  # row(b_k) on the rows b_k raises
+               if (v := sum(c * b.flat[q] for q, c in terms)) > 0} for b in pres.basis]
+    if not all(raised):
+        raise ValueError("a basis element raises no cone row")
+    slack, degree, first, pieces = [f"s{r}" for r in range(len(rows))], "d", 0, []
+    lines = ["def search(a):", "    if a[0]:", "        return None",
+             *(f"    {s} = {_linear(terms)}" for s, terms in zip(slack, rows)),
+             f"    if min({', '.join(slack)}) < 0:", "        return None",
+             f"    d = a[{triangle_size(pres.n) - 1}]", "    if not d:", "        return ()"]
+
+    def picks(stop):  # the indices picked by this piece's levels before stop
+        return " + ".join(f"({j + 1},) * c{j}" for j in range(first, stop))
+
+    for k, b in enumerate(pres.basis):
+        if k % _CHUNK == 0 < k:
+            args = ", ".join([slack[r] for r in sorted(set().union(*raised[k:]))] + [degree])
+            lines.append(f"{'    ' * (_CHUNK + 1)}if (found := _levels{k}({args})) is not None:"
+                         f" return {picks(k)} + found")
+            pieces.append("\n".join(lines) + "\n")
+            lines, first = ["", f"def _levels{k}({args}):"], k
+        indent, later = "    " * (k - first + 1), set().union(*raised[k + 1:])
+        bounds = [slack[r] + f" // {v}" * (v > 1) for r, v in raised[k].items()]
+        lines += [indent + line for line in _interval("top", bounds, "<")]
+        lines.append(f"{indent}for c{k} in range(top, -1, -1):")
+        for r, v in raised[k].items():
+            if r in later:
+                lines.append(f"{indent}    s{r}_{k} = {slack[r]} - {f'{v} * ' * (v > 1)}c{k}")
+                slack[r] = f"s{r}_{k}"
+        lines += [f"{indent}    d{k} = {degree} - {f'{b.flat[-1]} * ' * (b.flat[-1] > 1)}c{k}",
+                  f"{indent}    if not d{k}:", f"{indent}        return {picks(k + 1)}"]
+        degree = f"d{k}"
+    digest = hash(tuple(h.flat for h in pres.basis)) & 0xFFFFFFFF
+    return _compile(pieces + ["\n".join(lines) + "\n"],
+                    f"<hivealg decompose n={pres.n} basis {digest:08x}>", "search")
+
+
 def decompose(hive: Hive, pres: ConePresentation) -> tuple[int, ...]:
     """Express a hive as a multiset of basis indices (returned sorted).
 
@@ -195,26 +244,7 @@ def decompose(hive: Hive, pres: ConePresentation) -> tuple[int, ...]:
     """
     if hive.n != pres.n:
         raise ValueError(f"rank mismatch: hive {hive.n}, presentation {pres.n}")
-    member = membership(pres.n)
-    basis_flats = [h.flat for h in pres.basis]
-    zero = (0,) * triangle_size(pres.n)
-
-    def search(flat, k: int) -> tuple[int, ...] | None:
-        if flat == zero:
-            return ()
-        if k == len(basis_flats):
-            return None
-        # feasible multiplicities of basis element k form an interval [0, top]
-        stack = [flat]
-        while member(current := tuple(map(sub, stack[-1], basis_flats[k]))):
-            stack.append(current)
-        for count in range(len(stack) - 1, -1, -1):
-            rest = search(stack[count], k + 1)
-            if rest is not None:
-                return (k + 1,) * count + rest
-        return None
-
-    found = search(hive.flat, 0)
+    found = _search(pres)(hive.flat)
     if found is None:
         raise NoDecompositionError(f"hive {hive} does not decompose over the rank-{pres.n} basis")
     return found

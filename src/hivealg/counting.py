@@ -258,8 +258,7 @@ def md_sum(n: int, d: int) -> int:
     the diagonal |mu| = |nu|, mu before nu in partitions_of order counts
     twice and mu = nu once."""
     _check_rank(n)
-    if d < 0:
-        raise ValueError("degree must be >= 0")
+    d = _integer("degree", d, 0)
     count, total, by_size = _kernel(n, True, True), 0, _padded_partitions(n, d)
     for j in range(d // 2 + 1):
         nus = by_size[d - j]
@@ -274,15 +273,13 @@ def md_sum(n: int, d: int) -> int:
 def hp_series_enumerated(n: int, max_degree: int) -> SeriesPrefix:
     """Coefficients m_0..m_D of the Hilbert-Poincare series, by enumeration."""
     _check_rank(n)
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
+    max_degree = _integer("max_degree", max_degree, 0)
     return tuple(md_sum(n, d) for d in range(max_degree + 1))
 
 
 def hp_series_closed_form(numerator, denominator_exponents, max_degree: int) -> SeriesPrefix:
     """Expand numerator(t) / prod (1 - t^e) up to t^D; both must hold integers."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
+    max_degree = _integer("max_degree", max_degree, 0)
     exponents = [_integer("denominator exponent", e) for e in denominator_exponents]
     coeffs = [_integer("numerator coefficient", c) for c in numerator][:max_degree + 1]
     coeffs += [0] * (max_degree + 1 - len(coeffs))
@@ -294,12 +291,15 @@ def hp_series_closed_form(numerator, denominator_exponents, max_degree: int) -> 
     return tuple(coeffs)
 
 
-def _integer(what: str, value) -> int:
-    """value read through operator.index, or a ValueError that names it."""
+def _integer(what: str, value, least: int | None = None) -> int:
+    """value read through operator.index, or a ValueError naming it or least."""
     try:
-        return index(value)
+        value = index(value)
     except TypeError:
         raise ValueError(f"{what} {value!r} is not an integer") from None
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}")
+    return value
 
 
 def hp_series_reference(n: int, max_degree: int) -> SeriesPrefix:

@@ -118,33 +118,18 @@ def _linear(terms, cell: str = "a[{}]") -> str:
     return out
 
 
-def _compile(source: str, filename: str, name: str):
-    """Function `name` from generated source.  The source is registered with
-    linecache under its filename, so tracebacks, profiles and
-    inspect.getsource show the generated lines."""
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"__name__": __name__}
-    exec(compile(source, filename, "exec"), namespace)
+def _compile(source: str | list[str], filename: str, name: str):
+    """Function `name` from generated source: a string, or pieces compiled one
+    by one into one namespace, as compile()'s transient memory grows with the
+    tokens of one call.  The whole source is registered with linecache under
+    its filename, so tracebacks, profiles and inspect.getsource show it."""
+    pieces = [source] if isinstance(source, str) else source
+    text, namespace, line = "".join(pieces), {"__name__": __name__}, 0
+    linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
+    for piece in pieces:  # behind newlines, so a piece keeps its own line numbers
+        exec(compile("\n" * line + piece, filename, "exec"), namespace)
+        line += piece.count("\n")
     return namespace[name]
-
-
-def _in_cone_source(n: int) -> str:
-    """One boolean expression: the apex test, then one line per cone row in
-    cone_rows order, so evaluation stops at the first failing row."""
-    lines = ["def in_cone(a):", "    return (a[0] == 0"]
-    for kind, i, j, terms in cone_rows(n):
-        _require_unit((c for _, c in terms), f"cone row {kind} ({i}, {j})")
-        lines.append(f"            and {_linear(terms)} >= 0")
-    lines[-1] += ")"
-    return "\n".join(lines) + "\n"
-
-
-@lru_cache(maxsize=32)
-def membership(n: int):
-    """The compiled rank-n membership predicate: called on flat row-major
-    coordinates, it returns whether they form a hive (apex zero and every
-    cone row satisfied)."""
-    return _compile(_in_cone_source(n), f"<hivealg in_cone n={n}>", "in_cone")
 
 
 @lru_cache(maxsize=32)

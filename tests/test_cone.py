@@ -8,9 +8,8 @@ from hivealg.cone import (ConePresentation, NoDecompositionError, decompose,
                           hives_up_to_degree, inequalities_input_text,
                           presentation, undecomposable_hives,
                           verify_relations)
-from hivealg.hive import (Hive, cone_rows, hive_violations, membership,
-                          triangle_size)
-from test_hive_properties import interpreted_decompositions
+from hivealg.hive import Hive, cone_rows, hive_violations, triangle_size
+from test_hive_properties import decomposes, interpreted_decompositions
 
 RANK4_INEQUALITY_ROWS = [
     "-1 1 0 0 0 0 0 0 0 0 0 0 0 0 0",
@@ -75,7 +74,7 @@ def test_export_writes_each_cone_row_then_the_apex_equation(n):
 
 def test_rank2_system_shape_and_zero_membership():
     assert inequalities_input_text(2).splitlines()[:2] == [str(6 + 3), "6"]
-    assert membership(2)((0,) * 6)
+    assert decompose(Hive.from_flat((0,) * 6), presentation(2)) == ()
     with pytest.raises(ValueError, match="rank must be >= 2"):
         inequalities_input_text(1)
 
@@ -100,7 +99,7 @@ def test_membership_agrees_with_validation_on_random_arrays(n):
             rows.append(flat[k:k + i])
             k += i
         valid = flat[0] == 0 and not hive_violations(rows)
-        assert membership(n)(tuple(flat)) == valid
+        assert decomposes(flat, n) == valid
         members += valid
     assert 0 < members < 1000  # sample straddles the boundary
 
@@ -212,6 +211,13 @@ def test_basis_is_minimal(n):
     for drop in range(len(pres.basis)):
         with pytest.raises(NoDecompositionError):
             decompose(pres.basis[drop], without(pres, drop))
+
+
+def test_a_zero_basis_element_is_rejected():
+    # it bounds no multiplicity: the search could not be built
+    pres = presentation(2)
+    with pytest.raises(ValueError, match="a basis element raises no cone row"):
+        decompose(pres.basis[0], ConePresentation(2, (zero_hive(2),) + pres.basis, ()))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -164,6 +164,20 @@ def test_closed_form_rejects_non_integers(numerator, exponents, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("function, args, message", [
+    (hp_series_closed_form, ((1,), (1,), 2.5), "max_degree 2.5 is not an integer"),
+    (hp_series_enumerated, (3, 2.5), "max_degree 2.5 is not an integer"),
+    (md_sum, (3, 2.5), "degree 2.5 is not an integer"),
+    (cone.hives_up_to_degree, (3, 2.5), "max_degree 2.5 is not an integer"),
+    (cone.hilbert_basis, (3, 2.5), "max_degree 2.5 is not an integer"),
+    (cone.hilbert_basis, (3, "12"), "max_degree '12' is not an integer"),
+])
+def test_degree_bounds_reject_non_integers(function, args, message):
+    with pytest.raises(ValueError) as err:
+        function(*args)
+    assert str(err.value) == message
+
+
 def test_denominator_degree_counts():
     assert sorted(SERIES_DENOMINATOR[3]) == [1, 1, 2, 2, 2, 3, 3, 3, 3, 4]
     assert sorted(SERIES_DENOMINATOR[4]) == [1] * 4 + [2] * 6 + [12] * 4
@@ -275,7 +289,8 @@ def test_boundary_triple_keeps_padded_tuples():
 # (d, n) keys of a series batch (hp-series -n 4 to 15 and -n 5 to 11); every
 # rank with generators (2, 3, 4).
 LEAST_MAXSIZE = {cone.hives_up_to_degree: 4, shapes.partitions_of: 28, cone.presentation: 3,
-                 polynomial.variable_labels: 3, tensor_algebra.build_generators: 3}
+                 cone._search: 3, polynomial.variable_labels: 3,
+                 tensor_algebra.build_generators: 3}
 
 
 def package_caches() -> list:

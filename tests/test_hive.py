@@ -5,7 +5,7 @@ import pytest
 from hivealg import hive as hive_module
 from hivealg.cone import hives_up_to_degree, presentation
 from hivealg.hive import (Hive, InvalidHiveError, MalformedArrayError,
-                          hive_violations, membership, triangle_size)
+                          hive_violations, triangle_size)
 
 WORKED_H = ((0,), (2, 3), (3, 4, 5), (3, 5, 6, 6))
 WORKED_H_PRIME = ((0,), (2, 3), (3, 5, 5), (3, 5, 6, 6))
@@ -108,8 +108,9 @@ def test_difference_detects_cone_exit():
                                            pres.basis[0].to_flat()))
 
     rest = minus_h1(WORKED_H_PRIME)   # h' - h_1 = h_6 + h_7
-    assert membership(3)(rest) and rest == (pres.basis[5] + pres.basis[6]).to_flat()
-    assert not membership(3)(minus_h1(WORKED_H))
+    assert Hive.from_flat(rest) == pres.basis[5] + pres.basis[6]
+    with pytest.raises(InvalidHiveError):
+        Hive.from_flat(minus_h1(WORKED_H))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -1,6 +1,6 @@
 """Property tests of the one list of hive conditions (hive.cone_rows): the
-membership predicate, the violation report and decomposition agree; and of
-the flat storage of Hive against rows read off by row length."""
+violation report and decomposition, which no array outside the cone passes,
+agree; and of the flat storage of Hive against rows read off by row length."""
 
 from itertools import islice
 
@@ -11,9 +11,19 @@ from hypothesis import strategies as st
 from hivealg.cone import (NoDecompositionError, decompose, hives_up_to_degree,
                           presentation)
 from hivealg.hive import (Hive, InvalidHiveError, cone_rows, flat_index,
-                          hive_violations, membership, triangle_size)
+                          hive_violations, triangle_size)
 
 RANKS = st.integers(2, 5)
+
+
+def decomposes(flat, n):
+    """Whether the array decomposes over the pinned rank-n basis (n = 2..4),
+    which, the basis being complete, is whether it is a hive."""
+    try:
+        decompose(Hive(n, tuple(flat)), presentation(n))
+    except NoDecompositionError:
+        return False
+    return True
 
 
 def zero_hive(n):
@@ -61,7 +71,8 @@ arrays = st.one_of(random_arrays(), perturbed_hives())
 @given(arrays)
 def test_in_cone_agrees_with_violation_report(case):
     n, flat = case
-    assert membership(n)(flat) == (flat[0] == 0 and hive_violations(rows_of(flat, n)) == [])
+    assume(n <= 4)
+    assert decomposes(flat, n) == (flat[0] == 0 and hive_violations(rows_of(flat, n)) == [])
 
 
 @settings(max_examples=300)
@@ -71,7 +82,7 @@ def test_increasing_edge_is_rejected_by_a_rhombus(case):
     assume(any(a < b for edge in edges_of(flat, n) for a, b in zip(edge, edge[1:])))
     found = hive_violations(rows_of(flat, n))
     assert any(v.kind.startswith("rhombus") for v in found)
-    assert not membership(n)(flat)
+    assert n > 4 or not decomposes(flat, n)
     with pytest.raises(InvalidHiveError):
         Hive.from_rows(rows_of(flat, n))
 
@@ -118,8 +129,8 @@ def test_decompose_sums_back_to_the_hive(case):
 
 
 def interpreted_decompositions(hive, pres, first_only):
-    """The decomposition search as it read before membership was generated:
-    each trial subtraction is summed row by row over cone_rows.  With
+    """The decomposition search as it read before it was generated: each
+    trial subtraction is summed row by row over cone_rows.  With
     first_only it stops at the first decomposition found; without, it returns
     the hive's fibre, its full set of decompositions."""
     n = pres.n
@@ -188,3 +199,10 @@ def test_apex_one_array_has_no_decomposition():
     assert interpreted_decompositions(shifted, presentation(4), False) == set()
     with pytest.raises(NoDecompositionError):
         decompose(shifted, presentation(4))
+    # shifted by -1, a basis hive of degree 1 keeps its rows and has degree
+    # 0: a search that read the degree alone would return ()
+    for b in presentation(4).basis:
+        shifted = Hive(4, tuple(v - 1 for v in b.flat))
+        assert shifted.flat[0] == -1
+        with pytest.raises(NoDecompositionError):
+            decompose(shifted, presentation(4))

@@ -1,17 +1,20 @@
-"""The generated code: the hive kernel (counting._kernel) and the cone
-membership predicate (hive.membership).  Both build at every rank and their
-source is inspectable; the kernel nests one loop per interior entry, split
+"""The generated code: the hive kernel (counting._kernel) and the
+decomposition search (cone._search).  Both build and their source is
+inspectable; the kernel nests one loop per interior entry, split
 across functions only at CPython's block limit; its plan holds the cone
 rows plus cancelled pairs of them, all of which every hive satisfies, and
 its bottom-row-up fill order prunes; enumeration comes out in
 lexicographic order whatever the search order; counts agree with
 enumeration and with the tableau route, also at ranks whose nest passes
-that limit, and with the symmetries and saturation of LR coefficients; and
-membership agrees with a row-by-row reading of cone_rows."""
+that limit, and with the symmetries and saturation of LR coefficients.  The
+search bounds each basis element by the rows it raises, in pieces of a few
+levels, and agrees with the interpreted search and with a row-by-row reading
+of cone_rows on any array."""
 
 import inspect
 import linecache
 import re
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 from itertools import product, takewhile
@@ -20,13 +23,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hivealg import counting, hive
-from hivealg.cone import hives_up_to_degree
+from hivealg import cone, counting
+from hivealg.cone import ConePresentation, hilbert_basis, hives_up_to_degree, presentation
 from hivealg.counting import _kernel, enumerate_hives, lr_coefficient, lr_via_tableaux
-from hivealg.hive import (cone_rows, flat_index, hive_violations, membership,
-                          triangle_size)
+from hivealg.hive import Hive, cone_rows, flat_index, hive_violations, triangle_size
 from hivealg.shapes import contains, pad, partitions_of
 from test_counting import swept_triples
+from test_hive_properties import interpreted_decompositions
 
 
 @pytest.mark.parametrize("count", [True, False])
@@ -548,7 +551,8 @@ def test_fill_plan_prunes_rank6():
 
 
 # ---------------------------------------------------------------------------
-# The membership predicate
+# The decomposition search (cone._search), which is also the membership test:
+# an array that is not a hive never decomposes
 
 def interpreted_in_cone(flat, n):
     """The membership test as it read before it was generated: the apex,
@@ -566,25 +570,51 @@ def rows_of(flat, n):
     return [flat[a:b] for a, b in zip(starts, starts[1:])]
 
 
+@lru_cache(maxsize=None)
+def search_presentation(n):
+    """The pinned presentation at n = 2, 3, 4; at other ranks the irreducible
+    hives of degree <= 2, a complete basis at n = 1 only."""
+    return presentation(n) if n in (2, 3, 4) else ConePresentation(n, hilbert_basis(n, 2), ())
+
+
+def search_source(pres):
+    """The whole generated search source, as linecache holds it."""
+    return "".join(linecache.getlines(cone._search(pres).__code__.co_filename))
+
+
+def raised_rows(pres):
+    """Per basis element b, {cone row r: row(b)} over the rows with row(b) > 0."""
+    rows = [terms for *_, terms in cone_rows(pres.n)]
+    return [{r: value for r, terms in enumerate(rows)
+             if (value := sum(c * b.flat[k] for k, c in terms)) > 0} for b in pres.basis]
+
+
 def test_in_cone_builds_for_every_rank():
-    for n in range(1, 11):
-        assert membership(n)((0,) * triangle_size(n)) is True
+    for n in range(1, 7):
+        assert cone._search(search_presentation(n))((0,) * triangle_size(n)) == ()
 
 
 def test_in_cone_source_is_inspectable():
-    predicate = membership(4)
-    source = inspect.getsource(predicate)
-    assert predicate.__code__.co_filename == "<hivealg in_cone n=4>"
-    assert "    return (a[0] == 0\n" in source
+    search = cone._search(presentation(4))
+    source = search_source(presentation(4))
+    assert re.fullmatch(r"<hivealg decompose n=4 basis [0-9a-f]{8}>", search.__code__.co_filename)
+    assert inspect.getsource(search).startswith("def search(a):\n    if a[0]:\n        return None\n")
     # rhombus family 2 at (i, j) = (2, 1): h[2][1] + h[2][2] >= h[3][2] + h[1][1]
-    assert "            and a[1] + a[2] - a[4] - a[0] >= 0\n" in source
+    assert "    s12 = a[1] + a[2] - a[4] - a[0]\n" in source
+    # h_1 raises five rows by one; the first four are read again later
+    assert ("    top = s4\n    t = s8\n    if t < top: top = t\n"
+            "    t = s18\n    if t < top: top = t\n    t = s19\n    if t < top: top = t\n"
+            "    t = s21\n    if t < top: top = t\n"
+            "    for c0 in range(top, -1, -1):\n"
+            "        s4_0 = s4 - c0\n") in source
+    assert (" return (1,) * c0 + (2,) * c1 + (3,) * c2 + (4,) * c3 + found\n"
+            "\ndef _levels4(") in source
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_in_cone_source_lists_every_row_in_order(n):
-    # read each row line back into {flat index: coeff}, independently of _linear
-    lines = [line for line in inspect.getsource(membership(n)).splitlines()
-             if line.endswith(">= 0") or line.endswith(">= 0)")]
+    # read each slack line back into {flat index: coeff}, independently of _linear
+    lines = re.findall(r"^    s\d+ = (.*)$", search_source(search_presentation(n)), re.M)
     read = [{int(k): (-1 if sign == "-" else 1)
              for sign, k in re.findall(r"(-?)\s*a\[(\d+)\]", line)} for line in lines]
     assert read == [dict(terms) for *_, terms in cone_rows(n)]
@@ -594,24 +624,26 @@ def test_in_cone_rejects_coefficients_other_than_one(monkeypatch):
     original = cone_rows(4)
     kind, i, j, terms = original[-1]
     bad = original[:-1] + ((kind, i, j, ((terms[0][0], 2),) + terms[1:]),)
-    monkeypatch.setattr(hive, "cone_rows", lambda n: bad)
+    monkeypatch.setattr(cone, "cone_rows", lambda n: bad)
     with pytest.raises(ValueError, match="coefficient other than"):
-        hive._in_cone_source(4)
+        cone._search.__wrapped__(presentation(4))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_in_cone_zero_and_shifted_arrays(n):
     size = triangle_size(n)
-    assert membership(n)([0] * size)   # every row holds with equality
+    search = cone._search(search_presentation(n))
+    assert search([0] * size) == ()   # every row holds with equality
     # each row's coefficients sum to 0, so a constant shift fails the apex only
     assert [v.kind for v in hive_violations(rows_of([1] * size, n))] == ["apex"]
-    assert not membership(n)([1] * size)
+    assert search([1] * size) is None and search([-1] * size) is None
 
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_in_cone_rejects_each_row_failing_alone(n):
     """Single-entry moves of hives of degree <= 6 that fail exactly one cone
     row; they reach every row that the other rows do not imply."""
+    search = cone._search(search_presentation(n))
     failing_alone = set()
     for h in hives_up_to_degree(n, 6):
         flat = list(h.to_flat())
@@ -620,7 +652,7 @@ def test_in_cone_rejects_each_row_failing_alone(n):
                 moved = flat[:k] + [flat[k] + step] + flat[k + 1:]
                 found = hive_violations(rows_of(moved, n))
                 if len(found) == 1:
-                    assert not membership(n)(moved)
+                    assert search(moved) is None
                     failing_alone.add((found[0].kind, found[0].i, found[0].j))
     # the rhombus rows make every edge decrease and give
     # lambda_n >= mu_n + nu_n, so only the edge rows of part n are needed
@@ -646,5 +678,49 @@ def membership_cases(draw):
 @settings(max_examples=500)
 @given(membership_cases())
 def test_in_cone_agrees_with_interpreted_rows(case):
+    # on any array, hive or not, the first match of the interpreted search
     n, flat = case
-    assert membership(n)(flat) == interpreted_in_cone(flat, n)
+    pres = search_presentation(n)
+    found = cone._search(pres)(flat)
+    assert ({found} - {None}) == interpreted_decompositions(Hive(n, tuple(flat)), pres, True)
+    if n <= 4:   # a complete basis: every hive decomposes
+        assert (found is not None) == interpreted_in_cone(flat, n)
+
+
+def search_levels(source):
+    """Read the generated search: {level k: {cone row: divisor}} from the
+    bound lines before `for c<k>`, and the levels of each function in turn."""
+    levels, functions, bounds = {}, [], {}
+    for line in source.splitlines():
+        if line.startswith("def "):
+            functions.append([])
+        elif match := re.fullmatch(r"\s*(?:top|t) = s(\d+)(?:_\d+)?(?: // (\d+))?", line):
+            bounds[int(match[1])] = int(match[2] or 1)
+        elif match := re.fullmatch(r"\s*for c(\d+) in range\(top, -1, -1\):", line):
+            levels[int(match[1])], bounds = bounds, {}
+            functions[-1].append(int(match[1]))
+    return levels, functions
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_search_bounds_each_level_by_the_rows_its_element_raises(n):
+    pres = presentation(n)
+    levels, functions = search_levels(search_source(pres))
+    assert levels == dict(enumerate(raised_rows(pres)))
+    # basis order, one function per cone._CHUNK levels
+    size = len(pres.basis)
+    assert functions == [list(range(p, min(p + cone._CHUNK, size)))
+                         for p in range(0, size, cone._CHUNK)]
+
+
+def test_building_the_rank4_search_stays_small():
+    # the 20-level nest compiled in one piece peaks at about 2.2 MB, enough
+    # to push the decompose benchmark's peak RSS past its bound
+    presentation(4)
+    tracemalloc.start()
+    try:
+        cone._search.__wrapped__(presentation(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
