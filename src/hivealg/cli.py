@@ -12,13 +12,14 @@ import json
 import shlex
 import sys
 
-from . import cone, counting, tensor_algebra
+from . import cone, counting, tableau, tensor_algebra
 from .hive import Hive
+from .polynomial import render_monomial
 from .report import CheckResult, ConsistencyError, failures
 from .shapes import is_dominant, normalize
 
 COUNTING_RANKS = range(2, 9)
-PRESENTED_RANKS = (2, 3, 4)
+PRESENTED_RANKS = tuple(cone.HILBERT_BASIS_COORDS)
 
 
 class UsageError(Exception):
@@ -80,12 +81,6 @@ def _series_text(coeffs) -> list[str]:
             " + ".join(terms) + " + ..."]
 
 
-def _require_rank(n: int, allowed, what: str) -> None:
-    if n not in allowed:
-        raise UsageError(f"-n {n} is out of range for {what} "
-                         f"(supported: {', '.join(str(v) for v in allowed)})")
-
-
 def _boundary_args(args):
     return (_parse_partition(args.lam, "--lambda"),
             _parse_partition(args.mu, "--mu"),
@@ -93,13 +88,18 @@ def _boundary_args(args):
 
 
 def build_parser() -> _Parser:
+    """One subparser per subcommand, each stating its flags, its handler and,
+    for each --format choice, the ranks -n may take with the wording that
+    rejects any other.  A handler writes the output and returns None, or
+    the exit code when that is not 0."""
     parser = _Parser(prog="hivealg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, boundary=False, hive=False, degree=None,
-               formats=("text", "json")):
+    def command(name, help, handler, formats, boundary=False, hive=False, degree=None):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler, formats=formats)
         p.add_argument("-n", type=int, required=True, help="rank of GL(n)")
-        p.add_argument("--format", choices=formats, default=formats[0])
+        p.add_argument("--format", choices=tuple(formats), default=next(iter(formats)))
         p.add_argument("--output", help="write output to a file instead of stdout")
         if boundary:
             p.add_argument("--lambda", dest="lam", help="outer shape, e.g. 3,2,1")
@@ -109,24 +109,29 @@ def build_parser() -> _Parser:
             p.add_argument("--hive", help="rows separated by ';', entries by ','")
         if degree is not None:
             p.add_argument("--max-degree", type=int, default=degree)
+        return p
 
-    common(sub.add_parser("lrcoef", help="Littlewood-Richardson coefficient"), boundary=True)
-    common(sub.add_parser("hives", help="all hives with a given boundary"), boundary=True)
-    common(sub.add_parser("tableaux", help="all LR tableaux with a given boundary"),
-           boundary=True)
-    p = sub.add_parser("hp-series", help="Hilbert-Poincare series coefficients")
-    common(p, degree=9)
-    p.add_argument("--method", choices=("enum", "closed", "both"), default=None)
-    common(sub.add_parser("hilbert-basis", help="irreducible hives up to a degree bound"),
-           degree=12)
-    common(sub.add_parser("decompose", help="express a hive over the Hilbert basis"),
-           hive=True)
-    common(sub.add_parser("hwv", help="highest weight vectors for a hive or boundary"),
-           boundary=True, hive=True)
-    common(sub.add_parser("verify", help="run the relation/generator/identity suite"))
-    common(sub.add_parser("export-cone",
-                          help="emit the cone in a lattice-tool input format"),
-           formats=("appendix-inequalities", "appendix-generators"))
+    def text_or_json(ranks, what):
+        return dict.fromkeys(("text", "json"), (ranks, what))
+
+    counted = text_or_json(COUNTING_RANKS, "counting")
+    command("lrcoef", "Littlewood-Richardson coefficient", _lrcoef, counted, boundary=True)
+    command("hives", "all hives with a given boundary", _hives, counted, boundary=True)
+    command("tableaux", "all LR tableaux with a given boundary", _tableaux, counted,
+            boundary=True)
+    command("hp-series", "Hilbert-Poincare series coefficients", _hp_series, counted,
+            degree=9).add_argument("--method", choices=("enum", "closed", "both"), default=None)
+    command("hilbert-basis", "irreducible hives up to a degree bound", _hilbert_basis,
+            counted, degree=12)
+    command("decompose", "express a hive over the Hilbert basis", _decompose,
+            text_or_json(PRESENTED_RANKS, "cone presentations"), hive=True)
+    command("hwv", "highest weight vectors for a hive or boundary", _hwv,
+            text_or_json(PRESENTED_RANKS, "tensor product algebras"), boundary=True, hive=True)
+    command("verify", "run the relation/generator/identity suite", _verify,
+            text_or_json(PRESENTED_RANKS, "verification"))
+    command("export-cone", "emit the cone in a lattice-tool input format", _export_cone,
+            {"appendix-inequalities": (COUNTING_RANKS, "cone export"),
+             "appendix-generators": (PRESENTED_RANKS, "cone presentations")})
     return parser
 
 
@@ -134,7 +139,11 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        code = _dispatch(args)
+        ranks, what = args.formats[args.format]
+        if args.n not in ranks:
+            raise UsageError(f"-n {args.n} is out of range for {what} "
+                             f"(supported: {', '.join(str(v) for v in ranks)})")
+        code = args.handler(args) or 0
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -150,72 +159,24 @@ def run(argv) -> int:
     return code
 
 
-def _dispatch(args) -> int:
-    cmd = args.command
-
-    if cmd == "lrcoef":
-        _require_rank(args.n, COUNTING_RANKS, "counting")
-        lam, mu, nu = _boundary_args(args)
-        c = counting.lr_coefficient(args.n, lam, mu, nu)
-        _emit(args, [str(c)], {"n": args.n, "lambda": list(lam), "mu": list(mu),
-                               "nu": list(nu), "lr_coefficient": c})
-        return 0
-
-    if cmd == "hives":
-        _require_rank(args.n, COUNTING_RANKS, "counting")
-        hives = counting.enumerate_hives(args.n, *_boundary_args(args))
-        _emit(args, [str(h) for h in hives], [h.to_json_dict() for h in hives])
-        return 0
-
-    if cmd == "tableaux":
-        _require_rank(args.n, COUNTING_RANKS, "counting")
-        from .tableau import enumerate_tableaux
-
-        tabs = enumerate_tableaux(args.n, *_boundary_args(args))
-        _emit(args, [str(t) for t in tabs], [t.to_json_dict() for t in tabs])
-        return 0
-
-    if cmd == "hp-series":
-        return _hp_series(args)
-
-    if cmd == "hilbert-basis":
-        _require_rank(args.n, COUNTING_RANKS, "counting")
-        basis = cone.hilbert_basis(args.n, args.max_degree)
-        _emit(args, [" ".join(str(v) for v in h.flat) for h in basis],
-              [h.to_json_dict() for h in basis])
-        return 0
-
-    if cmd == "decompose":
-        _require_rank(args.n, PRESENTED_RANKS, "cone presentations")
-        if args.hive is None:
-            raise UsageError("decompose requires --hive")
-        hive = _parse_hive(args.hive, args.n)
-        indices = cone.decompose(hive, cone.presentation(args.n))
-        _emit(args, [" ".join(str(k) for k in indices)],
-              {"n": args.n, "hive": hive.to_json_dict(), "indices": list(indices)})
-        return 0
-
-    if cmd == "hwv":
-        return _hwv(args)
-
-    if cmd == "verify":
-        return _verify(args)
-
-    if cmd == "export-cone":
-        if args.format == "appendix-generators":
-            _require_rank(args.n, PRESENTED_RANKS, "cone presentations")
-            text = cone.generators_input_text(args.n)
-        else:
-            _require_rank(args.n, COUNTING_RANKS, "cone export")
-            text = cone.inequalities_input_text(args.n)
-        _write(args, text)
-        return 0
-
-    raise UsageError(f"unknown command {cmd!r}")
+def _lrcoef(args) -> None:
+    lam, mu, nu = _boundary_args(args)
+    c = counting.lr_coefficient(args.n, lam, mu, nu)
+    _emit(args, [str(c)], {"n": args.n, "lambda": list(lam), "mu": list(mu),
+                           "nu": list(nu), "lr_coefficient": c})
 
 
-def _hp_series(args) -> int:
-    _require_rank(args.n, COUNTING_RANKS, "counting")
+def _hives(args) -> None:
+    hives = counting.enumerate_hives(args.n, *_boundary_args(args))
+    _emit(args, [str(h) for h in hives], [h.to_json_dict() for h in hives])
+
+
+def _tableaux(args) -> None:
+    tabs = tableau.enumerate_tableaux(args.n, *_boundary_args(args))
+    _emit(args, [str(t) for t in tabs], [t.to_json_dict() for t in tabs])
+
+
+def _hp_series(args) -> None:
     if args.max_degree < 0:
         raise UsageError("--max-degree must be >= 0")
     method = args.method or ("both" if args.n in PRESENTED_RANKS else "enum")
@@ -233,19 +194,30 @@ def _hp_series(args) -> int:
     _emit(args, _series_text(coeffs),
           {"n": args.n, "max_degree": args.max_degree, "method": method,
            "coefficients": list(coeffs)})
-    return 0
 
 
-def _hwv(args) -> int:
-    _require_rank(args.n, PRESENTED_RANKS, "tensor product algebras")
+def _hilbert_basis(args) -> None:
+    basis = cone.hilbert_basis(args.n, args.max_degree)
+    _emit(args, [" ".join(str(v) for v in h.flat) for h in basis],
+          [h.to_json_dict() for h in basis])
+
+
+def _decompose(args) -> None:
+    if args.hive is None:
+        raise UsageError("decompose requires --hive")
+    hive = _parse_hive(args.hive, args.n)
+    indices = cone.decompose(hive, cone.presentation(args.n))
+    _emit(args, [" ".join(str(k) for k in indices)],
+          {"n": args.n, "hive": hive.to_json_dict(), "indices": list(indices)})
+
+
+def _hwv(args) -> None:
     if args.hive is not None:
         if any(v is not None for v in (args.lam, args.mu, args.nu)):
             raise UsageError("hwv takes either --hive or --lambda/--mu/--nu, not both")
         vectors = [tensor_algebra.highest_weight_vector(args.n, _parse_hive(args.hive, args.n))]
     else:
         vectors = tensor_algebra.hwv_basis(args.n, *_boundary_args(args))
-    from .polynomial import render_monomial
-
     lines = []
     for v in vectors:
         exps, _ = v.polynomial.leading_term()
@@ -255,11 +227,9 @@ def _hwv(args) -> int:
         lines.append(f"polynomial: {v.polynomial}")
         lines.append("")
     _emit(args, lines, [v.to_json_dict() for v in vectors])
-    return 0
 
 
 def _verify(args) -> int:
-    _require_rank(args.n, PRESENTED_RANKS, "verification")
     n = args.n
     results: list[CheckResult] = []
     results += cone.verify_relations(cone.presentation(n))
@@ -281,6 +251,11 @@ def _verify(args) -> int:
                         "checks": [{"name": r.name, "ok": r.ok, "detail": r.detail}
                                    for r in results]})
     return 2 if bad else 0
+
+
+def _export_cone(args) -> None:
+    _write(args, cone.generators_input_text(args.n) if args.format == "appendix-generators"
+           else cone.inequalities_input_text(args.n))
 
 
 def main() -> None:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import sub
 
-from .counting import _check_rank, _integer, _interval, _kernel, _padded_partitions
+from .counting import _integer, _interval, _kernel, _padded_partitions
 from .hive import Hive, _compile, _linear, _require_unit, cone_rows, triangle_size
 from .report import CheckResult, ConsistencyError
 
@@ -97,7 +97,7 @@ def hives_up_to_degree(n: int, max_degree: int) -> tuple[Hive, ...]:
     """Every hive of degree <= max_degree, sorted by (degree, coordinates):
     for each degree d, the pairs enumerate kernel's hives over every (mu,
     nu) with |mu| + |nu| = d, the lambda edge free."""
-    _check_rank(n)
+    n = _integer("rank", n, 1)
     max_degree = _integer("max_degree", max_degree, 0)
     flats, by_size = _kernel(n, False, True), _padded_partitions(n, max_degree)
     return tuple(Hive(n, flat) for d in range(max_degree + 1)

@@ -186,11 +186,6 @@ def _padded_partitions(n: int, d: int) -> list[list[Parts]]:
     return [[pad(p, n) for p in partitions_of(j, n)] for j in range(d + 1)]
 
 
-def _check_rank(n: int) -> None:
-    if n < 1:
-        raise ValueError("rank must be >= 1")
-
-
 @lru_cache(maxsize=32)
 def _triple_check(n: int):
     """The compiled rank-n check on a triple padded to length n: each part
@@ -211,7 +206,7 @@ def _boundary_triple(n, lam, mu, nu) -> tuple[Parts, Parts, Parts] | None:
     checked as given and only the error message strips them; nonzero parts
     beyond n admit no hive.  A tuple of length n is returned as it is, not
     copied."""
-    _check_rank(n)
+    n = _integer("rank", n, 1)
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
     if len(lam) > n or len(mu) > n or len(nu) > n:
         require_partitions(lam, mu, nu)
@@ -243,7 +238,7 @@ def lr_coefficient(n, lam, mu, nu) -> int:
 
 def lr_via_tableaux(n, lam, mu, nu) -> int:
     """Independent count of the same coefficient by tableau enumeration."""
-    _check_rank(n)
+    n = _integer("rank", n, 1)
     return len(enumerate_tableaux(n, lam, mu, nu))
 
 
@@ -257,7 +252,7 @@ def md_sum(n: int, d: int) -> int:
     with |mu| <= |nu| are swept: a pair with |mu| < |nu| counts twice; on
     the diagonal |mu| = |nu|, mu before nu in partitions_of order counts
     twice and mu = nu once."""
-    _check_rank(n)
+    n = _integer("rank", n, 1)
     d = _integer("degree", d, 0)
     count, total, by_size = _kernel(n, True, True), 0, _padded_partitions(n, d)
     for j in range(d // 2 + 1):
@@ -272,7 +267,7 @@ def md_sum(n: int, d: int) -> int:
 
 def hp_series_enumerated(n: int, max_degree: int) -> SeriesPrefix:
     """Coefficients m_0..m_D of the Hilbert-Poincare series, by enumeration."""
-    _check_rank(n)
+    n = _integer("rank", n, 1)
     max_degree = _integer("max_degree", max_degree, 0)
     return tuple(md_sum(n, d) for d in range(max_degree + 1))
 
@@ -377,7 +372,7 @@ def _schur_product_expansion(n: int, mu: Parts, nu: Parts) -> dict:
 
 def lr_via_schur(n, lam, mu, nu) -> int:
     """Third route: coefficient of s_lam in the product s_mu * s_nu."""
-    _check_rank(n)
+    n = _integer("rank", n, 1)
     lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
     require_partitions(lam, mu, nu)
     if max(len(lam), len(mu), len(nu)) > n or sum(lam) != sum(mu) + sum(nu):

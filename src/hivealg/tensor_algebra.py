@@ -11,6 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import cone
+from .counting import enumerate_hives
 from .hive import Boundary, Hive
 from .polynomial import (ColumnTableau, Polynomial, Weight, det, minor,
                          monomial_exponents, raising_derivation,
@@ -179,8 +180,6 @@ def hwv_basis(n: int, lam, mu, nu) -> list[HighestWeightVector]:
     """One highest weight vector per hive with boundary (lam, mu, nu); their
     initial monomials are asserted pairwise distinct, so they are a basis of
     the corresponding graded component."""
-    from .counting import enumerate_hives
-
     vectors = [highest_weight_vector(n, h) for h in enumerate_hives(n, lam, mu, nu)]
     initials = [v.polynomial.leading_term()[0] for v in vectors]
     if len(set(initials)) != len(initials):
@@ -206,22 +205,26 @@ def verify_presentation_relations(n: int) -> list[CheckResult]:
     return results
 
 
-def verify_independence(trials: int = 5, seed: int = 20240814) -> list[CheckResult]:
+_INDEPENDENCE_TRIALS = 5
+_INDEPENDENCE_SEED = 20240814
+
+
+def verify_independence() -> list[CheckResult]:
     """Algebraic independence of the five rank-2 generators: the 5 x 8
     Jacobian has full rank at some random integer point (exact rank over the
     rationals), which suffices in characteristic zero."""
     table = build_generators(2)
     jacobian = [[g.partial(*var) for var in variable_labels(2)] for g in table.generators]
-    rng = random.Random(seed)
+    rng = random.Random(_INDEPENDENCE_SEED)
     ranks = []
-    for _ in range(trials):
+    for _ in range(_INDEPENDENCE_TRIALS):
         point = [rng.randint(-9, 9) for _ in range(variable_count(2))]
         if not any(point):
             point[0] = 1
         rows = [[Fraction(entry.evaluate(point)) for entry in row] for row in jacobian]
         ranks.append(_rank(rows))
     ok = max(ranks) == len(table.generators)
-    detail = f"jacobian ranks at {trials} sample points: {ranks}"
+    detail = f"jacobian ranks at {_INDEPENDENCE_TRIALS} sample points: {ranks}"
     return [CheckResult("rank-2 generators algebraically independent", ok, detail)]
 
 

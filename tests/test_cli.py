@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hivealg.cli import run
+from hivealg.cli import build_parser, run
 from hivealg.cone import hives_up_to_degree
 
 
@@ -28,6 +29,32 @@ def test_lrcoef_json(capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj == {"n": 3, "lambda": [3, 2, 1], "mu": [2, 1], "nu": [2, 1],
                    "lr_coefficient": 2}
+
+
+def rank_rejections():
+    """For each subcommand and --format choice that build_parser declares,
+    the -n just below and just above the ranks it supports."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sub in commands.choices.items():
+        for fmt, (ranks, _) in sub.get_default("formats").items():
+            for n in (min(ranks) - 1, max(ranks) + 1):
+                yield pytest.param([name, "-n", str(n), "--format", fmt], ranks,
+                                   id=f"{name}-{fmt}-{n}")
+
+
+@pytest.mark.parametrize("argv, ranks", rank_rejections())
+def test_each_subcommand_rejects_a_rank_outside_its_table(capsys, argv, ranks):
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "out of range" in err
+    assert err.rstrip().endswith(f"(supported: {', '.join(str(v) for v in ranks)})")
+
+
+def test_export_cone_ranks_follow_the_format(capsys):
+    assert run(["export-cone", "-n", "5", "--format", "appendix-generators"]) == 1
+    assert "supported: 2, 3, 4)" in capsys.readouterr().err
+    assert run(["export-cone", "-n", "5", "--format", "appendix-inequalities"]) == 0
 
 
 def test_hp_series_rank4(capsys):

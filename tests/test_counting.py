@@ -178,6 +178,26 @@ def test_degree_bounds_reject_non_integers(function, args, message):
     assert str(err.value) == message
 
 
+TRIPLE = ((2, 1), (1,), (1,))
+
+
+@pytest.mark.parametrize("function, args, message", [
+    (lr_coefficient, ("3", *TRIPLE), "rank '3' is not an integer"),
+    (lr_coefficient, (2.5, *TRIPLE), "rank 2.5 is not an integer"),
+    (enumerate_hives, (2.5, *TRIPLE), "rank 2.5 is not an integer"),
+    (lr_via_tableaux, (2.5, *TRIPLE), "rank 2.5 is not an integer"),
+    (lr_via_schur, (2.5, *TRIPLE), "rank 2.5 is not an integer"),
+    (md_sum, (2.5, 3), "rank 2.5 is not an integer"),
+    (hp_series_enumerated, (2.5, 3), "rank 2.5 is not an integer"),
+    (cone.hives_up_to_degree, (2.5, 3), "rank 2.5 is not an integer"),
+    (cone.hilbert_basis, (None, 3), "rank None is not an integer"),
+])
+def test_ranks_reject_non_integers(function, args, message):
+    with pytest.raises(ValueError) as err:
+        function(*args)
+    assert str(err.value) == message
+
+
 def test_denominator_degree_counts():
     assert sorted(SERIES_DENOMINATOR[3]) == [1, 1, 2, 2, 2, 3, 3, 3, 3, 4]
     assert sorted(SERIES_DENOMINATOR[4]) == [1] * 4 + [2] * 6 + [12] * 4
