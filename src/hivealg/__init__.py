@@ -7,7 +7,7 @@ from .cone import (ConePresentation, decompose, hilbert_basis,
 from .counting import (enumerate_hives, hp_series_closed_form,
                        hp_series_enumerated, hp_series_reference,
                        lr_coefficient, lr_via_schur, lr_via_tableaux, md_sum)
-from .hive import Boundary, Hive, InvalidHiveError, MalformedArrayError
+from .hive import Boundary, Hive, InvalidHiveError, MalformedArrayError, hive_violations
 from .polynomial import ColumnTableau, Polynomial, Weight, minor, raising_derivation
 from .shapes import is_dominant, partitions_of
 from .tableau import LRTableau, enumerate_tableaux, hive_to_tableau, tableau_to_hive
@@ -21,9 +21,9 @@ __all__ = [
     "HighestWeightVector", "Hive", "InvalidHiveError", "LRTableau",
     "MalformedArrayError", "Polynomial", "Weight", "build_generators",
     "decompose", "enumerate_hives", "enumerate_tableaux", "hilbert_basis",
-    "highest_weight_vector", "hive_to_tableau", "hives_up_to_degree",
-    "hp_series_closed_form", "hp_series_enumerated", "hp_series_reference",
-    "hwv_basis", "is_dominant", "lr_coefficient", "lr_via_schur",
-    "lr_via_tableaux", "md_sum", "minor", "partitions_of", "presentation",
-    "raising_derivation", "tableau_to_hive",
+    "highest_weight_vector", "hive_to_tableau", "hive_violations",
+    "hives_up_to_degree", "hp_series_closed_form", "hp_series_enumerated",
+    "hp_series_reference", "hwv_basis", "is_dominant", "lr_coefficient",
+    "lr_via_schur", "lr_via_tableaux", "md_sum", "minor", "partitions_of",
+    "presentation", "raising_derivation", "tableau_to_hive",
 ]

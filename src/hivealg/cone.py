@@ -8,9 +8,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import sub
 
-from .counting import _integer, _interval, _kernel, _padded_partitions
+from .counting import _interval, _kernel, _padded_partitions
 from .hive import Hive, _compile, _linear, _require_unit, cone_rows, triangle_size
 from .report import CheckResult, ConsistencyError
+from .shapes import _integer
 
 # Hilbert bases of the hive cones for n = 2, 3, 4 in the numbering used
 # throughout this package (h_1, h_2, ...), as flat row-major coordinates.
@@ -106,32 +107,25 @@ def hives_up_to_degree(n: int, max_degree: int) -> tuple[Hive, ...]:
 
 
 def hilbert_basis(n: int, max_degree: int = 12) -> tuple[Hive, ...]:
-    """All irreducible hives of degree <= max_degree: hives that are not the
-    sum of two nonzero hives.  Complete for the true Hilbert basis whenever
-    max_degree is at least twice the largest generator degree (a degree-d
-    reducible hive splits into parts of degree < d).  Sorted by (degree,
-    coordinates)."""
+    """The irreducible hives of degree <= max_degree, sorted by (degree,
+    coordinates): the nonzero hives that are not the sum of two nonzero
+    hives.  Nothing past max_degree is checked, so a generator of higher
+    degree would be missed.
+
+    One sweep over hives_up_to_degree in (degree, coordinates) order: a
+    nonzero hive is kept when no hive kept before it leaves a difference
+    among the hives already met.  So every hive met is a sum of kept hives,
+    and a hive is kept exactly when it is not such a sum."""
+    n = _integer("rank", n, 1)
     max_degree = _integer("max_degree", max_degree, 1)
-    return tuple(_new_generators(n, max_degree, ()))
-
-
-def _new_generators(n: int, max_degree: int, generators):
-    """The one sweep behind hilbert_basis and undecomposable_hives.
-
-    Walks the hives of degree <= max_degree in (degree, coordinates) order.
-    A nonzero hive is new when no generator leaves a difference among the
-    hives already met; a new hive is yielded and joins the generators.  So
-    every hive met is a sum of generators, and a hive is yielded exactly
-    when it is not such a sum.
-    """
-    gens = list(generators)
-    met = set()
+    basis, gens, met = [], [], set()
     for h in hives_up_to_degree(n, max_degree):
         flat = h.flat   # ends in the degree, 0 only for the zero hive
         if flat[-1] and not any(tuple(map(sub, flat, g)) in met for g in gens):
             gens.append(flat)
-            yield h
+            basis.append(h)
         met.add(flat)
+    return tuple(basis)
 
 
 @dataclass(frozen=True)
@@ -250,23 +244,13 @@ def decompose(hive: Hive, pres: ConePresentation) -> tuple[int, ...]:
     return found
 
 
-def undecomposable_hives(n: int, max_degree: int, pres: ConePresentation) -> list[Hive]:
-    """Hives of degree <= max_degree that are not sums of basis elements and
-    of the hives listed before them: empty exactly when the basis generates
-    every hive up to that degree, and otherwise the missing generators."""
-    if n != pres.n:
-        raise ValueError(f"rank mismatch: hive {n}, presentation {pres.n}")
-    return list(_new_generators(n, max_degree, (h.flat for h in pres.basis)))
-
-
 # ---------------------------------------------------------------------------
 # Plain-text export formats
 
 def inequalities_input_text(n: int) -> str:
     """Cone-by-inequalities input file: row count, dimension, each row of
     hive.cone_rows as a dense vector, then the single apex equation block."""
-    if n < 2:
-        raise ValueError("rank must be >= 2")
+    n = _integer("rank", n, 2)
     dim = triangle_size(n)
 
     def dense(terms) -> str:

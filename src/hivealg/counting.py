@@ -4,10 +4,9 @@ counts m_d, and Hilbert-Poincare series (enumerated and closed form)."""
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import index
 
 from .hive import Hive, _compile, _edge_cells, _linear, _require_unit, cone_rows, flat_index
-from .shapes import Parts, normalize, pad, partitions_of, require_partitions
+from .shapes import Parts, _integer, normalize, pad, partitions_of, require_partitions
 from .tableau import enumerate_tableaux
 
 SeriesPrefix = tuple[int, ...]
@@ -238,7 +237,6 @@ def lr_coefficient(n, lam, mu, nu) -> int:
 
 def lr_via_tableaux(n, lam, mu, nu) -> int:
     """Independent count of the same coefficient by tableau enumeration."""
-    n = _integer("rank", n, 1)
     return len(enumerate_tableaux(n, lam, mu, nu))
 
 
@@ -284,17 +282,6 @@ def hp_series_closed_form(numerator, denominator_exponents, max_degree: int) -> 
         for k in range(e, max_degree + 1):
             coeffs[k] += coeffs[k - e]
     return tuple(coeffs)
-
-
-def _integer(what: str, value, least: int | None = None) -> int:
-    """value read through operator.index, or a ValueError naming it or least."""
-    try:
-        value = index(value)
-    except TypeError:
-        raise ValueError(f"{what} {value!r} is not an integer") from None
-    if least is not None and value < least:
-        raise ValueError(f"{what} must be >= {least}")
-    return value
 
 
 def hp_series_reference(n: int, max_degree: int) -> SeriesPrefix:

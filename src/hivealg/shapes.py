@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import zip_longest
-from operator import ge
+from operator import ge, index
 from typing import Iterable
 
 Parts = tuple[int, ...]
@@ -19,6 +19,17 @@ def is_dominant(parts: Iterable[int]) -> bool:
     """True iff the sequence is weakly decreasing with all entries >= 0."""
     seq = tuple(parts)
     return not seq or (seq[-1] >= 0 and all(map(ge, seq, seq[1:])))
+
+
+def _integer(what: str, value, least: int | None = None) -> int:
+    """value read through operator.index, or a ValueError naming it or least."""
+    try:
+        value = index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}")
+    return value
 
 
 def normalize(parts: Iterable[int]) -> Parts:

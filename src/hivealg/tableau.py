@@ -14,7 +14,7 @@ from operator import sub
 
 from .hive import Hive, flat_index
 from .report import ConsistencyError
-from .shapes import Parts, contains, is_dominant, normalize, pad, require_partitions
+from .shapes import Parts, _integer, contains, is_dominant, normalize, pad, require_partitions
 
 EntryRows = tuple[tuple[int, ...], ...]
 
@@ -100,6 +100,7 @@ def validate_tableau(outer, inner, rows, n: int | None = None) -> LRTableau:
 def enumerate_tableaux(n, lam, mu, nu) -> list[LRTableau]:
     """All LR tableaux on lam/mu with content nu and entries in 1..n,
     in a fixed backtracking order."""
+    n = _integer("rank", n, 1)
     lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
     require_partitions(lam, mu, nu)
     if max(len(lam), len(mu), len(nu)) > n:

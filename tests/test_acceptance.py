@@ -4,9 +4,8 @@
 import time
 from collections import defaultdict
 
-from hivealg.cone import (hilbert_basis, hives_up_to_degree,
-                          inequalities_input_text, presentation,
-                          undecomposable_hives)
+from hivealg.cone import (decompose, hilbert_basis, hives_up_to_degree,
+                          inequalities_input_text, presentation)
 from hivealg.counting import (enumerate_hives, hp_series_enumerated,
                               hp_series_reference, lr_coefficient,
                               lr_via_schur, lr_via_tableaux)
@@ -99,7 +98,9 @@ def test_criterion_03_hilbert_bases():
         basis = hilbert_basis(n, 12)
         ok = ok and len(basis) == EXPECTED_BASIS_SIZES[n]
         ok = ok and {h.to_flat() for h in basis} == {h.to_flat() for h in pres.basis}
-        ok = ok and undecomposable_hives(n, 12, pres) == []
+        zero = hives_up_to_degree(n, 0)[0]
+        ok = ok and all(sum((pres.basis[k - 1] for k in decompose(h, pres)), zero) == h
+                        for h in hives_up_to_degree(n, 12))
     _report(3, "degree-12 search gives the 5/10/20 basis hives and "
                "every hive of degree <= 12 decomposes", ok, t0)
 

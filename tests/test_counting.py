@@ -15,6 +15,7 @@ from hivealg.counting import (SERIES_DENOMINATOR, SERIES_NUMERATOR,
                               hp_series_reference, lr_coefficient, lr_via_schur,
                               lr_via_tableaux, md_sum)
 from hivealg.shapes import contains, is_dominant, normalize, pad, partitions_of
+from hivealg.tableau import enumerate_tableaux
 
 
 def test_lr_coefficient_examples():
@@ -191,6 +192,10 @@ TRIPLE = ((2, 1), (1,), (1,))
     (hp_series_enumerated, (2.5, 3), "rank 2.5 is not an integer"),
     (cone.hives_up_to_degree, (2.5, 3), "rank 2.5 is not an integer"),
     (cone.hilbert_basis, (None, 3), "rank None is not an integer"),
+    (cone.hilbert_basis, ([2], 3), "rank [2] is not an integer"),
+    (cone.inequalities_input_text, (2.5,), "rank 2.5 is not an integer"),
+    (enumerate_tableaux, (2.5, *TRIPLE), "rank 2.5 is not an integer"),
+    (enumerate_tableaux, (0, *TRIPLE), "rank must be >= 1"),
 ])
 def test_ranks_reject_non_integers(function, args, message):
     with pytest.raises(ValueError) as err:
