@@ -93,7 +93,6 @@ class BinomialRelation:
     right: tuple[int, ...]
 
 
-@lru_cache(maxsize=4)
 def hives_up_to_degree(n: int, max_degree: int) -> tuple[Hive, ...]:
     """Every hive of degree <= max_degree, sorted by (degree, coordinates):
     for each degree d, the pairs enumerate kernel's hives over every (mu,
@@ -137,10 +136,14 @@ class ConePresentation:
     relations: tuple[BinomialRelation, ...] = field(hash=False)
 
 
-@lru_cache(maxsize=4)
 def presentation(n: int) -> ConePresentation:
     """The pinned presentation of the rank-n hive cone (n = 2, 3, 4),
     validated on construction."""
+    return _presentation(_integer("rank", n))
+
+
+@lru_cache(maxsize=4)
+def _presentation(n: int) -> ConePresentation:
     if n not in HILBERT_BASIS_COORDS:
         raise ValueError(f"no presentation data for rank {n}")
     basis = tuple(Hive.from_flat(c) for c in HILBERT_BASIS_COORDS[n])

@@ -250,30 +250,6 @@ class Polynomial:
                 f"{render_monomial(self.n, other)} have different weights")
         return w
 
-    def partial(self, kind: str, i: int, j: int) -> "Polynomial":
-        shift = _shift(self.n, variable_index(self.n, kind, i, j))
-        unit = 1 << shift
-        out: dict[Exponents, int] = {}
-        for exps, c in self.terms.items():
-            e = exps >> shift & 0xFF
-            if e:
-                out[exps - unit] = out.get(exps - unit, 0) + c * e
-        return Polynomial(self.n, {k: v for k, v in out.items() if v})
-
-    def evaluate(self, values: Iterable[int]) -> int:
-        vals = tuple(values)
-        size = variable_count(self.n)
-        if len(vals) != size:
-            raise ValueError(f"expected {size} values")
-        total = 0
-        for exps, c in self.terms.items():
-            prod = c
-            for v, e in zip(vals, exps.to_bytes(size, "big")):
-                if e:
-                    prod *= v ** e
-            total += prod
-        return total
-
     # -- rendering and serialization ----------------------------------------
 
     def __str__(self) -> str:

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import shlex
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from hivealg.cli import build_parser, run
 from hivealg.cone import hives_up_to_degree
+
+hive_pool = cache(hives_up_to_degree)  # drawn from on every example
 
 
 def test_lrcoef_worked_example(capsys):
@@ -188,6 +191,20 @@ def test_verify_passes(n, capsys):
     assert "checks passed" in out
 
 
+def test_a_broken_generator_table_fails_verify_with_exit_2(rebuilt, capsys, monkeypatch):
+    # g_5 := g_4 at rank 3: the table fails its own check when it is built
+    from hivealg import tensor_algebra
+
+    terms = dict(tensor_algebra._GENERATOR_TERMS)
+    terms[3] = terms[3][:4] + (terms[3][3],) + terms[3][5:]
+    monkeypatch.setattr(tensor_algebra, "_GENERATOR_TERMS", terms)
+    assert run(["verify", "-n", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "g_5" in err
+    assert err.endswith("reproduce with: hivealg verify -n 3\n")
+
+
 def test_consistency_failure_exits_2(capsys, monkeypatch):
     from hivealg import cli
 
@@ -324,7 +341,7 @@ def hive_texts(draw):
         rows = draw(st.lists(st.lists(ENTRIES, max_size=6), min_size=1, max_size=6))
         return ";".join(_joined(draw, row, SEPARATORS) for row in rows)
     # a rank-4 hive, sometimes with one entry moved by one or replaced by junk
-    rows = [list(map(str, row)) for row in draw(st.sampled_from(hives_up_to_degree(4, 5))).rows]
+    rows = [list(map(str, row)) for row in draw(st.sampled_from(hive_pool(4, 5))).rows]
     if draw(st.booleans()):
         i = draw(st.integers(0, 4))
         j = draw(st.integers(0, i))

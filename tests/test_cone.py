@@ -190,13 +190,6 @@ def test_rank4_relation_side_decomposes_both_ways():
     assert (6, 15) in interpreted_decompositions(h, pres, False)
 
 
-def test_decompositions_multiply_out():
-    pres = presentation(4)
-    for h in hives_up_to_degree(4, 4):
-        indices = decompose(h, pres)
-        assert sum((pres.basis[k - 1] for k in indices), zero_hive(4)) == h
-
-
 def without(pres, drop):
     """The presentation with basis element drop (0-based) left out."""
     return ConePresentation(pres.n,
@@ -248,15 +241,6 @@ def test_presentation_is_its_four_fields(n):
     fresh = ConePresentation(n, pres.basis, pres.relations)
     assert fresh == pres and hash(fresh) == hash(pres)
     assert [f.name for f in fields(pres)] == ["n", "basis", "relations"]
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_everything_decomposes_at_small_rank(n):
-    # hilbert_basis(n, 12) is the pinned basis, so every hive of degree <= 12
-    # is a sum of basis hives, and the shipped search must find one
-    pres, zero = presentation(n), zero_hive(n)
-    for h in hives_up_to_degree(n, 12):
-        assert sum((pres.basis[k - 1] for k in decompose(h, pres)), zero) == h
 
 
 def test_inequalities_export_text_layout():

@@ -172,6 +172,7 @@ def test_closed_form_rejects_non_integers(numerator, exponents, message):
     (cone.hives_up_to_degree, (3, 2.5), "max_degree 2.5 is not an integer"),
     (cone.hilbert_basis, (3, 2.5), "max_degree 2.5 is not an integer"),
     (cone.hilbert_basis, (3, "12"), "max_degree '12' is not an integer"),
+    (cone.hives_up_to_degree, (3, [2]), "max_degree [2] is not an integer"),
 ])
 def test_degree_bounds_reject_non_integers(function, args, message):
     with pytest.raises(ValueError) as err:
@@ -196,6 +197,10 @@ TRIPLE = ((2, 1), (1,), (1,))
     (cone.inequalities_input_text, (2.5,), "rank 2.5 is not an integer"),
     (enumerate_tableaux, (2.5, *TRIPLE), "rank 2.5 is not an integer"),
     (enumerate_tableaux, (0, *TRIPLE), "rank must be >= 1"),
+    (cone.presentation, ([2],), "rank [2] is not an integer"),
+    (cone.presentation, (2.0,), "rank 2.0 is not an integer"),
+    (tensor_algebra.build_generators, ([2],), "rank [2] is not an integer"),
+    (tensor_algebra.build_generators, (2.0,), "rank 2.0 is not an integer"),
 ])
 def test_ranks_reject_non_integers(function, args, message):
     with pytest.raises(ValueError) as err:
@@ -310,12 +315,11 @@ def test_boundary_triple_keeps_padded_tuples():
         assert all(got is given for got, given in zip(triple, (lam, mu, nu)))
 
 
-# The keys one process needs at once: the last four degree bounds; the 28
-# (d, n) keys of a series batch (hp-series -n 4 to 15 and -n 5 to 11); every
-# rank with generators (2, 3, 4).
-LEAST_MAXSIZE = {cone.hives_up_to_degree: 4, shapes.partitions_of: 28, cone.presentation: 3,
+# The keys one process needs at once: the 28 (d, n) keys of a series batch
+# (hp-series -n 4 to 15 and -n 5 to 11); every rank with generators (2, 3, 4).
+LEAST_MAXSIZE = {shapes.partitions_of: 28, cone._presentation: 3,
                  cone._search: 3, polynomial.variable_labels: 3,
-                 tensor_algebra.build_generators: 3}
+                 tensor_algebra._build_generators: 3}
 
 
 def package_caches() -> list:

@@ -2,6 +2,7 @@
 violation report and decomposition, which no array outside the cone passes,
 agree; and of the flat storage of Hive against rows read off by row length."""
 
+from functools import cache
 from itertools import islice
 
 import pytest
@@ -14,6 +15,7 @@ from hivealg.hive import (Hive, InvalidHiveError, cone_rows, flat_index,
                           hive_violations, triangle_size)
 
 RANKS = st.integers(2, 5)
+hive_pool = cache(hives_up_to_degree)  # drawn from on every example
 
 
 def decomposes(flat, n):
@@ -58,7 +60,7 @@ def random_arrays(draw):
 def perturbed_hives(draw):
     """A hive of degree <= 5 with up to three entries moved by +-1."""
     n = draw(RANKS)
-    flat = list(draw(st.sampled_from(hives_up_to_degree(n, 5))).to_flat())
+    flat = list(draw(st.sampled_from(hive_pool(n, 5))).to_flat())
     for _ in range(draw(st.integers(0, 3))):
         flat[draw(st.integers(0, len(flat) - 1))] += draw(st.sampled_from((-1, 1)))
     return n, flat
@@ -90,7 +92,7 @@ def test_increasing_edge_is_rejected_by_a_rhombus(case):
 @st.composite
 def hive_pairs(draw):
     """Two hives of one rank n = 1..5 and degree <= 6."""
-    pool = hives_up_to_degree(draw(st.integers(1, 5)), 6)
+    pool = hive_pool(draw(st.integers(1, 5)), 6)
     return draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
 
 

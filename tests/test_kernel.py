@@ -29,7 +29,7 @@ from hivealg.counting import _kernel, enumerate_hives, lr_coefficient, lr_via_ta
 from hivealg.hive import Hive, cone_rows, flat_index, hive_violations, triangle_size
 from hivealg.shapes import contains, pad, partitions_of
 from test_counting import swept_triples
-from test_hive_properties import interpreted_decompositions
+from test_hive_properties import hive_pool, interpreted_decompositions
 
 
 @pytest.mark.parametrize("count", [True, False])
@@ -669,7 +669,7 @@ def membership_cases(draw):
     size = triangle_size(n)
     if draw(st.booleans()):
         return n, draw(st.lists(st.integers(-2, 4), min_size=size, max_size=size))
-    flat = list(draw(st.sampled_from(hives_up_to_degree(n, 4 if n <= 4 else 3))).to_flat())
+    flat = list(draw(st.sampled_from(hive_pool(n, 4 if n <= 4 else 3))).to_flat())
     for _ in range(draw(st.integers(0, 3))):
         flat[draw(st.integers(0, size - 1))] += draw(st.sampled_from((-1, 1)))
     return n, draw(st.sampled_from((list, tuple)))(flat)

@@ -5,8 +5,7 @@ import pytest
 
 from hivealg.polynomial import (ColumnTableau, NotHomogeneousError, Polynomial,
                                 Weight, det, minor, monomial_exponents,
-                                raising_derivation, render_monomial,
-                                variable_count, variable_index)
+                                raising_derivation, render_monomial)
 
 
 def var(n, kind, i, j):
@@ -184,14 +183,6 @@ def test_rendering_and_json_round_trip():
     assert str(p) == "2*x[1][1]^2 - y[2][1]"
     assert p.to_json_obj() == [{"coeff": "2", "exps": {"x11": 2}},
                                {"coeff": "-1", "exps": {"y21": 1}}]
-
-
-def test_evaluate():
-    p = var(2, "x", 1, 1) * var(2, "y", 2, 2) - 3
-    values = [0] * variable_count(2)
-    values[variable_index(2, "x", 1, 1)] = 2
-    values[variable_index(2, "y", 2, 2)] = 5
-    assert p.evaluate(values) == 7
 
 
 def test_rank_mismatch_is_rejected():

@@ -50,11 +50,6 @@ def oracle_add(p, q):
     return accumulate(list(p.items()) + list(q.items()))
 
 
-def oracle_partial(n, p, idx):
-    return accumulate((e[:idx] + (e[idx] - 1,) + e[idx + 1:], c * e[idx])
-                      for e, c in p.items() if e[idx])
-
-
 def oracle_raising(n, factor, k, p):
     vi = variable_index
     if factor == 1:
@@ -184,13 +179,6 @@ def test_raising_derivations_match_oracle(case):
                     == to_terms(n, oracle_raising(n, factor, k, p)))
 
 
-@given(with_rank(lambda n: (term_dicts(n, 10), st.integers(0, variable_count(n) - 1))))
-def test_partial_matches_oracle(case):
-    n, p, idx = case
-    kind, i, j = variable_labels(n)[idx]
-    assert to_poly(n, p).partial(kind, i, j).terms == to_terms(n, oracle_partial(n, p, idx))
-
-
 @given(with_rank(lambda n: (homogeneous(n),)))
 def test_weight_of_homogeneous_terms_matches_oracle(case):
     n, p = case
@@ -235,19 +223,6 @@ def test_json_and_rendering_match_oracle(case):
         assert render_monomial(n, encode(n, e)) == oracle_render(n, e)
 
 
-@given(with_rank(lambda n: (term_dicts(n),)))
-@settings(max_examples=50)
-def test_evaluate_matches_oracle(case):
-    n, p = case
-    point = [(3 * idx) % 7 - 3 for idx in range(variable_count(n))]
-    expected = 0
-    for e, c in p.items():
-        for v, power in zip(point, e):
-            c *= v ** power
-        expected += c
-    assert to_poly(n, p).evaluate(point) == expected
-
-
 # -- the top of the 8-bit fields ----------------------------------------------
 
 
@@ -277,8 +252,6 @@ def test_derivations_stay_in_range_at_degree_255():
     expected = monomial_exponents(2, [("x", 1, 1)] * 101 + [("x", 2, 1)] * 154)
     assert raised.terms == {expected: 155}
     assert raised.weight() == Weight((101, 154), (255, 0), (0, 0))
-    assert p.partial("x", 2, 1).terms == {
-        monomial_exponents(2, [("x", 1, 1)] * 100 + [("x", 2, 1)] * 154): 155}
 
 
 def test_weight_at_degree_255():

@@ -1,6 +1,7 @@
 import pytest
 
 from hivealg import cone, tensor_algebra
+from hivealg.cli import run
 from hivealg.cone import (BinomialRelation, ConePresentation,
                           hives_up_to_degree, presentation, verify_relations)
 from hivealg.hive import Hive, triangle_size
@@ -155,17 +156,6 @@ def test_first_two_terms_of_each_relation_are_its_leading_binomial(n):
 # ---------------------------------------------------------------------------
 # The checks on the pinned tables stay live: a broken table is rejected.
 
-@pytest.fixture
-def rebuilt():
-    """Drop the cached presentations and generator tables before and after a
-    test that patches the tables they are built from."""
-    presentation.cache_clear()
-    build_generators.cache_clear()
-    yield
-    presentation.cache_clear()
-    build_generators.cache_clear()
-
-
 def test_unbalanced_pinned_binomial_is_rejected(rebuilt, monkeypatch):
     relations = dict(cone.PRESENTATION_RELATIONS)
     name, (first, second, third) = relations[4][12]
@@ -221,8 +211,22 @@ def test_passing_lift_does_not_render_its_hive(monkeypatch):
 
 
 def test_independence_of_rank2_generators():
-    results = verify_independence()
-    assert all(r.ok for r in results)
+    [result] = verify_independence()
+    assert result.ok
+    assert result.detail == "initial exponent vectors of g_1..g_5 have rank 5"
+
+
+def test_a_dependent_rank2_table_fails_independence(monkeypatch, capsys):
+    # g_4 := g_3 * g_3 is a relation g_4 - g_3^2 = 0; its initial monomial
+    # x[1][1]^2 doubles that of g_3 = x[1][1]
+    g = build_generators(2).generators
+    dependent = tensor_algebra.GeneratorTable(2, g[:3] + (g[2] * g[2],) + g[4:])
+    monkeypatch.setattr(tensor_algebra, "build_generators", lambda n: dependent)
+    [result] = verify_independence()
+    assert not result.ok
+    assert result.detail == "initial exponent vectors of g_1..g_5 have rank 4"
+    assert run(["verify", "-n", "2"]) == 2
+    assert "FAIL  rank-2 generators algebraically independent" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
