@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import sub
+from struct import Struct, calcsize
 
 from .counting import _interval, _kernel, _padded_partitions
 from .hive import Hive, _compile, _linear, _require_unit, cone_rows, triangle_size
@@ -109,22 +109,30 @@ def hilbert_basis(n: int, max_degree: int = 12) -> tuple[Hive, ...]:
     """The irreducible hives of degree <= max_degree, sorted by (degree,
     coordinates): the nonzero hives that are not the sum of two nonzero
     hives.  Nothing past max_degree is checked, so a generator of higher
-    degree would be missed.
-
-    One sweep over hives_up_to_degree in (degree, coordinates) order: a
-    nonzero hive is kept when no hive kept before it leaves a difference
-    among the hives already met.  So every hive met is a sum of kept hives,
-    and a hive is kept exactly when it is not such a sum."""
+    degree would be missed.  One sweep over hives_up_to_degree in (degree,
+    coordinates) order keeps a nonzero hive h unless h - g is a hive met for
+    some kept g; so every hive met is a sum of kept hives, and h is kept
+    exactly when it is not one.  A hive's int key packs its L flat coordinates
+    into big-endian w-byte fields, 2 * max_degree < 256**w.  Keys are exact:
+    by rhombus1 and mu >= 0 (rhombus3 and nu >= 0) each step down a column
+    (along a row) is >= 0, so a hive of degree d has its entries in 0..d;
+    then each c = h - g - h' has |c_k| <= 2 * max_degree < 256**w, and
+    sum c_k 256**(w(L-1-k)) = 0 forces c = 0."""
     n = _integer("rank", n, 1)
     max_degree = _integer("max_degree", max_degree, 1)
-    basis, gens, met = [], [], set()
-    for h in hives_up_to_degree(n, max_degree):
-        flat = h.flat   # ends in the degree, 0 only for the zero hive
-        if flat[-1] and not any(tuple(map(sub, flat, g)) in met for g in gens):
-            gens.append(flat)
-            basis.append(h)
-        met.add(flat)
-    return tuple(basis)
+    code = next((c for c in "BHIQ" if 2 * max_degree < 256 ** calcsize(c)), None)
+    if code is None:
+        raise ValueError(f"max_degree {max_degree} is too large for 8-byte hive keys")
+    pack, gens, met = Struct(f">{triangle_size(n)}{code}").pack, {}, {0}
+    for h in hives_up_to_degree(n, max_degree)[1:]:   # after the zero hive, key 0
+        key = int.from_bytes(pack(*h.flat), "big")
+        for g in gens:
+            if key - g in met:
+                break
+        else:
+            gens[key] = h
+        met.add(key)
+    return tuple(gens.values())
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ from dataclasses import fields
 
 import pytest
 
+from hivealg import cone
 from hivealg.cone import (ConePresentation, NoDecompositionError, decompose,
                           generators_input_text, hilbert_basis,
                           hives_up_to_degree, inequalities_input_text,
@@ -141,6 +142,43 @@ def test_hilbert_basis_stable_under_degree_bound():
     assert len(twelve) == 20
 
 
+@pytest.mark.parametrize("n, max_degree", [(1, 30), (2, 14), (3, 10), (4, 8), (5, 6)])
+def test_hive_entries_lie_between_apex_and_corner(n, max_degree):
+    # the lemma that makes hilbert_basis's packed keys exact
+    for h in hives_up_to_degree(n, max_degree):
+        rows = h.rows
+        assert rows[0] == (0,)
+        assert all(a <= b for row in rows for a, b in zip(row, row[1:]))
+        assert all(upper[j] <= lower[j] for upper, lower in zip(rows, rows[1:])
+                   for j in range(len(upper)))
+        assert max(h.flat) == h.degree
+
+
+def test_hilbert_basis_with_keys_wider_than_a_byte():
+    assert [h.to_flat() for h in hilbert_basis(1, 200)] == [(0, 0, 1), (0, 1, 1)]
+
+
+def test_hilbert_basis_rejects_a_degree_past_the_widest_key(monkeypatch):
+    def unreachable(n, max_degree):
+        raise AssertionError("hives_up_to_degree called")
+
+    monkeypatch.setattr(cone, "hives_up_to_degree", unreachable)
+    with pytest.raises(ValueError, match="max_degree 9223372036854775808"):
+        hilbert_basis(1, 2 ** 63)
+
+
+def test_hilbert_basis_lists_the_hives_once(monkeypatch):
+    calls, listed = [], cone.hives_up_to_degree
+
+    def counted(n, max_degree):
+        calls.append((n, max_degree))
+        return listed(n, max_degree)
+
+    monkeypatch.setattr(cone, "hives_up_to_degree", counted)
+    hilbert_basis(3, 6)
+    assert calls == [(3, 6)]
+
+
 def test_presentation_degrees():
     def degrees(n):
         return tuple(h.degree for h in presentation(n).basis)
@@ -171,14 +209,14 @@ def test_decompose_worked_example():
     assert (1, 6, 7) in interpreted_decompositions(h_prime, pres, False)
 
 
-def test_all_decompositions_sees_both_relation_sides():
+def test_decompose_sees_both_relation_sides():
     pres = presentation(3)
     h = pres.basis[0] + pres.basis[5] + pres.basis[6]
     assert interpreted_decompositions(h, pres, False) == {(1, 6, 7), (5, 10)}
     assert decompose(h, pres) == (1, 6, 7)
 
 
-def test_all_decompositions_of_basis_elements_are_trivial():
+def test_decompose_of_a_basis_element_is_itself():
     pres = presentation(3)
     for k, h in enumerate(pres.basis, start=1):
         assert interpreted_decompositions(h, pres, False) == {(k,)}
@@ -212,7 +250,7 @@ def test_a_zero_basis_element_is_rejected():
         decompose(pres.basis[0], ConePresentation(2, (zero_hive(2),) + pres.basis, ()))
 
 
-def test_undecomposable_rejects_a_presentation_of_another_rank():
+def test_decompose_rejects_a_presentation_of_another_rank():
     with pytest.raises(ValueError, match="rank mismatch: hive 3, presentation 4"):
         decompose(presentation(3).basis[0], presentation(4))
     with pytest.raises(ValueError, match="rank mismatch: hive 4, presentation 3"):

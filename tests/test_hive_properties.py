@@ -71,7 +71,7 @@ arrays = st.one_of(random_arrays(), perturbed_hives())
 
 @settings(max_examples=400)
 @given(arrays)
-def test_in_cone_agrees_with_violation_report(case):
+def test_decompose_agrees_with_violation_report(case):
     n, flat = case
     assume(n <= 4)
     assert decomposes(flat, n) == (flat[0] == 0 and hive_violations(rows_of(flat, n)) == [])

@@ -589,12 +589,12 @@ def raised_rows(pres):
              if (value := sum(c * b.flat[k] for k, c in terms)) > 0} for b in pres.basis]
 
 
-def test_in_cone_builds_for_every_rank():
+def test_search_builds_for_every_rank():
     for n in range(1, 7):
         assert cone._search(search_presentation(n))((0,) * triangle_size(n)) == ()
 
 
-def test_in_cone_source_is_inspectable():
+def test_search_source_is_inspectable():
     search = cone._search(presentation(4))
     source = search_source(presentation(4))
     assert re.fullmatch(r"<hivealg decompose n=4 basis [0-9a-f]{8}>", search.__code__.co_filename)
@@ -612,7 +612,7 @@ def test_in_cone_source_is_inspectable():
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_in_cone_source_lists_every_row_in_order(n):
+def test_search_source_lists_every_row_in_order(n):
     # read each slack line back into {flat index: coeff}, independently of _linear
     lines = re.findall(r"^    s\d+ = (.*)$", search_source(search_presentation(n)), re.M)
     read = [{int(k): (-1 if sign == "-" else 1)
@@ -620,7 +620,7 @@ def test_in_cone_source_lists_every_row_in_order(n):
     assert read == [dict(terms) for *_, terms in cone_rows(n)]
 
 
-def test_in_cone_rejects_coefficients_other_than_one(monkeypatch):
+def test_search_rejects_coefficients_other_than_one(monkeypatch):
     original = cone_rows(4)
     kind, i, j, terms = original[-1]
     bad = original[:-1] + ((kind, i, j, ((terms[0][0], 2),) + terms[1:]),)
@@ -630,7 +630,7 @@ def test_in_cone_rejects_coefficients_other_than_one(monkeypatch):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_in_cone_zero_and_shifted_arrays(n):
+def test_search_zero_and_shifted_arrays(n):
     size = triangle_size(n)
     search = cone._search(search_presentation(n))
     assert search([0] * size) == ()   # every row holds with equality
@@ -640,7 +640,7 @@ def test_in_cone_zero_and_shifted_arrays(n):
 
 
 @pytest.mark.parametrize("n", range(1, 5))
-def test_in_cone_rejects_each_row_failing_alone(n):
+def test_search_rejects_each_row_failing_alone(n):
     """Single-entry moves of hives of degree <= 6 that fail exactly one cone
     row; they reach every row that the other rows do not imply."""
     search = cone._search(search_presentation(n))
@@ -677,7 +677,7 @@ def membership_cases(draw):
 
 @settings(max_examples=500)
 @given(membership_cases())
-def test_in_cone_agrees_with_interpreted_rows(case):
+def test_search_agrees_with_interpreted_rows(case):
     # on any array, hive or not, the first match of the interpreted search
     n, flat = case
     pres = search_presentation(n)
