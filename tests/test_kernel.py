@@ -612,7 +612,7 @@ def test_search_source_is_inspectable():
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_search_source_lists_every_row_in_order(n):
+def test_in_cone_source_lists_every_row_in_order(n):
     # read each slack line back into {flat index: coeff}, independently of _linear
     lines = re.findall(r"^    s\d+ = (.*)$", search_source(search_presentation(n)), re.M)
     read = [{int(k): (-1 if sign == "-" else 1)
@@ -630,7 +630,7 @@ def test_search_rejects_coefficients_other_than_one(monkeypatch):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_search_zero_and_shifted_arrays(n):
+def test_in_cone_zero_and_shifted_arrays(n):
     size = triangle_size(n)
     search = cone._search(search_presentation(n))
     assert search([0] * size) == ()   # every row holds with equality
