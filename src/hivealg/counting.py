@@ -4,6 +4,7 @@ counts m_d, and Hilbert-Poincare series (enumerated and closed form)."""
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 
 from .hive import Hive, _compile, _edge_cells, _linear, _require_unit, cone_rows, flat_index
 from .shapes import Parts, _integer, normalize, pad, partitions_of, require_partitions
@@ -240,34 +241,48 @@ def lr_via_tableaux(n, lam, mu, nu) -> int:
     return len(enumerate_tableaux(n, lam, mu, nu))
 
 
+def _reduced_sums(n: int, degrees: range):
+    """Yield m'_e for each e in degrees: P(mu, nu) of md_sum summed over |mu| +
+    |nu| = e, mu_n = nu_n = 0.  P is symmetric: a pair with |mu| < |nu| counts
+    twice; at |mu| = |nu|, mu before nu in partitions_of order twice, mu = nu once."""
+    count = _kernel(n, True, True)
+    by_size = [[p for p in ps if not p[-1]] for ps in _padded_partitions(n, max(degrees))]
+    for e in degrees:
+        total = 0
+        for j in range(e // 2 + 1):
+            nus = by_size[e - j]
+            for a, mu in enumerate(by_size[j]):
+                if 2 * j < e:
+                    total += 2 * sum(map(count, repeat(mu), nus))
+                else:
+                    total += count(mu, mu) + 2 * sum(map(count, repeat(mu), nus[a + 1:]))
+        yield total
+
+
 def md_sum(n: int, d: int) -> int:
     """Sum of LR coefficients over triples with |lambda| = |mu| + |nu| = d,
     all parts bounded by n: the degree-d dimension of the hive algebra.
-
-    For one pair (mu, nu), the sum over lambda is the number of hives with
-    the mu and nu edges fixed and the lambda edge free, one call of the
-    pairs count kernel.  That sum is symmetric in (mu, nu), so only pairs
-    with |mu| <= |nu| are swept: a pair with |mu| < |nu| counts twice; on
-    the diagonal |mu| = |nu|, mu before nu in partitions_of order counts
-    twice and mu = nu once."""
+    P(mu, nu), the sum over lambda for one pair, is one pairs-kernel call.
+    X: h[i][j] = i - 1 and Y: h[i][j] = j - 1 (det X, det Y) have apex 0 and
+    each rhombus row at slack 0, so h -> h - a X - b Y, a = mu_n, b = nu_n,
+    keeps apex and rhombi and lowers the edges by a, b and a + b, to >= 0
+    (rhombi make edges decrease, lambda_n >= a + b); adding back inverts it.
+    So m_d sums m'_(d - nk) (_reduced_sums) over k >= 0 and a + b = k."""
     n = _integer("rank", n, 1)
     d = _integer("degree", d, 0)
-    count, total, by_size = _kernel(n, True, True), 0, _padded_partitions(n, d)
-    for j in range(d // 2 + 1):
-        nus = by_size[d - j]
-        for a, mu in enumerate(by_size[j]):
-            if 2 * j < d:
-                total += 2 * sum(count(mu, nu) for nu in nus)
-            else:
-                total += count(mu, mu) + 2 * sum(count(mu, nu) for nu in nus[a + 1:])
-    return total
+    return sum((k + 1) * m for k, m in enumerate(_reduced_sums(n, range(d, -1, -n))))
 
 
 def hp_series_enumerated(n: int, max_degree: int) -> SeriesPrefix:
-    """Coefficients m_0..m_D of the Hilbert-Poincare series, by enumeration."""
+    """Coefficients m_0..m_D of the Hilbert-Poincare series, by enumeration:
+    m'_0..m'_D times 1 / (1 - t^n)^2, two passes c_k += c_(k-n) (md_sum)."""
     n = _integer("rank", n, 1)
     max_degree = _integer("max_degree", max_degree, 0)
-    return tuple(md_sum(n, d) for d in range(max_degree + 1))
+    coeffs = list(_reduced_sums(n, range(max_degree + 1)))
+    for _ in range(2):
+        for k in range(n, max_degree + 1):
+            coeffs[k] += coeffs[k - n]
+    return tuple(coeffs)
 
 
 def hp_series_closed_form(numerator, denominator_exponents, max_degree: int) -> SeriesPrefix:

@@ -14,6 +14,7 @@ from hivealg.counting import (SERIES_DENOMINATOR, SERIES_NUMERATOR,
                               hp_series_closed_form, hp_series_enumerated,
                               hp_series_reference, lr_coefficient, lr_via_schur,
                               lr_via_tableaux, md_sum)
+from hivealg.hive import Hive, cone_rows
 from hivealg.shapes import contains, is_dominant, normalize, pad, partitions_of
 from hivealg.tableau import enumerate_tableaux
 
@@ -101,6 +102,38 @@ def test_hives_up_to_degree_equals_enumeration_over_the_sweep(n):
     flats = sorted((h.to_flat() for d in range(7) for t in swept_triples(n, d)
                     for h in enumerate_hives(n, *t)), key=lambda flat: (flat[-1], flat))
     assert [h.to_flat() for h in cone.hives_up_to_degree(n, 6)] == flats
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_det_hives_have_every_rhombus_row_at_slack_zero(n):
+    # X = det X, h[i][j] = i - 1, and Y = det Y, h[i][j] = j - 1: subtracting
+    # mu_n X + nu_n Y from a hive keeps its rhombus rows and lowers its
+    # edges, the bijection behind the reduced series sweep
+    rows = [range(1, i + 1) for i in range(1, n + 2)]
+    X = Hive.from_flat(i - 1 for i, row in enumerate(rows, 1) for _ in row)
+    Y = Hive.from_flat(j - 1 for row in rows for j in row)
+    ones = (1,) * n
+    assert (X.boundary(), Y.boundary()) == ((ones, ones, (0,) * n), (ones, (0,) * n, ones))
+    for kind, *_, terms in cone_rows(n):
+        if kind.startswith("rhombus"):
+            assert sum(c * X.flat[k] for k, c in terms) == 0
+            assert sum(c * Y.flat[k] for k, c in terms) == 0
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_hp_series_enumerated_equals_md_sum_per_degree(n):
+    # the series convolves the reduced sums by prefix passes; md_sum reads
+    # them at d, d - n, d - 2n, ...; degree 2n + 1 reaches k = 2
+    top = 2 * n + 1
+    assert hp_series_enumerated(n, top) == tuple(md_sum(n, d) for d in range(top + 1))
+
+
+def test_hp_series_enumerated_rank5_prefix():
+    # m_d for GL(5), d = 0..11, counted by LR tableaux, a route that shares
+    # no code with the hive count; from d = 10 on, m_d holds a reduced sum
+    # with k = 2 (m'_(d - 10), three times)
+    assert hp_series_enumerated(5, 11) == (
+        1, 2, 6, 14, 34, 74, 157, 316, 625, 1190, 2220, 4030)
 
 
 def test_hp_series_enumerated_prefixes():

@@ -365,6 +365,16 @@ def test_saturation(triple):
     assert (both_kernels(n, *doubled) > 0) == (both_kernels(n, lam, mu, nu) > 0)
 
 
+@settings(max_examples=200)
+@given(st.one_of(mixed_triples(), admitted_triples(3, 6, 8)))
+def test_saturation_at_three(triple):
+    # Knutson-Tao at N = 3: c(3 lam, 3 mu, 3 nu) > 0 exactly when
+    # c(lam, mu, nu) > 0; the mixed draws often have c >= 2
+    n, lam, mu, nu = triple
+    tripled = [tuple(3 * v for v in p) for p in (lam, mu, nu)]
+    assert (both_kernels(n, *tripled) > 0) == (both_kernels(n, lam, mu, nu) > 0)
+
+
 def conjugate(p):
     """p': the column lengths of the diagram of p."""
     return tuple(sum(v > i for v in p) for i in range(max(p, default=0)))
@@ -612,7 +622,7 @@ def test_search_source_is_inspectable():
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_in_cone_source_lists_every_row_in_order(n):
+def test_search_source_lists_every_row_in_order(n):
     # read each slack line back into {flat index: coeff}, independently of _linear
     lines = re.findall(r"^    s\d+ = (.*)$", search_source(search_presentation(n)), re.M)
     read = [{int(k): (-1 if sign == "-" else 1)
@@ -630,7 +640,7 @@ def test_search_rejects_coefficients_other_than_one(monkeypatch):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_in_cone_zero_and_shifted_arrays(n):
+def test_search_zero_and_shifted_arrays(n):
     size = triangle_size(n)
     search = cone._search(search_presentation(n))
     assert search([0] * size) == ()   # every row holds with equality
