@@ -410,7 +410,9 @@ class ColumnTableau:
 
 
 def minor(n: int, col: ColumnTableau) -> Polynomial:
-    """The determinant labeled by a column tableau."""
+    """The determinant labeled by a column tableau, expanded over the
+    permutations of its columns straight into packed keys: distinct
+    permutations give distinct monomials, so no two terms merge."""
     ent = col.entries
     if col.empty < 0 or any(e < 1 or e > n for e in ent):
         raise ValueError(f"invalid column tableau {col} for rank {n}")
@@ -419,6 +421,7 @@ def minor(n: int, col: ColumnTableau) -> Polynomial:
     if col.size > n or col.size == 0:
         raise ValueError(f"column size {col.size} out of range for rank {n}")
     columns = [("x", c) for c in range(1, col.empty + 1)] + [("y", e) for e in ent]
-    matrix = [[Polynomial.variable(n, kind, r, c) for kind, c in columns]
+    fields = [[1 << _shift(n, variable_index(n, kind, r, c)) for kind, c in columns]
               for r in range(1, col.size + 1)]
-    return det(matrix)
+    return Polynomial(n, {sum(row[c] for row, c in zip(fields, perm)): _parity(perm)
+                          for perm in permutations(range(col.size))})

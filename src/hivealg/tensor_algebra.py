@@ -1,5 +1,7 @@
-"""Generators of the GL(n) tensor product algebras for n = 2, 3, 4, lifting
-of hive decompositions to explicit highest weight vectors, and symbolic
+"""Generators of the GL(n) tensor product algebras for n = 2, 3, 4, each
+derived from its Hilbert basis hive as the one combination of column-minor
+products of the hive's weight that the raising operators kill; lifting of
+hive decompositions to explicit highest weight vectors; and symbolic
 verification of the presentation relations and the classical determinantal
 identities behind them."""
 
@@ -7,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import chain, combinations, product
 
 from . import cone
 from .counting import enumerate_hives
@@ -19,53 +22,6 @@ from .report import CheckResult, ConsistencyError
 from .shapes import _integer, pad
 from .tableau import LRTableau, hive_to_tableau
 
-# Each generator is a signed sum of products of column-tableau minors:
-# a tuple of (coefficient, ((empty, entries), ...)) terms.
-_GENERATOR_TERMS: dict[int, tuple] = {
-    2: (
-        ((1, ((0, (1, 2)),)),),
-        ((1, ((1, (1,)),)),),
-        ((1, ((1, ()),)),),
-        ((1, ((2, ()),)),),
-        ((1, ((0, (1,)),)),),
-    ),
-    3: (
-        ((1, ((0, (1,)),)),),
-        ((1, ((0, (1, 2, 3)),)),),
-        ((1, ((0, (1, 2)),)),),
-        ((1, ((1, ()),)),),
-        ((1, ((1, (1,)),)),),
-        ((1, ((1, (1, 2)),)),),
-        ((1, ((2, ()),)),),
-        ((1, ((2, (1,)),)),),
-        ((1, ((3, ()),)),),
-        ((1, ((2, (2,)), (0, (1,)))), (-1, ((2, (1,)), (0, (2,))))),
-    ),
-    4: (
-        ((1, ((0, (1,)),)),),
-        ((1, ((0, (1, 2)),)),),
-        ((1, ((0, (1, 2, 3)),)),),
-        ((1, ((0, (1, 2, 3, 4)),)),),
-        ((1, ((1, ()),)),),
-        ((1, ((1, (1,)),)),),
-        ((1, ((1, (1, 2)),)),),
-        ((1, ((1, (1, 2, 3)),)),),
-        ((1, ((2, ()),)),),
-        ((1, ((2, (1,)),)),),
-        ((1, ((2, (1, 2)),)),),
-        ((1, ((3, ()),)),),
-        ((1, ((3, (1,)),)),),
-        ((1, ((4, ()),)),),
-        ((1, ((2, (2,)), (0, (1,)))), (-1, ((2, (1,)), (0, (2,))))),
-        ((1, ((2, (2, 3)), (0, (1,)))), (-1, ((2, (1, 3)), (0, (2,)))),
-         (1, ((2, (1, 2)), (0, (3,))))),
-        ((1, ((2, (1, 3)), (0, (1, 2)))), (-1, ((2, (1, 2)), (0, (1, 3))))),
-        ((1, ((3, (2,)), (0, (1,)))), (-1, ((3, (1,)), (0, (2,))))),
-        ((1, ((3, (3,)), (0, (1, 2)))), (-1, ((3, (2,)), (0, (1, 3)))),
-         (1, ((3, (1,)), (0, (2, 3))))),
-        ((1, ((3, (2,)), (1, (1,)))), (-1, ((3, (1,)), (1, (2,))))),
-    ),
-}
 
 @dataclass(frozen=True)
 class GeneratorTable:
@@ -82,13 +38,8 @@ class GeneratorTable:
 
 def _signed_sum(n: int, terms, factor) -> Polynomial:
     """Sum over (coeff, items) terms of coeff * prod(factor(item))."""
-    total = Polynomial.zero(n)
-    for coeff, items in terms:
-        prod = Polynomial.constant(n, coeff)
-        for item in items:
-            prod = prod * factor(item)
-        total = total + prod
-    return total
+    return sum((reduce(Polynomial.__mul__, map(factor, items), Polynomial.constant(n, coeff))
+                for coeff, items in terms), Polynomial.zero(n))
 
 
 def lemma_initial_exponents(n: int, tab: LRTableau):
@@ -129,21 +80,85 @@ def _check_highest_weight(name: str, poly: Polynomial, hive: Hive, boundary: Bou
 
 
 def build_generators(n: int) -> GeneratorTable:
-    """Construct and fully validate the generator table for n = 2, 3, 4:
-    each generator is checked against the index-matched Hilbert basis hive,
-    whose boundary is its torus weight."""
+    """Derive and fully validate the generator table for n = 2, 3, 4: g_k is
+    the vector of Hilbert basis hive h_k, whose boundary is its torus weight."""
     return _build_generators(_integer("rank", n))
 
 
 @lru_cache(maxsize=4)
 def _build_generators(n: int) -> GeneratorTable:
-    if n not in _GENERATOR_TERMS:
-        raise ValueError(f"no generator data for rank {n}")
-    generators = tuple(_signed_sum(n, terms, lambda col: minor(n, ColumnTableau(*col)))
-                       for terms in _GENERATOR_TERMS[n])
-    for idx, (g, h) in enumerate(zip(generators, cone.presentation(n).basis), start=1):
+    basis = cone.presentation(n).basis  # a ValueError past rank 4
+    generators = tuple(map(_derive_generator, basis))
+    for idx, (g, h) in enumerate(zip(generators, basis), start=1):
         _check_highest_weight(f"g_{idx}", g, h, h.boundary())
     return GeneratorTable(n, generators)
+
+
+def _column_fillings(n: int, boundary: Boundary):
+    """The column-minor products of weight `boundary` = (lam, mu, nu), as lists
+    of columns: column j of the skew shape lam/mu has size lam'_j and mu'_j
+    empty boxes, and the entries together have content nu.  Equal columns
+    take their entries in increasing order, so each product comes once."""
+    lam, mu, nu = boundary
+    shape = [(sum(p > j for p in lam), sum(p > j for p in mu)) for j in range(max(lam))]
+    word = [v for v, count in enumerate(nu, start=1) for _ in range(count)]
+    for fill in product(*(combinations(range(1, n + 1), size - empty)
+                          for size, empty in shape)):
+        if (sorted(chain(*fill)) == word
+                and all(a <= b for s, t, a, b in zip(shape, shape[1:], fill, fill[1:]) if s == t)):
+            yield [ColumnTableau(empty, entries) for (_, empty), entries in zip(shape, fill)]
+
+
+def _derive_generator(hive: Hive) -> Polynomial:
+    """The highest weight vector of a Hilbert basis hive: the combination of
+    its column products that every y-column raising operator kills (the row
+    and x-column ones kill each minor), scaled to leading coefficient 1.
+    That kernel of coefficient vectors must be a line."""
+    n = hive.n
+    products = [_signed_sum(n, [(1, columns)], lambda col: minor(n, col))
+                for columns in _column_fillings(n, hive.boundary())]
+    kernel = _nullspace([{(k, e): c for k in range(1, n)
+                         for e, c in raising_derivation(3, k, p).terms.items()}
+                        for p in products])
+    if len(kernel) != 1:
+        raise ConsistencyError(f"the column products of hive {hive} have a "
+                               f"{len(kernel)}-dimensional kernel, expected 1")
+    total = sum((Polynomial.constant(n, c) * products[i] for i, c in kernel[0].items()),
+                Polynomial.zero(n))
+    lead = total.leading_term()[1]
+    scaled = {e: Fraction(c, lead) for e, c in total.terms.items()}
+    if any(c.denominator != 1 for c in scaled.values()):
+        raise ConsistencyError(f"the vector of hive {hive} has a non-integer coefficient")
+    return Polynomial(n, {e: int(c) for e, c in scaled.items()})
+
+
+def _add_multiple(target: dict, factor, source: dict) -> None:
+    """target += factor * source, on sparse vectors without zero entries."""
+    for key, c in source.items():
+        s = target.get(key, 0) + factor * c
+        if s:
+            target[key] = s
+        else:
+            target.pop(key, None)
+
+
+def _nullspace(vectors: list[dict]) -> list[dict]:
+    """A basis of the relations {i: v_i} with sum_i v_i vectors[i] = 0 among
+    sparse vectors, by exact elimination: each vector is reduced by the
+    pivots before it, and one that reduces to zero gives a relation."""
+    pivots, relations = [], []
+    for i, vector in enumerate(vectors):
+        vector, relation = {k: c for k, c in vector.items() if c}, {i: 1}
+        for key, pivot, pivot_relation in pivots:
+            if c := vector.get(key):
+                factor = Fraction(-c, pivot[key])
+                _add_multiple(vector, factor, pivot)
+                _add_multiple(relation, factor, pivot_relation)
+        if vector:
+            pivots.append((max(vector), vector, relation))
+        else:
+            relations.append(relation)
+    return relations
 
 
 @dataclass(frozen=True)
@@ -219,31 +234,11 @@ def verify_independence() -> list[CheckResult]:
     lex-greatest in(g)^a over P's terms comes from one term alone and cannot
     cancel, and P(g) != 0.  So a dependent table fails this check."""
     table = build_generators(2)
-    rows = [[Fraction(e) for e in g.leading_term()[0].to_bytes(variable_count(2), "big")]
+    rows = [dict(enumerate(g.leading_term()[0].to_bytes(variable_count(2), "big")))
             for g in table.generators]
-    rank = _rank(rows)
+    rank = len(rows) - len(_nullspace(rows))
     return [CheckResult("rank-2 generators algebraically independent", rank == len(rows),
                         f"initial exponent vectors of g_1..g_{len(rows)} have rank {rank}")]
-
-
-def _rank(rows: list[list[Fraction]]) -> int:
-    rows = [row[:] for row in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][c]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c] != 0:
-                factor = rows[r][c] / lead
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
 
 
 # ---------------------------------------------------------------------------

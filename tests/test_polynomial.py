@@ -55,10 +55,14 @@ def test_minor_two_entry_column_expands_by_hand():
 
 
 def test_minor_matches_explicit_submatrix():
-    got = minor(3, ColumnTableau(2, (1,)))
-    matrix = [[var(3, "x", r, 1), var(3, "x", r, 2), var(3, "y", r, 1)]
-              for r in (1, 2, 3)]
-    assert got == det(matrix) == cofactor_det(matrix)
+    # every column tableau of ranks 2, 3 and 4
+    for n in (2, 3, 4):
+        for col in all_column_tableaux(n):
+            columns = ([("x", c) for c in range(1, col.empty + 1)]
+                       + [("y", e) for e in col.entries])
+            matrix = [[var(n, kind, r, c) for kind, c in columns]
+                      for r in range(1, col.size + 1)]
+            assert minor(n, col) == det(matrix) == cofactor_det(matrix), (n, col)
 
 
 def test_det_matches_cofactor_oracle_on_generic_matrix():
@@ -73,12 +77,14 @@ def test_det_of_repeated_rows_vanishes():
 
 
 def test_invalid_column_tableaux_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^column entries \(2, 1\) must strictly increase$"):
         minor(2, ColumnTableau(0, (2, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^column size 3 out of range for rank 2$"):
         minor(2, ColumnTableau(2, (1,)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^column size 0 out of range for rank 3$"):
         minor(3, ColumnTableau(0, ()))
+    with pytest.raises(ValueError, match=r"^invalid column tableau .* for rank 2$"):
+        minor(2, ColumnTableau(0, (3,)))
 
 
 def test_minor_leading_term_is_main_diagonal():

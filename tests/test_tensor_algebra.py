@@ -1,9 +1,12 @@
+import hashlib
+
 import pytest
 
 from hivealg import cone, tensor_algebra
 from hivealg.cli import run
 from hivealg.cone import (BinomialRelation, ConePresentation,
                           hives_up_to_degree, presentation, verify_relations)
+from hivealg.counting import enumerate_hives
 from hivealg.hive import Hive, triangle_size
 from hivealg.polynomial import ColumnTableau, Polynomial, Weight, minor
 from hivealg.report import ConsistencyError, failures
@@ -175,13 +178,36 @@ def test_verify_relations_reports_an_unbalanced_binomial():
 
 
 def test_swapped_generator_terms_are_rejected(rebuilt, monkeypatch):
-    terms = dict(tensor_algebra._GENERATOR_TERMS)
-    rank4 = list(terms[4])
-    rank4[14], rank4[15] = rank4[15], rank4[14]
-    terms[4] = tuple(rank4)
-    monkeypatch.setattr(tensor_algebra, "_GENERATOR_TERMS", terms)
+    # the vectors of h_15 and h_16 swapped
+    derive, basis = tensor_algebra._derive_generator, presentation(4).basis
+    swap = {basis[14]: basis[15], basis[15]: basis[14]}
+    monkeypatch.setattr(tensor_algebra, "_derive_generator",
+                        lambda h: derive(swap.get(h, h)))
     with pytest.raises(ConsistencyError, match="g_15 has weight"):
         build_generators(4)
+
+
+@pytest.mark.parametrize("n,digest", [
+    (2, "13864cbd3d03bfb53c5b0c1c811fc08f464ee3a25c56403f3fd7e1ad0ff30d95"),
+    (3, "d2d75bb44d7bd7975f306d7126e79ccafa8c546fed9d481e391245971d10b109"),
+    (4, "7d417e3c1271ccd3daaa0189afe34a80edaad060c581109056e6c38fdb0426e9"),
+])
+def test_derived_generators_are_the_tabulated_ones(n, digest):
+    # SHA-256 of the generators as the hand-copied table of the paper built
+    # them, one per line, before they were derived from the basis hives
+    text = "\n".join(str(g) for g in build_generators(n).generators) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_derivation_rejects_a_kernel_that_is_not_a_line():
+    # c = 2: the vectors of both hives of this boundary lie in the span of
+    # its three column products, one for each column of lambda/mu that takes
+    # the entry 2
+    hive = enumerate_hives(4, (3, 2, 1), (2, 1), (2, 1))[0]
+    with pytest.raises(ConsistencyError) as err:
+        tensor_algebra._derive_generator(hive)
+    assert str(err.value) == (f"the column products of hive {hive} have a "
+                              "2-dimensional kernel, expected 1")
 
 
 def test_check_runs_the_raising_operators():
