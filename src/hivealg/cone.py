@@ -4,9 +4,9 @@ formats used by lattice-point software."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from struct import Struct, calcsize
+from typing import NamedTuple
 
 from .counting import _interval, _kernel, _padded_partitions
 from .hive import Hive, _compile, _linear, _require_unit, cone_rows, triangle_size
@@ -86,8 +86,7 @@ PRESENTATION_RELATIONS: dict[int, tuple[tuple[str, tuple[tuple[int, tuple[int, .
 }
 
 
-@dataclass(frozen=True)
-class BinomialRelation:
+class BinomialRelation(NamedTuple):
     name: str
     left: tuple[int, ...]   # 1-based basis indices, with multiplicity
     right: tuple[int, ...]
@@ -135,13 +134,15 @@ def hilbert_basis(n: int, max_degree: int = 12) -> tuple[Hive, ...]:
     return tuple(gens.values())
 
 
-@dataclass(frozen=True)
-class ConePresentation:
+class ConePresentation(NamedTuple):
     """A fixed generating set with additive relations."""
 
     n: int  # hashed alone: decompose finds its search by the presentation on every call
-    basis: tuple[Hive, ...] = field(hash=False)
-    relations: tuple[BinomialRelation, ...] = field(hash=False)
+    basis: tuple[Hive, ...]
+    relations: tuple[BinomialRelation, ...]
+
+    def __hash__(self) -> int:
+        return hash(self.n)
 
 
 def presentation(n: int) -> ConePresentation:

@@ -9,7 +9,6 @@ addition; the bottom-right corner h[n+1][n+1] grades it.
 from __future__ import annotations
 
 import linecache
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from operator import add, sub
@@ -182,8 +181,7 @@ def hive_violations(rows: Iterable[Iterable[int]]) -> list[Violation]:
     return _violations(len(rows) - 1, tuple(chain.from_iterable(rows)))
 
 
-@dataclass(frozen=True)
-class Hive:
+class Hive(NamedTuple):
     """A validated hive, stored as its flat row-major coordinates.  Construct
     through from_rows/from_flat; direct construction skips validation and is
     reserved for internal fast paths."""

@@ -18,7 +18,6 @@ never raise the degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, NamedTuple
@@ -393,8 +392,7 @@ def det(matrix: list[list["Polynomial"]]) -> Polynomial:
     return total
 
 
-@dataclass(frozen=True)
-class ColumnTableau:
+class ColumnTableau(NamedTuple):
     """A single column: `empty` empty boxes then strictly increasing entries.
 
     Labels the minor of the n x 2n matrix [X | Y] on rows 1..empty+k and

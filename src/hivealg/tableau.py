@@ -9,8 +9,8 @@ directions is explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import sub
+from typing import NamedTuple
 
 from .hive import Hive, flat_index
 from .report import ConsistencyError
@@ -23,8 +23,7 @@ class TableauError(ValueError):
     """First violated cell or condition of a candidate filling."""
 
 
-@dataclass(frozen=True)
-class LRTableau:
+class LRTableau(NamedTuple):
     outer: Parts
     inner: Parts
     rows: EntryRows  # filled entries only, row i left to right

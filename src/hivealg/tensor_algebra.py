@@ -7,10 +7,10 @@ identities behind them."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, combinations, product
+from math import gcd
+from typing import NamedTuple
 
 from . import cone
 from .counting import enumerate_hives
@@ -23,8 +23,7 @@ from .shapes import _integer, pad
 from .tableau import LRTableau, hive_to_tableau
 
 
-@dataclass(frozen=True)
-class GeneratorTable:
+class GeneratorTable(NamedTuple):
     """The generators g_1..g_m of the rank-n tensor product algebra, indexed
     in step with the Hilbert basis hives h_1..h_m of the hive cone."""
 
@@ -126,14 +125,15 @@ def _derive_generator(hive: Hive) -> Polynomial:
     total = sum((Polynomial.constant(n, c) * products[i] for i, c in kernel[0].items()),
                 Polynomial.zero(n))
     lead = total.leading_term()[1]
-    scaled = {e: Fraction(c, lead) for e, c in total.terms.items()}
-    if any(c.denominator != 1 for c in scaled.values()):
+    if any(c % lead for c in total.terms.values()):
         raise ConsistencyError(f"the vector of hive {hive} has a non-integer coefficient")
-    return Polynomial(n, {e: int(c) for e, c in scaled.items()})
+    return Polynomial(n, {e: c // lead for e, c in total.terms.items()})
 
 
-def _add_multiple(target: dict, factor, source: dict) -> None:
-    """target += factor * source, on sparse vectors without zero entries."""
+def _scale_add(target: dict, scale: int, factor: int, source: dict) -> None:
+    """target = scale * target + factor * source, on sparse vectors without zeros."""
+    for key in target:
+        target[key] *= scale
     for key, c in source.items():
         s = target.get(key, 0) + factor * c
         if s:
@@ -143,17 +143,22 @@ def _add_multiple(target: dict, factor, source: dict) -> None:
 
 
 def _nullspace(vectors: list[dict]) -> list[dict]:
-    """A basis of the relations {i: v_i} with sum_i v_i vectors[i] = 0 among
-    sparse vectors, by exact elimination: each vector is reduced by the
-    pivots before it, and one that reduces to zero gives a relation."""
+    """A basis of the integer relations {i: r_i} with sum_i r_i vectors[i] = 0
+    among sparse integer vectors, by fraction-free elimination: each vector
+    is reduced by the pivots before it, v <- p v - c pivot where p is the
+    pivot's entry and c the vector's at the pivot key, with the same step on
+    its relation; then both are divided by the gcd of all their entries.
+    A vector that reduces to zero gives a relation."""
     pivots, relations = [], []
     for i, vector in enumerate(vectors):
         vector, relation = {k: c for k, c in vector.items() if c}, {i: 1}
         for key, pivot, pivot_relation in pivots:
             if c := vector.get(key):
-                factor = Fraction(-c, pivot[key])
-                _add_multiple(vector, factor, pivot)
-                _add_multiple(relation, factor, pivot_relation)
+                p = pivot[key]
+                _scale_add(vector, p, -c, pivot)
+                _scale_add(relation, p, -c, pivot_relation)
+        divisor = gcd(*vector.values(), *relation.values())
+        vector, relation = ({k: c // divisor for k, c in d.items()} for d in (vector, relation))
         if vector:
             pivots.append((max(vector), vector, relation))
         else:
@@ -161,8 +166,7 @@ def _nullspace(vectors: list[dict]) -> list[dict]:
     return relations
 
 
-@dataclass(frozen=True)
-class HighestWeightVector:
+class HighestWeightVector(NamedTuple):
     boundary: Boundary
     hive: Hive
     decomposition: tuple[int, ...]  # 1-based generator indices, sorted

@@ -1,5 +1,4 @@
 import random
-from dataclasses import fields
 
 import pytest
 
@@ -274,11 +273,11 @@ def test_hilbert_basis_matches_brute_force(n, max_degree):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_presentation_is_its_four_fields(n):
+def test_presentation_is_its_three_fields(n):
     pres = presentation(n)
     fresh = ConePresentation(n, pres.basis, pres.relations)
     assert fresh == pres and hash(fresh) == hash(pres)
-    assert [f.name for f in fields(pres)] == ["n", "basis", "relations"]
+    assert pres._fields == ("n", "basis", "relations")
 
 
 def test_inequalities_export_text_layout():

@@ -1,7 +1,13 @@
-"""The package's record types: immutable, hashed and printed as pinned."""
+"""The package's record types: immutable, hashed and printed as pinned; and
+the imports they cost a short-lived CLI process."""
+
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hivealg
 from hivealg.cone import ConePresentation, presentation
 from hivealg.hive import Hive
 from hivealg.polynomial import ColumnTableau
@@ -54,3 +60,14 @@ def test_hive_repr_is_pinned():
 
 def test_check_result_detail_defaults_to_empty():
     assert CheckResult("a check", False).detail == ""
+
+
+def test_import_loads_no_heavy_module():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and fractions
+    # pulls in decimal; every CLI run would pay for them before any work
+    src = str(Path(hivealg.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import hivealg, hivealg.cli; "
+            "print(*sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == []

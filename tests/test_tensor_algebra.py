@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import pytest
 
@@ -253,6 +254,18 @@ def test_a_dependent_rank2_table_fails_independence(monkeypatch, capsys):
     assert result.detail == "initial exponent vectors of g_1..g_5 have rank 4"
     assert run(["verify", "-n", "2"]) == 2
     assert "FAIL  rank-2 generators algebraically independent" in capsys.readouterr().out
+
+
+def test_nullspace_relations_are_primitive_over_any_pivot():
+    # pivots 4 and 2, not +-1: the second vector reduces to 4 v_1 - 6 v_0,
+    # which the gcd division must bring to 2 v_1 - 3 v_0
+    vectors = [{0: 2, 1: 4}, {0: 3, 1: 6}, {0: 1, 1: 5}]
+    [relation] = tensor_algebra._nullspace(vectors)
+    assert relation == {0: -3, 1: 2}
+    assert all(type(r) is int for r in relation.values())
+    assert math.gcd(*relation.values()) == 1
+    assert all(sum(r * vectors[i].get(k, 0) for i, r in relation.items()) == 0
+               for k in (0, 1))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
