@@ -16,22 +16,18 @@ from hivealg.tableau import hive_to_tableau
 from hivealg.tensor_algebra import build_generators, highest_weight_vector
 
 
-def records():
-    """One instance of each record type, with the name of its first field."""
-    h1 = presentation(2).basis[0]
-    return [
-        (h1, "n"),
-        (ColumnTableau(1, (2,)), "empty"),
-        (hive_to_tableau(h1), "outer"),
-        (CheckResult("a check", True), "name"),
-        (presentation(4).relations[0], "name"),
-        (presentation(2), "n"),
-        (build_generators(2), "n"),
-        (highest_weight_vector(2, h1), "boundary"),
-    ]
-
-
-RECORDS = records()
+H1 = presentation(2).basis[0]
+# one instance of each record type, with the name of its first field
+RECORDS = [
+    (H1, "n"),
+    (ColumnTableau(1, (2,)), "empty"),
+    (hive_to_tableau(H1), "outer"),
+    (CheckResult("a check", True), "name"),
+    (presentation(4).relations[0], "name"),
+    (presentation(2), "n"),
+    (build_generators(2), "n"),
+    (highest_weight_vector(2, H1), "boundary"),
+]
 
 
 @pytest.mark.parametrize("record, name", RECORDS,
@@ -55,7 +51,7 @@ def test_hive_sum_is_entrywise_and_a_hive():
 
 
 def test_hive_repr_is_pinned():
-    assert repr(presentation(2).basis[0]) == "Hive(n=2, flat=(0, 0, 1, 0, 1, 2))"
+    assert repr(H1) == "Hive(n=2, flat=(0, 0, 1, 0, 1, 2))"
 
 
 def test_check_result_detail_defaults_to_empty():
