@@ -168,7 +168,8 @@ def _kernel_source(n: int, count: bool, pairs: bool = False) -> str:
 def _kernel(n: int, count: bool, pairs: bool = False):
     """The compiled rank-n hive search: entry(lam, mu, nu), on a dominant
     triple padded to length n with |lam| = |mu| + |nu|, as _boundary_triple
-    returns one, gives the number of hives (count) or yields the flat
+    returns one (lr_coefficient pads its own at rank min(n, len(lam)), see
+    there), gives the number of hives (count) or yields the flat
     coordinates of each in search order, which is not lexicographic
     (enumerate_hives sorts); with pairs, entry(mu, nu) does so over every
     lambda.  The source holds only integer indices from cone_rows, compiled
@@ -205,7 +206,7 @@ def _boundary_triple(n, lam, mu, nu) -> tuple[Parts, Parts, Parts] | None:
     Trailing zeros change neither dominance nor the sums, so each part is
     checked as given and only the error message strips them; nonzero parts
     beyond n admit no hive.  A tuple of length n is returned as it is, not
-    copied."""
+    copied.  lr_coefficient comes here only for a part longer than its m."""
     n = _integer("rank", n, 1)
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
     if len(lam) > n or len(mu) > n or len(nu) > n:
@@ -230,10 +231,29 @@ def enumerate_hives(n, lam, mu, nu) -> list[Hive]:
     return [Hive(n, flat) for flat in sorted(_kernel(n, False)(*triple))]
 
 
+@lru_cache(maxsize=32)
+def _count_entry(m: int):
+    """lr_coefficient's rank-m triple check, count kernel and padding zeros."""
+    return _triple_check(m), _kernel(m, True), (0,) * m
+
+
 def lr_coefficient(n, lam, mu, nu) -> int:
-    """Littlewood-Richardson coefficient for GL(n), counted by hives."""
-    triple = _boundary_triple(n, lam, mu, nu)
-    return 0 if triple is None else _kernel(n, True)(*triple)
+    """Littlewood-Richardson coefficient for GL(n), counted by hives at rank
+    m = min(n, len(lam)), at least 1: exact, as c^lam_mu,nu is the same at
+    every rank >= l(lam).  A part longer than m takes the _boundary_triple
+    path: a nonzero mu_i or nu_i, i > m, is not under lam, or past rank n."""
+    n = _integer("rank", n, 1)
+    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
+    m = min(n, len(lam)) or 1
+    if len(lam) > m or len(mu) > m or len(nu) > m:
+        triple = _boundary_triple(m, lam, mu, nu)
+        return 0 if triple is None else _kernel(m, True)(*triple)
+    ok, count, zeros = _count_entry(m)
+    lam, mu, nu = lam + zeros[len(lam):], mu + zeros[len(mu):], nu + zeros[len(nu):]
+    if ok(lam, mu, nu):
+        return count(lam, mu, nu)
+    require_partitions(lam, mu, nu)
+    return 0
 
 
 def lr_via_tableaux(n, lam, mu, nu) -> int:

@@ -6,7 +6,8 @@ rows plus cancelled pairs of them, all of which every hive satisfies, and
 its bottom-row-up fill order prunes; enumeration comes out in
 lexicographic order whatever the search order; counts agree with
 enumeration and with the tableau route, also at ranks whose nest passes
-that limit, and with the symmetries and saturation of LR coefficients.  The
+that limit, with the symmetries and saturation of LR coefficients, and
+at every rank that holds lambda, and stretch polynomially.  The
 search bounds each basis element by the rows it raises, in pieces of a few
 levels, and agrees with the interpreted search and with a row-by-row reading
 of cone_rows on any array."""
@@ -27,7 +28,7 @@ from hivealg import cone, counting
 from hivealg.cone import ConePresentation, hilbert_basis, hives_up_to_degree, presentation
 from hivealg.counting import _kernel, enumerate_hives, lr_coefficient, lr_via_tableaux
 from hivealg.hive import Hive, cone_rows, flat_index, hive_violations, triangle_size
-from hivealg.shapes import contains, pad, partitions_of
+from hivealg.shapes import contains, normalize, pad, partitions_of
 from test_counting import swept_triples
 from test_hive_properties import hive_pool, interpreted_decompositions
 
@@ -317,6 +318,55 @@ def test_swapping_mu_and_nu_keeps_the_coefficient(triple):
             == lr_coefficient(n, lam, mu, nu) == lr_coefficient(n, lam, nu, mu))
 
 
+@settings(max_examples=150)
+@given(mixed_triples())
+def test_coefficient_is_the_same_at_every_rank_that_holds_lambda(triple):
+    # lr_coefficient counts at rank min(n, len(lam)); padding lam to n + k
+    # makes it count at rank n + k, and stripping its zeros at l(lam)
+    n, lam, mu, nu = triple
+    c = lr_via_tableaux(n, lam, mu, nu)
+    for k in range(3):
+        assert (lr_coefficient(n, lam, mu, nu) == lr_coefficient(n + k, lam, mu, nu)
+                == lr_coefficient(n + k, pad(lam, n + k), mu, nu)
+                == lr_coefficient(n + k, normalize(lam), mu, nu) == c)
+
+
+@pytest.mark.parametrize("n, lam, mu, nu, expected", [
+    (5, (), (), (), 1),
+    (5, (), (0, 0, 0), (0,), 1),
+    (5, (), (1,), (), 0),
+    (3, (2, 1, 0, 0, 0), (1,), (1, 1), 1),
+    (2, (2, 1, 0), (1, 0, 0, 0), (1, 1), 1),
+    (6, (2, 2), (1, 1, 1), (1,), 0),  # mu is not under lam
+    (6, (3, 1), (1,), (1, 1, 1), 0),
+    (6, (2, 2), (1, 1, 0), (1, 1), 1),
+])
+def test_least_rank_edge_cases(n, lam, mu, nu, expected):
+    assert lr_coefficient(n, lam, mu, nu) == lr_via_tableaux(n, lam, mu, nu) == expected
+
+
+@pytest.mark.parametrize("n, lam, mu, nu, message", [
+    (6, (2, 1), (1, 0, 2), (), "mu = (1, 0, 2) is not a partition"),
+    (6, (2, 1), (1, 0, 2, 0), (), "mu = (1, 0, 2) is not a partition"),
+    (6, (1, 2), (1, 1, 1), (), "lambda = (1, 2) is not a partition"),
+    (2, (2, 1), (1,), (1, 0, -1), "nu = (1, 0, -1) is not a partition"),
+    (6, (2, 1), (2, 1), (0, -1), "nu = (0, -1) is not a partition"),
+])
+def test_least_rank_keeps_the_partition_messages(n, lam, mu, nu, message):
+    with pytest.raises(ValueError) as err:
+        lr_coefficient(n, lam, mu, nu)
+    assert str(err.value) == message
+
+
+def test_lr_coefficient_builds_only_the_kernel_of_the_least_rank(monkeypatch):
+    built, kernel = [], counting._kernel
+    monkeypatch.setattr(counting, "_kernel", lambda *args: built.append(args) or kernel(*args))
+    counting._count_entry.cache_clear()
+    assert lr_coefficient(8, (2, 1), (1,), (1, 1)) == 1
+    assert lr_coefficient(8, (2, 1), (1, 0, 0), (1, 1)) == 1  # mu longer than lam
+    assert built == [(2, True), (2, True)]
+
+
 @st.composite
 def admitted_triples(draw, low, high, size):
     """(n, lam, mu, nu) with size / 2 <= |mu|, |nu| <= size and lam one of
@@ -389,6 +439,25 @@ def test_conjugation_symmetry(triple):
     n, lam, mu, nu = triple
     assert (both_kernels(n, lam, mu, nu)
             == both_kernels(n, conjugate(lam), conjugate(mu), conjugate(nu)))
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_stretched_coefficients_are_polynomial(n):
+    # Derksen-Weyman, Rassart: N -> c(N lam, N mu, N nu) is a polynomial of
+    # degree at most b = (l - 1)(l - 2)/2 at rank l, so with l = l(lam), a
+    # tighter bound than rank n gives, as the coefficient is the same at every
+    # rank >= l(lam).  Its differences of order b + 1 over N = 1..b + 2
+    # vanish; N = 0 is left out, as it gives 1 even where c = 0.  Every triple
+    # has c >= 2.  King-Tollu-Toumazet conjecture that the coefficients of
+    # the polynomial are positive; that is not checked here.
+    for _, lam, mu, nu in multiple_triples(n):
+        length = len(normalize(lam))
+        b = (length - 1) * (length - 2) // 2
+        values = [lr_coefficient(n, *(tuple(N * v for v in p) for p in (lam, mu, nu)))
+                  for N in range(1, b + 3)]
+        for _ in range(b + 1):
+            values = [y - x for x, y in zip(values, values[1:])]
+        assert values == [0], (lam, mu, nu)
 
 
 # ---------------------------------------------------------------------------
