@@ -167,16 +167,15 @@ def _kernel_source(n: int, count: bool, pairs: bool = False) -> str:
 @lru_cache(maxsize=32)
 def _kernel(n: int, count: bool, pairs: bool = False):
     """The compiled rank-n hive search: entry(lam, mu, nu), on a dominant
-    triple padded to length n with |lam| = |mu| + |nu|, as _boundary_triple
-    returns one (lr_coefficient pads its own at rank min(n, len(lam)), see
-    there), gives the number of hives (count) or yields the flat
-    coordinates of each in search order, which is not lexicographic
-    (enumerate_hives sorts); with pairs, entry(mu, nu) does so over every
-    lambda.  The source holds only integer indices from cone_rows, compiled
-    by hive._compile under its filename.  One nested loop over locals, so a
-    search node costs no call and no list subscript; a further function only
-    past the block limit (rank 8 enumerating, rank 9 and up; with pairs, a
-    rank lower)."""
+    triple padded to length n with |lam| = |mu| + |nu| (lr_coefficient pads
+    its own at rank min(n, len(lam)), see there), gives the number of hives
+    (count) or yields the flat coordinates of each in search order, which is
+    not lexicographic (enumerate_hives sorts); with pairs, entry(mu, nu)
+    does so over every lambda.  The source holds only integer indices from
+    cone_rows, compiled by hive._compile under its filename.  One nested
+    loop over locals, so a search node costs no call and no list subscript;
+    a further function only past the block limit (rank 8 enumerating, rank 9
+    and up; with pairs, a rank lower)."""
     filename = f"<hivealg kernel n={n} {'pairs ' * pairs}{'count' if count else 'enumerate'}>"
     return _compile(_kernel_source(n, count, pairs), filename, "entry")
 
@@ -187,67 +186,48 @@ def _padded_partitions(n: int, d: int) -> list[list[Parts]]:
     return [[pad(p, n) for p in partitions_of(j, n)] for j in range(d + 1)]
 
 
-@lru_cache(maxsize=32)
-def _triple_check(n: int):
-    """The compiled rank-n check on a triple padded to length n: each part
-    weakly decreasing down to a non-negative last part, one line each, and
-    |lam| = |mu| + |nu|."""
-    def entries(p):
-        return [f"{p}[{i}]" for i in range(n)]
-
-    lines = [" >= ".join(entries(p) + ["0"]) for p in ("lam", "mu", "nu")]
-    lines.append(f"{' + '.join(entries('lam'))} == {' + '.join(entries('mu') + entries('nu'))}")
-    source = "def triple_ok(lam, mu, nu):\n    return (" + "\n            and ".join(lines) + ")\n"
-    return _compile(source, f"<hivealg triple check n={n}>", "triple_ok")
-
-
-def _boundary_triple(n, lam, mu, nu) -> tuple[Parts, Parts, Parts] | None:
-    """Pad a boundary triple to length n, or None when no hive can carry it.
-    Trailing zeros change neither dominance nor the sums, so each part is
-    checked as given and only the error message strips them; nonzero parts
-    beyond n admit no hive.  A tuple of length n is returned as it is, not
-    copied.  lr_coefficient comes here only for a part longer than its m."""
-    n = _integer("rank", n, 1)
-    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
-    if len(lam) > n or len(mu) > n or len(nu) > n:
-        require_partitions(lam, mu, nu)
-        if any(lam[n:]) or any(mu[n:]) or any(nu[n:]):
-            return None
-        lam, mu, nu = lam[:n], mu[:n], nu[:n]
-    zeros = (0,) * n
-    lam, mu, nu = lam + zeros[len(lam):], mu + zeros[len(mu):], nu + zeros[len(nu):]
-    if _triple_check(n)(lam, mu, nu):
-        return lam, mu, nu
-    require_partitions(lam, mu, nu)
-    return None
-
-
 def enumerate_hives(n, lam, mu, nu) -> list[Hive]:
     """All hives with boundary (lam, mu, nu), in lexicographic order of their
-    flat coordinates."""
-    triple = _boundary_triple(n, lam, mu, nu)
-    if triple is None:
+    flat coordinates.  lr_coefficient admits the triple and raises the
+    partition errors; a positive count leaves no nonzero part past n."""
+    n = _integer("rank", n, 1)
+    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
+    if not lr_coefficient(n, lam, mu, nu):
         return []
+    triple = pad(lam, n), pad(mu, n), pad(nu, n)
     return [Hive(n, flat) for flat in sorted(_kernel(n, False)(*triple))]
 
 
 @lru_cache(maxsize=32)
 def _count_entry(m: int):
-    """lr_coefficient's rank-m triple check, count kernel and padding zeros."""
-    return _triple_check(m), _kernel(m, True), (0,) * m
+    """lr_coefficient's rank-m count kernel and padding zeros, after its
+    compiled check on a triple padded to length m: each part weakly
+    decreasing down to a non-negative last part, one line each, and
+    |lam| = |mu| + |nu|."""
+    def entries(p):
+        return [f"{p}[{i}]" for i in range(m)]
+
+    lines = [" >= ".join(entries(p) + ["0"]) for p in ("lam", "mu", "nu")]
+    lines.append(f"{' + '.join(entries('lam'))} == {' + '.join(entries('mu') + entries('nu'))}")
+    source = "def triple_ok(lam, mu, nu):\n    return (" + "\n            and ".join(lines) + ")\n"
+    return (_compile(source, f"<hivealg triple check n={m}>", "triple_ok"),
+            _kernel(m, True), (0,) * m)
 
 
 def lr_coefficient(n, lam, mu, nu) -> int:
     """Littlewood-Richardson coefficient for GL(n), counted by hives at rank
     m = min(n, len(lam)), at least 1: exact, as c^lam_mu,nu is the same at
-    every rank >= l(lam).  A part longer than m takes the _boundary_triple
-    path: a nonzero mu_i or nu_i, i > m, is not under lam, or past rank n."""
+    every rank >= l(lam).  Trailing zeros change neither dominance nor the
+    sums, so a part longer than m is checked as given and then cut to m; a
+    nonzero mu_i or nu_i, i > m, is not under lam, or past rank n."""
     n = _integer("rank", n, 1)
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
     m = min(n, len(lam)) or 1
     if len(lam) > m or len(mu) > m or len(nu) > m:
-        triple = _boundary_triple(m, lam, mu, nu)
-        return 0 if triple is None else _kernel(m, True)(*triple)
+        require_partitions(lam, mu, nu)
+        if any(lam[m:]) or any(mu[m:]) or any(nu[m:]):
+            return 0
+        lam, mu, nu = lam[:m], mu[:m], nu[:m]
     ok, count, zeros = _count_entry(m)
     lam, mu, nu = lam + zeros[len(lam):], mu + zeros[len(mu):], nu + zeros[len(nu):]
     if ok(lam, mu, nu):

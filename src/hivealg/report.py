@@ -17,7 +17,3 @@ class CheckResult(NamedTuple):
     def line(self) -> str:
         status = "ok  " if self.ok else "FAIL"
         return f"{status}  {self.name}" + (f": {self.detail}" if self.detail else "")
-
-
-def failures(results: list[CheckResult]) -> list[CheckResult]:
-    return [r for r in results if not r.ok]

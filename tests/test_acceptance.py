@@ -10,7 +10,6 @@ from hivealg.counting import (enumerate_hives, hp_series_enumerated,
                               hp_series_reference, lr_coefficient,
                               lr_via_schur, lr_via_tableaux)
 from hivealg.polynomial import Weight, raising_derivation
-from hivealg.report import failures
 from hivealg.shapes import contains, partitions_of
 from hivealg.tableau import enumerate_tableaux, hive_to_tableau, tableau_to_hive
 from hivealg.tensor_algebra import (build_generators, highest_weight_vector,
@@ -131,9 +130,9 @@ def test_criterion_04_worked_example():
 
 def test_criterion_05_presentation_relations():
     t0 = time.time()
-    ok = (not failures(verify_presentation_relations(3))
+    ok = (all(r.ok for r in verify_presentation_relations(3))
           and len(verify_presentation_relations(4)) == 15
-          and not failures(verify_presentation_relations(4)))
+          and all(r.ok for r in verify_presentation_relations(4)))
     _report(5, "the rank-3 relation and all fifteen rank-4 relations expand to zero",
             ok, t0)
 

@@ -364,7 +364,10 @@ def test_lr_coefficient_builds_only_the_kernel_of_the_least_rank(monkeypatch):
     counting._count_entry.cache_clear()
     assert lr_coefficient(8, (2, 1), (1,), (1, 1)) == 1
     assert lr_coefficient(8, (2, 1), (1, 0, 0), (1, 1)) == 1  # mu longer than lam
-    assert built == [(2, True), (2, True)]
+    assert built == [(2, True)]
+    # enumerating at rank 8 builds its own kernel, but no rank-8 count kernel
+    assert len(enumerate_hives(8, (2, 1), (1,), (1, 1))) == 1
+    assert built == [(2, True), (8, False)]
 
 
 @st.composite
