@@ -36,13 +36,14 @@ def _fill_plan(n: int, pairs: bool = False):
     the reverse of row-major order: rows n down to 3, each from its right
     end to its left, so the bottom row, next to the nu edge and the tail of
     lambda, whose intervals are tightest, is placed first.  With pairs, the
-    lambda cells h[j][j], j = 2..n, are free too, in columns 2..n from the
-    mu edge, each from row n up to its lambda cell: h[i][j] then has a lower
-    bound from rhombus2 at (i, j-1) and an upper one from rhombus1 there.
-    Each cone row is attached to the free entry it mentions that is placed
-    last; rows on the boundary alone are kept apart.  The edge rows of the
-    fixed edges come first in cone_rows and are left out: every dominant
-    boundary satisfies them.
+    lambda cells are free too, and all go by diagonals parallel to the
+    lambda edge, from i - j = n - 2 at the mu/nu corner to i = j, each from
+    row n up.  So h[i][j] has a lower bound from rhombus3 at (i, j) and an
+    upper one from rhombus1 at (i, j-1), over cells of a fixed edge, of an
+    earlier diagonal or below it on its own.  Each cone row is attached to
+    the free entry it mentions that is placed last; rows on the boundary
+    alone are kept apart.  The edge rows of the fixed edges come first in
+    cone_rows and are left out: every dominant boundary satisfies them.
 
     Then one round of cancelled pairs: for each free entry x, the sum of
     each row bounding x from below with each row bounding it from above.  x
@@ -54,11 +55,10 @@ def _fill_plan(n: int, pairs: bool = False):
     on the boundary alone, are dropped.
 
     Attached rows are split as (coeff on that entry, residual terms), so
-    interval bounds fall out once everything earlier is placed.
-    """
+    interval bounds fall out once everything earlier is placed."""
     row_bounds = tuple((flat_index(i, 1), flat_index(i + 1, 1)) for i in range(1, n + 2))
-    interior = (tuple(flat_index(i, j) for j in range(2, n + 1) for i in range(n, j - 1, -1))
-                if pairs else
+    interior = (tuple(flat_index(i, i - k) for k in range(n - 2, -1, -1)
+                      for i in range(n, k + 1, -1)) if pairs else
                 tuple(flat_index(i, j) for i in range(n, 2, -1) for j in range(i - 1, 1, -1)))
     boundary_only = []
     attached = {k: [] for k in interior}

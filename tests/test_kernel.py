@@ -3,7 +3,9 @@ decomposition search (cone._search).  Both build and their source is
 inspectable; the kernel nests one loop per interior entry, split
 across functions only at CPython's block limit; its plan holds the cone
 rows plus cancelled pairs of them, all of which every hive satisfies, and
-its bottom-row-up fill order prunes; enumeration comes out in
+its bottom-row-up fill order prunes, as does the pairs plan's order, by
+diagonals from the mu/nu corner, whose every entry is bounded both ways
+by rows over entries placed before it; enumeration comes out in
 lexicographic order whatever the search order; counts agree with
 enumeration and with the tableau route, also at ranks whose nest passes
 that limit, with the symmetries and saturation of LR coefficients, and
@@ -535,11 +537,13 @@ def test_plan_rows_hold_on_enumerated_hives(triple):
 
 def boundary_flat(n, lam, mu, nu):
     """The flat array of the padded boundary (lam, mu, nu), its edges set
-    from partial sums and its interior at zero."""
+    from partial sums and its interior at zero; with lam None, the pairs
+    boundary, whose lambda cells are free and stay at zero too."""
     flat = [0] * triangle_size(n)
     for i in range(1, n + 1):  # left and right edges, then the bottom one
         flat[flat_index(i + 1, 1)] = flat[flat_index(i, 1)] + mu[i - 1]
-        flat[flat_index(i + 1, i + 1)] = flat[flat_index(i, i)] + lam[i - 1]
+        if lam is not None:
+            flat[flat_index(i + 1, i + 1)] = flat[flat_index(i, i)] + lam[i - 1]
     for j in range(1, n + 1):
         flat[flat_index(n + 1, j + 1)] = flat[flat_index(n + 1, j)] + nu[j - 1]
     return flat
@@ -600,9 +604,10 @@ def test_enumeration_order_is_lexicographic(triple):
 
 
 def plan_nodes(n, lam, mu, nu):
-    """Interior DFS nodes (entries set to one value) that _fill_plan(n)
-    visits for a padded boundary, read row by row from the plan."""
-    _row_bounds, interior, boundary_only, attached = counting._fill_plan(n)
+    """Free-entry DFS nodes (entries set to one value) that _fill_plan(n)
+    visits for a padded boundary, read row by row from the plan; with lam
+    None, those that the pairs plan _fill_plan(n, True) visits for (mu, nu)."""
+    _row_bounds, interior, boundary_only, attached = counting._fill_plan(n, lam is None)
     flat = boundary_flat(n, lam, mu, nu)
     if any(sum(c * flat[k] for k, c in terms) < 0 for terms in boundary_only):
         return 0
@@ -630,6 +635,48 @@ RANK6_NODES = 15_519
 def test_fill_plan_prunes_rank6():
     nodes = sum(plan_nodes(6, *triple) for d in range(9) for triple in swept_triples(6, d))
     assert nodes <= RANK6_NODES
+
+
+def face_pairs(n, d):
+    """The padded (mu, nu) of degree d that counting._reduced_sums sweeps:
+    mu_n = nu_n = 0, |mu| <= |nu|, and at |mu| = |nu| mu no later than nu
+    in partitions_of order."""
+    by_size = [[pad(p, n) for p in partitions_of(j, n - 1)] for j in range(d + 1)]
+    return [(mu, nu) for j in range(d // 2 + 1) for a, mu in enumerate(by_size[j])
+            for nu in (by_size[d - j][a:] if 2 * j == d else by_size[d - j])]
+
+
+# Nodes of the rank-6 pairs sweep of degree <= 8 with the diagonal fill
+# order from the mu/nu corner; columns 2..n from the mu edge, each from
+# row n up, visit 8,769, and rows from the bottom, each from the mu edge,
+# 5,595.
+RANK6_PAIRS_NODES = 4_984
+
+
+def test_pairs_plan_prunes():
+    nodes = sum(plan_nodes(6, None, mu, nu) for d in range(9) for mu, nu in face_pairs(6, d))
+    assert nodes <= RANK6_PAIRS_NODES
+
+
+def test_pairs_plan_fills_diagonals_from_the_corner_each_bounded_both_ways():
+    assert counting._fill_plan(4, True)[1] == (7, 8, 4, 9, 5, 2)
+    for n in range(2, 13):
+        rows = {(kind, i, j): dict(terms) for kind, i, j, terms in cone_rows(n)}
+        attached = {}
+        for pos, row in plan_rows(n, pairs=True):
+            attached.setdefault(pos, []).append(row)
+        cell = {flat_index(i, j): (i, j) for i in range(2, n + 1) for j in range(2, i + 1)}
+        interior = counting._fill_plan(n, True)[1]
+        assert sorted(interior) == sorted(cell)
+        for pos in interior:
+            i, j = cell[pos]
+            # rhombus3 (i, j) reads (i+1, j+1), (i, j-1) and (i+1, j): a
+            # lower bound; rhombus1 (i, j-1) reads (i, j-1), (i+1, j) and
+            # (i+1, j-1): an upper one.  Attached to (i, j), each reads
+            # only cells on the fixed edges or placed before it
+            lower, upper = rows["rhombus3", i, j], rows["rhombus1", i, j - 1]
+            assert lower[pos] == 1 and lower in attached[pos], (n, i, j)
+            assert upper[pos] == -1 and upper in attached[pos], (n, i, j)
 
 
 # ---------------------------------------------------------------------------
