@@ -1,0 +1,6 @@
+def entry(mu, nu):
+    a1 = mu[0]
+    a2 = a1 + nu[0]
+    if a2 < 0:
+        return
+    yield (0, a1, a2)

@@ -1,0 +1,15 @@
+def entry(lam, mu, nu):
+    a1 = mu[0]
+    a3 = a1 + mu[1]
+    a2 = lam[0]
+    a4 = a3 + nu[0]
+    a5 = a4 + nu[1]
+    if a1 + a2 - a4 < 0:
+        return 0
+    if a4 + a2 - a5 - a1 < 0:
+        return 0
+    if a1 + a4 - a3 - a2 < 0:
+        return 0
+    total = 0
+    total += 1
+    return total

@@ -1,0 +1,13 @@
+def entry(lam, mu, nu):
+    a1 = mu[0]
+    a3 = a1 + mu[1]
+    a2 = lam[0]
+    a4 = a3 + nu[0]
+    a5 = a4 + nu[1]
+    if a1 + a2 - a4 < 0:
+        return
+    if a4 + a2 - a5 - a1 < 0:
+        return
+    if a1 + a4 - a3 - a2 < 0:
+        return
+    yield (0, a1, a2, a3, a4, a5)

@@ -1,0 +1,28 @@
+def entry(lam, mu, nu):
+    a1 = mu[0]
+    a3 = a1 + mu[1]
+    a6 = a3 + mu[2]
+    a2 = lam[0]
+    a5 = a2 + lam[1]
+    a7 = a6 + nu[0]
+    a8 = a7 + nu[1]
+    a9 = a8 + nu[2]
+    total = 0
+    lo = a7 + a1 - a3
+    t = a8 + a2 - a5
+    if t > lo: lo = t
+    t = a5 + a1 - a2
+    if t > lo: lo = t
+    t = a8 + a3 - a7
+    if t > lo: lo = t
+    t = a3 + a2 - a1
+    if t > lo: lo = t
+    t = a7 + a5 - a8
+    if t > lo: lo = t
+    hi = a1 + a2
+    t = a8 + a5 - a9
+    if t < hi: hi = t
+    t = a3 + a7 - a6
+    if t < hi: hi = t
+    if hi >= lo: total += hi - lo + 1
+    return total

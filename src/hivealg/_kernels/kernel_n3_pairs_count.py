@@ -1,0 +1,44 @@
+def entry(mu, nu):
+    a1 = mu[0]
+    a3 = a1 + mu[1]
+    a6 = a3 + mu[2]
+    a7 = a6 + nu[0]
+    a8 = a7 + nu[1]
+    a9 = a8 + nu[2]
+    total = 0
+    lo = a7 + a1 - a3
+    t = a8 + a3 - a7
+    if t > lo: lo = t
+    t = a3 - a1
+    if t > lo: lo = t
+    t = a1
+    if t > lo: lo = t
+    hi = a3 + a7 - a6
+    t = a8
+    if t < hi: hi = t
+    for a4 in range(lo, hi + 1):
+        lo = a9 + a4 - a8
+        t = 0
+        if t > lo: lo = t
+        t = a8 - a4
+        if t > lo: lo = t
+        t = a4 - a1
+        if t > lo: lo = t
+        t = a8 - a1
+        if t > lo: lo = t
+        hi = a9
+        t = a4 + a8 - a7
+        if t < hi: hi = t
+        for a5 in range(lo, hi + 1):
+            lo = 0
+            t = a4 - a1
+            if t > lo: lo = t
+            t = a5 + a1 - a4
+            if t > lo: lo = t
+            hi = a5
+            t = a4 + a5 - a8
+            if t < hi: hi = t
+            t = a1 + a4 - a3
+            if t < hi: hi = t
+            if hi >= lo: total += hi - lo + 1
+    return total

@@ -1,0 +1,5 @@
+def triple_ok(lam, mu, nu):
+    return (lam[0] >= lam[1] >= lam[2] >= 0
+            and mu[0] >= mu[1] >= mu[2] >= 0
+            and nu[0] >= nu[1] >= nu[2] >= 0
+            and lam[0] + lam[1] + lam[2] == mu[0] + mu[1] + mu[2] + nu[0] + nu[1] + nu[2])

@@ -164,20 +164,45 @@ def _kernel_source(n: int, count: bool, pairs: bool = False) -> str:
     return "\n".join(lines + end) + "\n"
 
 
+def _module_name(name: str) -> str:
+    """The shipped module of the generated code `name`: "kernel n=4 count"
+    is hivealg._kernels.kernel_n4_count."""
+    return f"{__package__}._kernels.{name.replace('=', '').replace(' ', '_')}"
+
+
+def _generated(name: str, function: str, source):
+    """Function `function` of the generated code `name`, from its shipped
+    module where there is one (ranks up to 6; tools/regen_kernels.py writes
+    them from source), so Python's bytecode cache spares each process the
+    plan, the source and the compile; else compiled from source() by
+    hive._compile under the filename <hivealg name>."""
+    from importlib import import_module
+    from importlib.util import find_spec
+
+    spec = find_spec(_module_name(name))
+    if spec is None:
+        return _compile(source(), f"<hivealg {name}>", function)
+    return getattr(import_module(spec.name), function)
+
+
 @lru_cache(maxsize=32)
 def _kernel(n: int, count: bool, pairs: bool = False):
-    """The compiled rank-n hive search: entry(lam, mu, nu), on a dominant
-    triple padded to length n with |lam| = |mu| + |nu| (lr_coefficient pads
-    its own at rank min(n, len(lam)), see there), gives the number of hives
-    (count) or yields the flat coordinates of each in search order, which is
-    not lexicographic (enumerate_hives sorts); with pairs, entry(mu, nu)
-    does so over every lambda.  The source holds only integer indices from
-    cone_rows, compiled by hive._compile under its filename.  One nested
-    loop over locals, so a search node costs no call and no list subscript;
-    a further function only past the block limit (rank 8 enumerating, rank 9
-    and up; with pairs, a rank lower)."""
-    filename = f"<hivealg kernel n={n} {'pairs ' * pairs}{'count' if count else 'enumerate'}>"
-    return _compile(_kernel_source(n, count, pairs), filename, "entry")
+    """The rank-n hive search: entry(lam, mu, nu), on a dominant triple
+    padded to length n with |lam| = |mu| + |nu| (lr_coefficient pads its own
+    at rank min(n, len(lam)), see there), gives the number of hives (count)
+    or yields the flat coordinates of each in search order, which is not
+    lexicographic (enumerate_hives sorts); with pairs, entry(mu, nu) does so
+    over every lambda.  The source holds only integer indices from
+    cone_rows (_generated: shipped up to rank 6, compiled past it).  One
+    nested loop over locals, so a search node costs no call and no list
+    subscript; a further function only past the block limit (rank 8
+    enumerating, rank 9 and up; with pairs, a rank lower)."""
+    return _generated(_kernel_name(n, count, pairs), "entry",
+                      lambda: _kernel_source(n, count, pairs))
+
+
+def _kernel_name(n: int, count: bool, pairs: bool = False) -> str:
+    return f"kernel n={n} {'pairs ' * pairs}{'count' if count else 'enumerate'}"
 
 
 def _padded_partitions(n: int, d: int) -> list[list[Parts]]:
@@ -188,38 +213,43 @@ def _padded_partitions(n: int, d: int) -> list[list[Parts]]:
 
 def enumerate_hives(n, lam, mu, nu) -> list[Hive]:
     """All hives with boundary (lam, mu, nu), in lexicographic order of their
-    flat coordinates.  lr_coefficient admits the triple and raises the
-    partition errors; a positive count leaves no nonzero part past n."""
+    flat coordinates.  lr_coefficient's admission, without its count,
+    returns [] and raises the partition errors; an admitted triple has no
+    nonzero part past n."""
     n = _integer("rank", n, 1)
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
-    if not lr_coefficient(n, lam, mu, nu):
+    if not _admission(n, lam, mu, nu, False):
         return []
     triple = pad(lam, n), pad(mu, n), pad(nu, n)
     return [Hive(n, flat) for flat in sorted(_kernel(n, False)(*triple))]
 
 
-@lru_cache(maxsize=32)
-def _count_entry(m: int):
-    """lr_coefficient's rank-m count kernel and padding zeros, after its
-    compiled check on a triple padded to length m: each part weakly
-    decreasing down to a non-negative last part, one line each, and
+def _triple_check_source(m: int) -> str:
+    """triple_ok(lam, mu, nu) on a triple padded to length m: each part
+    weakly decreasing down to a non-negative last part, one line each, and
     |lam| = |mu| + |nu|."""
     def entries(p):
         return [f"{p}[{i}]" for i in range(m)]
 
     lines = [" >= ".join(entries(p) + ["0"]) for p in ("lam", "mu", "nu")]
     lines.append(f"{' + '.join(entries('lam'))} == {' + '.join(entries('mu') + entries('nu'))}")
-    source = "def triple_ok(lam, mu, nu):\n    return (" + "\n            and ".join(lines) + ")\n"
-    return (_compile(source, f"<hivealg triple check n={m}>", "triple_ok"),
+    return "def triple_ok(lam, mu, nu):\n    return (" + "\n            and ".join(lines) + ")\n"
+
+
+@lru_cache(maxsize=32)
+def _count_entry(m: int):
+    """lr_coefficient's rank-m triple check (_triple_check_source, through
+    _generated), count kernel and padding zeros."""
+    return (_generated(f"triple check n={m}", "triple_ok", lambda: _triple_check_source(m)),
             _kernel(m, True), (0,) * m)
 
 
-def lr_coefficient(n, lam, mu, nu) -> int:
-    """Littlewood-Richardson coefficient for GL(n), counted by hives at rank
-    m = min(n, len(lam)), at least 1: exact, as c^lam_mu,nu is the same at
-    every rank >= l(lam).  Trailing zeros change neither dominance nor the
-    sums, so a part longer than m is checked as given and then cut to m; a
-    nonzero mu_i or nu_i, i > m, is not under lam, or past rank n."""
+def _admission(n, lam, mu, nu, count: bool = True) -> int:
+    """lr_coefficient, or without count 1 for a triple it would count and 0
+    where c^lam_mu,nu = 0 shows before a count.  Trailing zeros change
+    neither dominance nor the sums, so a part longer than m is checked as
+    given and then cut to m; a nonzero mu_i or nu_i, i > m, is not under
+    lam, or past rank n."""
     n = _integer("rank", n, 1)
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
     m = min(n, len(lam)) or 1
@@ -228,12 +258,19 @@ def lr_coefficient(n, lam, mu, nu) -> int:
         if any(lam[m:]) or any(mu[m:]) or any(nu[m:]):
             return 0
         lam, mu, nu = lam[:m], mu[:m], nu[:m]
-    ok, count, zeros = _count_entry(m)
+    ok, kernel, zeros = _count_entry(m)
     lam, mu, nu = lam + zeros[len(lam):], mu + zeros[len(mu):], nu + zeros[len(nu):]
     if ok(lam, mu, nu):
-        return count(lam, mu, nu)
+        return kernel(lam, mu, nu) if count else 1
     require_partitions(lam, mu, nu)
     return 0
+
+
+def lr_coefficient(n, lam, mu, nu) -> int:
+    """Littlewood-Richardson coefficient for GL(n), counted by hives at rank
+    m = min(n, len(lam)), at least 1 (_admission): exact, as c^lam_mu,nu is
+    the same at every rank >= l(lam)."""
+    return _admission(n, lam, mu, nu)
 
 
 def lr_via_tableaux(n, lam, mu, nu) -> int:

@@ -8,7 +8,6 @@ addition; the bottom-right corner h[n+1][n+1] grades it.
 
 from __future__ import annotations
 
-import linecache
 from functools import lru_cache
 from itertools import chain
 from operator import add, sub
@@ -121,7 +120,12 @@ def _compile(source: str | list[str], filename: str, name: str):
     """Function `name` from generated source: a string, or pieces compiled one
     by one into one namespace, as compile()'s transient memory grows with the
     tokens of one call.  The whole source is registered with linecache under
-    its filename, so tracebacks, profiles and inspect.getsource show it."""
+    its filename, so tracebacks, profiles and inspect.getsource show it.
+    linecache, which loads tokenize, is imported at the first compile: a
+    process that counts only at ranks up to 6, whose kernels counting ships
+    as modules, never loads it."""
+    import linecache
+
     pieces = [source] if isinstance(source, str) else source
     text, namespace, line = "".join(pieces), {"__name__": __name__}, 0
     linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)

@@ -1,26 +1,31 @@
 """The generated code: the hive kernel (counting._kernel) and the
 decomposition search (cone._search).  Both build and their source is
-inspectable; the kernel nests one loop per interior entry, split
-across functions only at CPython's block limit; its plan holds the cone
-rows plus cancelled pairs of them, all of which every hive satisfies, and
-its bottom-row-up fill order prunes, as does the pairs plan's order, by
-diagonals from the mu/nu corner, whose every entry is bounded both ways
-by rows over entries placed before it; enumeration comes out in
-lexicographic order whatever the search order; counts agree with
-enumeration and with the tableau route, also at ranks whose nest passes
-that limit, with the symmetries and saturation of LR coefficients, and
-at every rank that holds lambda, and stretch polynomially.  The
-search bounds each basis element by the rows it raises, in pieces of a few
-levels, and agrees with the interpreted search and with a row-by-row reading
-of cone_rows on any array."""
+inspectable; the kernels and triple checks of ranks up to 6 load from the
+shipped modules, each the generator's text, and later ones compile; the
+kernel nests one loop per interior entry, split across functions only at
+CPython's block limit; its plan holds the cone rows plus cancelled pairs of
+them, all of which every hive satisfies, and its bottom-row-up fill order
+prunes, as does the pairs plan's order, by diagonals from the mu/nu corner,
+whose every entry is bounded both ways by rows over entries placed before
+it; enumeration comes out in lexicographic order whatever the search order;
+counts agree with enumeration and with the tableau route, also at ranks
+whose nest passes that limit, with the symmetries and saturation of LR
+coefficients, and at every rank that holds lambda, and stretch
+polynomially, out to 100 times.  The search bounds each basis element by
+the rows it raises, in pieces of a few levels, and agrees with the
+interpreted search and with a row-by-row reading of cone_rows on any
+array."""
 
 import inspect
 import linecache
 import re
+import runpy
 import tracemalloc
 from collections import Counter
 from functools import lru_cache
 from itertools import product, takewhile
+from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -49,10 +54,17 @@ def kernel_source(n, count, pairs=False):
     return "".join(linecache.getlines(kernel.__code__.co_filename))
 
 
+# ranks 1 to 6: the modules tools/regen_kernels.py writes, each file the
+# generator's text
+SHIPPED = Path(counting.__file__).with_name("_kernels")
+SHIPPED_KINDS = {"count": (True, False), "enumerate": (False, False),
+                 "pairs_count": (True, True), "pairs_enumerate": (False, True)}
+
+
 def test_kernel_source_is_inspectable():
     kernel = _kernel(4, True)
     source = kernel_source(4, True)
-    assert kernel.__code__.co_filename == "<hivealg kernel n=4 count>"
+    assert Path(kernel.__code__.co_filename) == SHIPPED / "kernel_n4_count.py"
     assert inspect.getsource(kernel).startswith("def entry(lam, mu, nu):\n")
     # bounds of the first interior entry, h[4][3] = a8: its three rhombus
     # rows, then the sums that cancel a7 and a4; then its loop
@@ -79,6 +91,38 @@ def test_kernel_source_is_inspectable():
             "    if t < hi: hi = t\n"
             "    for a8 in range(lo, hi + 1):\n") in source
     assert "max(" not in source and "min(" not in source
+
+
+def test_shipped_kernels_are_the_generated_sources():
+    regen = "regenerate them: python3 tools/regen_kernels.py"
+    expected = {}
+    for n in range(1, 7):
+        expected[f"triple_check_n{n}.py"] = counting._triple_check_source(n)
+        for kind, (count, pairs) in SHIPPED_KINDS.items():
+            expected[f"kernel_n{n}_{kind}.py"] = counting._kernel_source(n, count, pairs)
+    files = {path.name: path.read_text() for path in SHIPPED.glob("*.py")}
+    init = files.pop("__init__.py", None)
+    assert sorted(files) == sorted(expected), f"missing or extra modules; {regen}"
+    assert [name for name in expected if files[name] != expected[name]] == [], \
+        f"these differ from the generator's text; {regen}"
+    script = runpy.run_path(str(SHIPPED.parents[2] / "tools" / "regen_kernels.py"))
+    assert script["shipped"]() == {"__init__.py": init, **expected}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_kernels_load_shipped_up_to_rank_6_and_compile_past_it(n):
+    for kind, (count, pairs) in SHIPPED_KINDS.items():
+        code = _kernel(n, count, pairs).__code__
+        name = counting._kernel_name(n, count, pairs)
+        if n <= 6:
+            assert Path(code.co_filename) == SHIPPED / f"kernel_n{n}_{kind}.py"
+        else:
+            assert code.co_filename == f"<hivealg {name}>"
+            assert "".join(linecache.getlines(code.co_filename)) == \
+                counting._kernel_source(n, count, pairs)
+    check = counting._count_entry(n)[0].__code__.co_filename
+    assert (Path(check) == SHIPPED / f"triple_check_n{n}.py" if n <= 6
+            else check == f"<hivealg triple check n={n}>")
 
 
 @pytest.mark.parametrize("count", [True, False])
@@ -454,15 +498,23 @@ def test_stretched_coefficients_are_polynomial(n):
     # rank >= l(lam).  Its differences of order b + 1 over N = 1..b + 2
     # vanish; N = 0 is left out, as it gives 1 even where c = 0.  Every triple
     # has c >= 2.  King-Tollu-Toumazet conjecture that the coefficients of
-    # the polynomial are positive; that is not checked here.
+    # the polynomial are positive; that is not checked here.  The Lagrange
+    # polynomial through N = 1..b + 1, in Newton's form sum_k C(N - 1, k) *
+    # (difference k at N = 1), exact in integers, must also give c at
+    # N = 100, whose intervals are far longer than those up to N = b + 2: a
+    # count wrong only on intervals longer than 13, or than 60, fails here.
     for _, lam, mu, nu in multiple_triples(n):
+        def stretched(N):
+            return lr_coefficient(n, *(tuple(N * v for v in p) for p in (lam, mu, nu)))
+
         length = len(normalize(lam))
         b = (length - 1) * (length - 2) // 2
-        values = [lr_coefficient(n, *(tuple(N * v for v in p) for p in (lam, mu, nu)))
-                  for N in range(1, b + 3)]
+        values, heads = [stretched(N) for N in range(1, b + 3)], []
         for _ in range(b + 1):
+            heads.append(values[0])
             values = [y - x for x, y in zip(values, values[1:])]
         assert values == [0], (lam, mu, nu)
+        assert sum(comb(99, k) * d for k, d in enumerate(heads)) == stretched(100), (lam, mu, nu)
 
 
 # ---------------------------------------------------------------------------

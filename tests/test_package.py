@@ -57,12 +57,14 @@ def test_every_method_is_used_in_the_library_or_the_bench():
 
 
 def test_every_module_parses_at_the_declared_python_floor():
-    """pyproject.toml's requires-python floor, checked by parsing each module
-    with that version's grammar (except*, for one, is rejected before 3.11)."""
+    """pyproject.toml's requires-python floor, checked by parsing each module,
+    the shipped kernels too, with that version's grammar (except*, for one,
+    is rejected before 3.11)."""
     floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"',
                       (ROOT / "pyproject.toml").read_text())
     version = (int(floor[1]), int(floor[2]))
     modules = sorted((ROOT / "src" / "hivealg").glob("*.py"))
-    assert modules
-    for path in modules:
+    shipped = sorted((ROOT / "src" / "hivealg" / "_kernels").glob("*.py"))
+    assert modules and shipped
+    for path in modules + shipped:
         ast.parse(path.read_text(), filename=str(path), feature_version=version)

@@ -59,11 +59,13 @@ def test_check_result_detail_defaults_to_empty():
 
 
 def test_import_loads_no_heavy_module():
-    # dataclasses pulls in inspect, ast, dis and tokenize, and fractions
-    # pulls in decimal; every CLI run would pay for them before any work
+    # dataclasses pulls in inspect, ast, dis and tokenize, fractions pulls
+    # in decimal, and linecache tokenize; every CLI run would pay for them
+    # before any work.  The shipped kernels load at their first use.
     src = str(Path(hivealg.__file__).resolve().parents[1])
+    heavy = {"dataclasses", "inspect", "fractions", "decimal", "linecache", "hivealg._kernels"}
     code = (f"import sys; sys.path.insert(0, {src!r}); import hivealg, hivealg.cli; "
-            "print(*sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules)))")
+            f"print(*sorted({heavy!r} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.split() == []
