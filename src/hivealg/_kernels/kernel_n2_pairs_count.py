@@ -4,13 +4,9 @@ def entry(mu, nu):
     a4 = a3 + nu[0]
     a5 = a4 + nu[1]
     total = 0
-    lo = 0
-    t = a4 - a1
-    if t > lo: lo = t
+    lo = a4 - a1
     t = a5 + a1 - a4
     if t > lo: lo = t
-    hi = a5
-    t = a1 + a4 - a3
-    if t < hi: hi = t
+    hi = a1 + a4 - a3
     if hi >= lo: total += hi - lo + 1
     return total

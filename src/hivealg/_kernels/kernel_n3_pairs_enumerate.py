@@ -8,35 +8,19 @@ def entry(mu, nu):
     lo = a7 + a1 - a3
     t = a8 + a3 - a7
     if t > lo: lo = t
-    t = a3 - a1
-    if t > lo: lo = t
-    t = a1
-    if t > lo: lo = t
     hi = a3 + a7 - a6
-    t = a8
-    if t < hi: hi = t
     for a4 in range(lo, hi + 1):
         lo = a9 + a4 - a8
-        t = 0
-        if t > lo: lo = t
-        t = a8 - a4
-        if t > lo: lo = t
-        t = a4 - a1
-        if t > lo: lo = t
         t = a8 - a1
         if t > lo: lo = t
         hi = a9
         t = a4 + a8 - a7
         if t < hi: hi = t
         for a5 in range(lo, hi + 1):
-            lo = 0
-            t = a4 - a1
-            if t > lo: lo = t
+            lo = a4 - a1
             t = a5 + a1 - a4
             if t > lo: lo = t
-            hi = a5
-            t = a4 + a5 - a8
-            if t < hi: hi = t
+            hi = a4 + a5 - a8
             t = a1 + a4 - a3
             if t < hi: hi = t
             for a2 in range(lo, hi + 1):

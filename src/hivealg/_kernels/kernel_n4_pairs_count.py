@@ -30,8 +30,6 @@ def entry(mu, nu):
             hi = a7 + a8 - a12
             t = a3 + a7 - a6
             if t < hi: hi = t
-            t = a8
-            if t < hi: hi = t
             for a4 in range(lo, hi + 1):
                 lo = a14 + a8 - a13
                 hi = a14
@@ -39,28 +37,16 @@ def entry(mu, nu):
                 if t < hi: hi = t
                 for a9 in range(lo, hi + 1):
                     lo = a9 + a4 - a8
-                    t = 0
-                    if t > lo: lo = t
-                    t = a8 - a4
-                    if t > lo: lo = t
-                    t = a4 - a1
-                    if t > lo: lo = t
                     t = a8 - a1
                     if t > lo: lo = t
-                    hi = a9
-                    t = a8 + a9 - a13
-                    if t < hi: hi = t
+                    hi = a8 + a9 - a13
                     t = a4 + a8 - a7
                     if t < hi: hi = t
                     for a5 in range(lo, hi + 1):
-                        lo = 0
-                        t = a4 - a1
-                        if t > lo: lo = t
+                        lo = a4 - a1
                         t = a5 + a1 - a4
                         if t > lo: lo = t
-                        hi = a5
-                        t = a4 + a5 - a8
-                        if t < hi: hi = t
+                        hi = a4 + a5 - a8
                         t = a1 + a4 - a3
                         if t < hi: hi = t
                         if hi >= lo: total += hi - lo + 1

@@ -54,16 +54,12 @@ def entry(mu, nu):
                                 hi = a18 + a19 - a25
                                 t = a12 + a18 - a17
                                 if t < hi: hi = t
-                                t = a19
-                                if t < hi: hi = t
                                 for a13 in range(lo, hi + 1):
                                     lo = a13 + a7 - a12
                                     t = a1 + a12 - a3
                                     if t > lo: lo = t
                                     hi = a12 + a13 - a18
                                     t = a7 + a12 - a11
-                                    if t < hi: hi = t
-                                    t = a13
                                     if t < hi: hi = t
                                     for a8 in range(lo, hi + 1):
                                         lo = a7 + a1 - a3
@@ -76,8 +72,6 @@ def entry(mu, nu):
                                         hi = a7 + a8 - a12
                                         t = a3 + a7 - a6
                                         if t < hi: hi = t
-                                        t = a8
-                                        if t < hi: hi = t
                                         for a4 in range(lo, hi + 1):
                                             lo = a27 + a19 - a26
                                             hi = a27
@@ -85,42 +79,26 @@ def entry(mu, nu):
                                             if t < hi: hi = t
                                             for a20 in range(lo, hi + 1):
                                                 lo = a20 + a13 - a19
-                                                hi = a20
-                                                t = a19 + a20 - a26
-                                                if t < hi: hi = t
+                                                hi = a19 + a20 - a26
                                                 t = a13 + a19 - a18
                                                 if t < hi: hi = t
                                                 for a14 in range(lo, hi + 1):
                                                     lo = a14 + a8 - a13
-                                                    hi = a14
-                                                    t = a13 + a14 - a19
-                                                    if t < hi: hi = t
+                                                    hi = a13 + a14 - a19
                                                     t = a8 + a13 - a12
                                                     if t < hi: hi = t
                                                     for a9 in range(lo, hi + 1):
                                                         lo = a9 + a4 - a8
-                                                        t = 0
-                                                        if t > lo: lo = t
-                                                        t = a8 - a4
-                                                        if t > lo: lo = t
-                                                        t = a4 - a1
-                                                        if t > lo: lo = t
                                                         t = a8 - a1
                                                         if t > lo: lo = t
-                                                        hi = a9
-                                                        t = a8 + a9 - a13
-                                                        if t < hi: hi = t
+                                                        hi = a8 + a9 - a13
                                                         t = a4 + a8 - a7
                                                         if t < hi: hi = t
                                                         for a5 in range(lo, hi + 1):
-                                                            lo = 0
-                                                            t = a4 - a1
-                                                            if t > lo: lo = t
+                                                            lo = a4 - a1
                                                             t = a5 + a1 - a4
                                                             if t > lo: lo = t
-                                                            hi = a5
-                                                            t = a4 + a5 - a8
-                                                            if t < hi: hi = t
+                                                            hi = a4 + a5 - a8
                                                             t = a1 + a4 - a3
                                                             if t < hi: hi = t
                                                             for a2 in range(lo, hi + 1):

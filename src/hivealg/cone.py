@@ -4,9 +4,11 @@ formats used by lattice-point software."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
+from itertools import chain, repeat, starmap
+from operator import attrgetter
 from struct import Struct, calcsize
-from typing import NamedTuple
 
 from .counting import _interval, _kernel, _padded_partitions
 from .hive import Hive, _compile, _linear, _require_unit, cone_rows, triangle_size
@@ -86,22 +88,26 @@ PRESENTATION_RELATIONS: dict[int, tuple[tuple[str, tuple[tuple[int, tuple[int, .
 }
 
 
-class BinomialRelation(NamedTuple):
-    name: str
-    left: tuple[int, ...]   # 1-based basis indices, with multiplicity
-    right: tuple[int, ...]
+class BinomialRelation(namedtuple("BinomialRelation", "name left right")):
+    __slots__ = ()  # left, right: 1-based basis indices, with multiplicity
 
 
 def hives_up_to_degree(n: int, max_degree: int) -> tuple[Hive, ...]:
     """Every hive of degree <= max_degree, sorted by (degree, coordinates):
     for each degree d, the pairs enumerate kernel's hives over every (mu,
-    nu) with |mu| + |nu| = d, the lambda edge free."""
+    nu) with |mu| + |nu| = d, the lambda edge free, sorted as flat tuples.
+    Each Hive is made by tuple.__new__, which is all of Hive's __new__, with
+    no check: the kernel yields hives."""
     n = _integer("rank", n, 1)
     max_degree = _integer("max_degree", max_degree, 0)
     flats, by_size = _kernel(n, False, True), _padded_partitions(n, max_degree)
-    return tuple(Hive(n, flat) for d in range(max_degree + 1)
-                 for flat in sorted(f for j in range(d + 1) for mu in by_size[j]
-                                    for nu in by_size[d - j] for f in flats(mu, nu)))
+
+    def degree(d):
+        pairs = [(mu, nu) for j in range(d + 1) for mu in by_size[j] for nu in by_size[d - j]]
+        return sorted(chain.from_iterable(starmap(flats, pairs)))
+
+    ordered = chain.from_iterable(map(degree, range(max_degree + 1)))
+    return tuple(map(tuple.__new__, repeat(Hive), zip(repeat(n), ordered)))
 
 
 def hilbert_basis(n: int, max_degree: int = 12) -> tuple[Hive, ...]:
@@ -109,39 +115,41 @@ def hilbert_basis(n: int, max_degree: int = 12) -> tuple[Hive, ...]:
     coordinates): the nonzero hives that are not the sum of two nonzero
     hives.  Nothing past max_degree is checked, so a generator of higher
     degree would be missed.  One sweep over hives_up_to_degree in (degree,
-    coordinates) order keeps a nonzero hive h unless h - g is a hive met for
-    some kept g; so every hive met is a sum of kept hives, and h is kept
-    exactly when it is not one.  A hive's int key packs its L flat coordinates
-    into big-endian w-byte fields, 2 * max_degree < 256**w.  Keys are exact:
-    by rhombus1 and mu >= 0 (rhombus3 and nu >= 0) each step down a column
-    (along a row) is >= 0, so a hive of degree d has its entries in 0..d;
-    then each c = h - g - h' has |c_k| <= 2 * max_degree < 256**w, and
-    sum c_k 256**(w(L-1-k)) = 0 forces c = 0."""
+    coordinates) order keeps a nonzero hive h unless h - g is a hive for
+    some kept g; so every hive is a sum of kept hives, and h is kept exactly
+    when it is not one.  The hives met are all keyed first: for a kept g,
+    h - g has a lower degree than h, so it is met before h or not at all.
+    A hive's int key packs its L flat coordinates into big-endian w-byte
+    fields, 2 * max_degree < 256**w.  Keys are exact: by rhombus1 and mu >=
+    0 (rhombus3 and nu >= 0) each step down a column (along a row) is >= 0,
+    so a hive of degree d has its entries in 0..d; then each c = h - g - h'
+    has |c_k| <= 2 * max_degree < 256**w, and sum c_k 256**(w(L-1-k)) = 0
+    forces c = 0."""
     n = _integer("rank", n, 1)
     max_degree = _integer("max_degree", max_degree, 1)
     code = next((c for c in "BHIQ" if 2 * max_degree < 256 ** calcsize(c)), None)
     if code is None:
         raise ValueError(f"max_degree {max_degree} is too large for 8-byte hive keys")
-    pack, gens, met = Struct(f">{triangle_size(n)}{code}").pack, {}, {0}
-    for h in hives_up_to_degree(n, max_degree)[1:]:   # after the zero hive, key 0
-        key = int.from_bytes(pack(*h.flat), "big")
+    pack, gens = Struct(f">{triangle_size(n)}{code}").pack, {}
+    hives = hives_up_to_degree(n, max_degree)
+    keys = list(map(int.from_bytes, starmap(pack, map(attrgetter("flat"), hives)), repeat("big")))
+    met = set(keys)
+    for key, h in zip(keys[1:], hives[1:]):   # after the zero hive, key 0
         for g in gens:
             if key - g in met:
                 break
         else:
             gens[key] = h
-        met.add(key)
     return tuple(gens.values())
 
 
-class ConePresentation(NamedTuple):
+class ConePresentation(namedtuple("ConePresentation", "n basis relations")):
     """A fixed generating set with additive relations."""
 
-    n: int  # hashed alone: decompose finds its search by the presentation on every call
-    basis: tuple[Hive, ...]
-    relations: tuple[BinomialRelation, ...]
+    __slots__ = ()
 
     def __hash__(self) -> int:
+        # n alone: decompose finds its search by the presentation on every call
         return hash(self.n)
 
 

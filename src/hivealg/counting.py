@@ -54,6 +54,14 @@ def _fill_plan(n: int, pairs: bool = False):
     entries, with no rounding division.  Sums already in the plan, and sums
     on the boundary alone, are dropped.
 
+    Then the dominated bounds go: on each free entry x, in fill order, a row
+    goes when another kept row with the same coefficient on x differs from
+    it by a held row or a sum of two, where the held rows, which hold at x's
+    node, are the fixed edges' rows, the rows on the boundary alone and
+    every row of an entry placed before x, those dropped too.  The other row
+    then always meets its bound, so every interval, and the search's nodes,
+    stay as they were.  Only the pairs plan has any (at n = 2..12).
+
     Attached rows are split as (coeff on that entry, residual terms), so
     interval bounds fall out once everything earlier is placed."""
     row_bounds = tuple((flat_index(i, 1), flat_index(i + 1, 1)) for i in range(1, n + 2))
@@ -70,22 +78,55 @@ def _fill_plan(n: int, pairs: bool = False):
             attached[pivot].append(terms)
         return pivot is not None
 
-    for *_, terms in cone_rows(n)[(2 if pairs else 3) * n:]:
+    fixed = (2 if pairs else 3) * n
+    for *_, terms in cone_rows(n)[fixed:]:
         if not attach(terms):
             boundary_only.append(terms)
+
+    def combined(row, other, sign=1):  # row + sign * other, zero terms left out
+        total = dict(row)
+        for k, c in other:
+            total[k] = total.get(k, 0) + sign * c
+        return tuple((k, c) for k, c in total.items() if c)
+
     # taken before any sum is attached: one round, of cone rows alone
     opposed = [(low, up) for x in interior
                for low in attached[x] if (x, 1) in low
                for up in attached[x] if (x, -1) in up]
     seen = {frozenset(terms) for rows in attached.values() for terms in rows}
     for low, up in opposed:
-        total: dict[int, int] = {}
-        for k, c in low + up:
-            total[k] = total.get(k, 0) + c
-        terms = tuple((k, c) for k, c in total.items() if c)
+        terms = combined(low, up)
         if all(c in (1, -1) for _, c in terms) and frozenset(terms) not in seen:
             seen.add(frozenset(terms))
             attach(terms)
+
+    def form(terms):  # as a set, the apex (always 0) left out
+        return frozenset((k, c) for k, c in terms if k)
+
+    def met(diff) -> bool:
+        """diff is a held row or a sum of two, one of which has diff's
+        greatest term (k, c), halved at c = +-2: held rows are +-1."""
+        k, c = max(diff, default=(0, 0))
+        return diff in held or any(form(combined(diff, h, -1)) in held
+                                   for h in near.get((k, c // 2 if c in (2, -2) else c), ()))
+
+    held, near = set(), {}  # near[k, c]: the held rows with the term c * a[k]
+
+    def hold(rows):
+        for row in map(form, rows):
+            held.add(row)
+            for term in row:
+                near.setdefault(term, []).append(row)
+
+    hold([terms for *_, terms in cone_rows(n)[:fixed]] + boundary_only)
+    for x in interior:
+        every = attached[x][:]
+        for row in every:
+            side = (x, dict(row)[x])
+            if any(other != row and side in other and met(form(combined(row, other, -1)))
+                   for other in attached[x]):
+                attached[x].remove(row)
+        hold(every)
     return (row_bounds, interior, tuple(boundary_only),
             tuple(tuple((dict(terms)[k], tuple((q, c) for q, c in terms if q != k))
                         for terms in attached[k]) for k in interior))
@@ -213,15 +254,21 @@ def _padded_partitions(n: int, d: int) -> list[list[Parts]]:
 
 def enumerate_hives(n, lam, mu, nu) -> list[Hive]:
     """All hives with boundary (lam, mu, nu), in lexicographic order of their
-    flat coordinates.  lr_coefficient's admission, without its count,
-    returns [] and raises the partition errors; an admitted triple has no
-    nonzero part past n."""
+    flat coordinates.  lr_coefficient's admission without its count, the
+    long-part rule and then _count_entry(m)'s check, returns [] and raises
+    the partition errors; an admitted triple has no nonzero part past m."""
     n = _integer("rank", n, 1)
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
-    if not _admission(n, lam, mu, nu, False):
+    m = min(n, len(lam)) or 1
+    if len(lam) > m or len(mu) > m or len(nu) > m:
+        require_partitions(lam, mu, nu)
+        if any(lam[m:]) or any(mu[m:]) or any(nu[m:]):
+            return []
+    triple = pad(lam[:m], m), pad(mu[:m], m), pad(nu[:m], m)
+    if not _count_entry(m)[0](*triple):
+        require_partitions(*triple)
         return []
-    triple = pad(lam, n), pad(mu, n), pad(nu, n)
-    return [Hive(n, flat) for flat in sorted(_kernel(n, False)(*triple))]
+    return [Hive(n, flat) for flat in sorted(_kernel(n, False)(*(pad(p, n) for p in triple)))]
 
 
 def _triple_check_source(m: int) -> str:
@@ -244,12 +291,12 @@ def _count_entry(m: int):
             _kernel(m, True), (0,) * m)
 
 
-def _admission(n, lam, mu, nu, count: bool = True) -> int:
-    """lr_coefficient, or without count 1 for a triple it would count and 0
-    where c^lam_mu,nu = 0 shows before a count.  Trailing zeros change
-    neither dominance nor the sums, so a part longer than m is checked as
-    given and then cut to m; a nonzero mu_i or nu_i, i > m, is not under
-    lam, or past rank n."""
+def lr_coefficient(n, lam, mu, nu) -> int:
+    """Littlewood-Richardson coefficient for GL(n), counted by hives at rank
+    m = min(n, len(lam)), at least 1: exact, as c^lam_mu,nu is the same at
+    every rank >= l(lam).  Trailing zeros change neither dominance nor the
+    sums, so a part longer than m is checked as given and then cut to m; a
+    nonzero mu_i or nu_i, i > m, is not under lam, or past rank n."""
     n = _integer("rank", n, 1)
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
     m = min(n, len(lam)) or 1
@@ -261,16 +308,9 @@ def _admission(n, lam, mu, nu, count: bool = True) -> int:
     ok, kernel, zeros = _count_entry(m)
     lam, mu, nu = lam + zeros[len(lam):], mu + zeros[len(mu):], nu + zeros[len(nu):]
     if ok(lam, mu, nu):
-        return kernel(lam, mu, nu) if count else 1
+        return kernel(lam, mu, nu)
     require_partitions(lam, mu, nu)
     return 0
-
-
-def lr_coefficient(n, lam, mu, nu) -> int:
-    """Littlewood-Richardson coefficient for GL(n), counted by hives at rank
-    m = min(n, len(lam)), at least 1 (_admission): exact, as c^lam_mu,nu is
-    the same at every rank >= l(lam)."""
-    return _admission(n, lam, mu, nu)
 
 
 def lr_via_tableaux(n, lam, mu, nu) -> int:

@@ -8,10 +8,11 @@ addition; the bottom-right corner h[n+1][n+1] grades it.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable
 from functools import lru_cache
 from itertools import chain
 from operator import add, sub
-from typing import Iterable, NamedTuple
 
 from .shapes import Parts
 
@@ -22,11 +23,8 @@ Rows = tuple[tuple[int, ...], ...]
 ConeRow = tuple[str, int, int, tuple[tuple[int, int], ...]]
 
 
-class Violation(NamedTuple):
-    kind: str  # "apex", "rhombus1/2/3", or the edge "lambda", "mu", "nu"
-    i: int
-    j: int
-    detail: str
+class Violation(namedtuple("Violation", "kind i j detail")):
+    __slots__ = ()  # kind: "apex", "rhombus1/2/3", or the edge "lambda", "mu", "nu"
 
 
 class MalformedArrayError(ValueError):
@@ -41,12 +39,10 @@ class InvalidHiveError(ValueError):
         super().__init__(f"not a valid hive: {head}{extra}")
 
 
-class Boundary(NamedTuple):
+class Boundary(namedtuple("Boundary", "lam mu nu")):
     """Edge increments (lam, mu, nu), each a length-n integer vector."""
 
-    lam: Parts
-    mu: Parts
-    nu: Parts
+    __slots__ = ()
 
 
 def triangle_size(n: int) -> int:
@@ -185,13 +181,12 @@ def hive_violations(rows: Iterable[Iterable[int]]) -> list[Violation]:
     return _violations(len(rows) - 1, tuple(chain.from_iterable(rows)))
 
 
-class Hive(NamedTuple):
+class Hive(namedtuple("Hive", "n flat")):
     """A validated hive, stored as its flat row-major coordinates.  Construct
     through from_rows/from_flat; direct construction skips validation and is
     reserved for internal fast paths."""
 
-    n: int
-    flat: Parts
+    __slots__ = ()
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "Hive":

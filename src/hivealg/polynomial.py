@@ -18,9 +18,10 @@ never raise the degree.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterable, NamedTuple
 
 Exponents = int  # packed exponent vector, see the module docstring
 
@@ -72,12 +73,10 @@ def _degree(terms) -> int:
     return max(residues, default=0)
 
 
-class Weight(NamedTuple):
+class Weight(namedtuple("Weight", "lam mu nu")):
     """Torus weight triple: row degrees, x-column degrees, y-column degrees."""
 
-    lam: tuple[int, ...]
-    mu: tuple[int, ...]
-    nu: tuple[int, ...]
+    __slots__ = ()
 
 
 class NotHomogeneousError(ValueError):
@@ -392,15 +391,14 @@ def det(matrix: list[list["Polynomial"]]) -> Polynomial:
     return total
 
 
-class ColumnTableau(NamedTuple):
+class ColumnTableau(namedtuple("ColumnTableau", "empty entries")):
     """A single column: `empty` empty boxes then strictly increasing entries.
 
     Labels the minor of the n x 2n matrix [X | Y] on rows 1..empty+k and
     columns 1..empty (from X) followed by the entry columns (from Y).
     """
 
-    empty: int
-    entries: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def size(self) -> int:

@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed (pinned data and computation disagree)."""
 
 
-class CheckResult(NamedTuple):
-    name: str
-    ok: bool
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name ok detail", defaults=("",))):
+    __slots__ = ()
 
     def line(self) -> str:
         status = "ok  " if self.ok else "FAIL"

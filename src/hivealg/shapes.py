@@ -7,10 +7,10 @@ normalizes on input and compares after zero-padding.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
 from itertools import zip_longest
 from operator import ge, index
-from typing import Iterable
 
 Parts = tuple[int, ...]
 

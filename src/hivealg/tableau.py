@@ -9,24 +9,20 @@ directions is explicit.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from operator import sub
-from typing import NamedTuple
 
 from .hive import Hive, flat_index
 from .report import ConsistencyError
 from .shapes import Parts, _integer, contains, is_dominant, normalize, pad, require_partitions
-
-EntryRows = tuple[tuple[int, ...], ...]
 
 
 class TableauError(ValueError):
     """First violated cell or condition of a candidate filling."""
 
 
-class LRTableau(NamedTuple):
-    outer: Parts
-    inner: Parts
-    rows: EntryRows  # filled entries only, row i left to right
+class LRTableau(namedtuple("LRTableau", "outer inner rows")):
+    __slots__ = ()  # rows: the filled entries only, row i left to right
 
     @property
     def content(self) -> Parts:

@@ -7,10 +7,10 @@ identities behind them."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache, reduce
 from itertools import chain, combinations, product
 from math import gcd
-from typing import NamedTuple
 
 from . import cone
 from .counting import enumerate_hives
@@ -23,12 +23,11 @@ from .shapes import _integer, pad
 from .tableau import LRTableau, hive_to_tableau
 
 
-class GeneratorTable(NamedTuple):
+class GeneratorTable(namedtuple("GeneratorTable", "n generators")):
     """The generators g_1..g_m of the rank-n tensor product algebra, indexed
     in step with the Hilbert basis hives h_1..h_m of the hive cone."""
 
-    n: int
-    generators: tuple[Polynomial, ...]
+    __slots__ = ()
 
     def generator(self, index: int) -> Polynomial:
         """1-based access, matching the h_i numbering."""
@@ -166,11 +165,9 @@ def _nullspace(vectors: list[dict]) -> list[dict]:
     return relations
 
 
-class HighestWeightVector(NamedTuple):
-    boundary: Boundary
-    hive: Hive
-    decomposition: tuple[int, ...]  # 1-based generator indices, sorted
-    polynomial: Polynomial
+class HighestWeightVector(namedtuple("HighestWeightVector",
+                                      "boundary hive decomposition polynomial")):
+    __slots__ = ()  # decomposition: 1-based generator indices, sorted
 
     def to_json_dict(self) -> dict:
         return {

@@ -116,6 +116,17 @@ def test_hives_up_to_degree_sorted_and_unique():
     assert len(set(keys)) == len(keys)
 
 
+@pytest.mark.parametrize("n, max_degree", [(3, 6), (4, 5)])
+def test_hives_up_to_degree_builds_checked_hives(n, max_degree):
+    # each is made by tuple.__new__, with no check: it must still be a Hive,
+    # and the one that from_flat builds after its check
+    hives = hives_up_to_degree(n, max_degree)
+    for h in hives:
+        assert type(h) is Hive and h.n == n
+        assert h == Hive.from_flat(h.flat)
+    assert [(h.degree, h.flat) for h in hives] == sorted((h.degree, h.flat) for h in hives)
+
+
 @pytest.mark.parametrize("n,degree_bound,expected_size", [(2, 8, 5), (3, 8, 10)])
 def test_hilbert_basis_small_ranks(n, degree_bound, expected_size):
     basis = hilbert_basis(n, degree_bound)

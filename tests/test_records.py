@@ -35,6 +35,8 @@ RECORDS = [
 def test_assigning_a_field_raises(record, name):
     with pytest.raises(AttributeError):
         setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):  # no instance dict either: each record is a bare tuple
+        record.extra = 0
 
 
 def test_presentation_hashes_by_its_rank_alone():
@@ -60,10 +62,12 @@ def test_check_result_detail_defaults_to_empty():
 
 def test_import_loads_no_heavy_module():
     # dataclasses pulls in inspect, ast, dis and tokenize, fractions pulls
-    # in decimal, and linecache tokenize; every CLI run would pay for them
-    # before any work.  The shipped kernels load at their first use.
+    # in decimal, linecache tokenize, and typing is most of a bare import;
+    # every CLI run would pay for them before any work.  The shipped
+    # kernels load at their first use.
     src = str(Path(hivealg.__file__).resolve().parents[1])
-    heavy = {"dataclasses", "inspect", "fractions", "decimal", "linecache", "hivealg._kernels"}
+    heavy = {"dataclasses", "inspect", "fractions", "decimal", "linecache", "typing",
+             "hivealg._kernels"}
     code = (f"import sys; sys.path.insert(0, {src!r}); import hivealg, hivealg.cli; "
             f"print(*sorted({heavy!r} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
