@@ -4,7 +4,7 @@ counts m_d, and Hilbert-Poincare series (enumerated and closed form)."""
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
+from itertools import combinations, permutations, repeat
 
 from .hive import Hive, _compile, _edge_cells, _linear, _require_unit, cone_rows, flat_index
 from .shapes import Parts, _integer, normalize, pad, partitions_of, require_partitions
@@ -60,7 +60,9 @@ def _fill_plan(n: int, pairs: bool = False):
     node, are the fixed edges' rows, the rows on the boundary alone and
     every row of an entry placed before x, those dropped too.  The other row
     then always meets its bound, so every interval, and the search's nodes,
-    stay as they were.  Only the pairs plan has any (at n = 2..12).
+    stay as they were.  The round runs on the pairs plan alone: with lambda
+    fixed it drops no row at n = 2..12, yet it was most of that plan's
+    build, and a row it would drop is only a pruned bound, never a count.
 
     Attached rows are split as (coeff on that entry, residual terms), so
     interval bounds fall out once everything earlier is placed."""
@@ -119,7 +121,7 @@ def _fill_plan(n: int, pairs: bool = False):
                 near.setdefault(term, []).append(row)
 
     hold([terms for *_, terms in cone_rows(n)[:fixed]] + boundary_only)
-    for x in interior:
+    for x in interior if pairs else ():
         every = attached[x][:]
         for row in every:
             side = (x, dict(row)[x])
@@ -384,76 +386,47 @@ def hp_series_reference(n: int, max_degree: int) -> SeriesPrefix:
 
 
 # ---------------------------------------------------------------------------
-# Schur-product oracle
-
-@lru_cache(maxsize=1024)
-def schur_monomials(n: int, lam: Parts) -> dict:
-    """Schur polynomial s_lam in n variables as {exponent vector: coefficient},
-    summing x^weight over semistandard tableaux of shape lam."""
-    lam = normalize(lam)
-    if len(lam) > n:
-        return {}
-    result: dict[tuple, int] = {}
-    cells = [(i, c) for i in range(len(lam)) for c in range(lam[i])]
-    fill = {}
-    weight = [0] * n
-
-    def place(k: int) -> None:
-        if k == len(cells):
-            key = tuple(weight)
-            result[key] = result.get(key, 0) + 1
-            return
-        i, c = cells[k]
-        lo = max(fill.get((i, c - 1), 1), fill.get((i - 1, c), 0) + 1)
-        for v in range(lo, n + 1):
-            fill[(i, c)] = v
-            weight[v - 1] += 1
-            place(k + 1)
-            weight[v - 1] -= 1
-        fill.pop((i, c), None)
-
-    place(0)
-    return result
-
-
-@lru_cache(maxsize=256)
-def _schur_product_expansion(n: int, mu: Parts, nu: Parts) -> dict:
-    """Expand s_mu * s_nu in the Schur basis by peeling leading monomials.
-
-    The lex-leading monomial of a symmetric polynomial is x^lam for a
-    partition lam, with the full coefficient of s_lam; subtract and repeat.
-    """
-    product: dict[tuple, int] = {}
-    right = schur_monomials(n, nu)
-    for w1, c1 in schur_monomials(n, mu).items():
-        for w2, c2 in right.items():
-            key = tuple(a + b for a, b in zip(w1, w2))
-            c = product.get(key, 0) + c1 * c2
-            if c:
-                product[key] = c
-            else:
-                del product[key]
-    expansion: dict[Parts, int] = {}
-    while product:
-        lead = max(product)
-        if normalize(lead) != normalize(sorted(lead, reverse=True)):
-            raise ArithmeticError(f"leading weight {lead} is not a partition")
-        coeff = product[lead]
-        expansion[normalize(lead)] = coeff
-        for w, c in schur_monomials(n, normalize(lead)).items():
-            c = product.get(w, 0) - coeff * c
-            if c:
-                product[w] = c
-            else:
-                product.pop(w, None)
-    return expansion
-
+# Schur oracle by Jacobi-Trudi
 
 def lr_via_schur(n, lam, mu, nu) -> int:
-    """Third route: coefficient of s_lam in the product s_mu * s_nu."""
+    """Third route, by symmetric functions alone: c = <s_(lam/mu), s_nu>, and
+    s_nu = det(h_(nu_i - i + j)) (Jacobi-Trudi; Macdonald, Symmetric
+    Functions and Hall Polynomials, I.5), so c is the sum over sigma in S_l
+    of sgn(sigma) K_(lam/mu, alpha), alpha_i = nu_i - i + sigma(i), where
+    the skew Kostka number K counts chains of horizontal strips (kostka).
+    c is symmetric in mu and nu, so nu is the shorter of the two, of length
+    l.  The chain counts are kept in a dict for this call alone."""
     n = _integer("rank", n, 1)
     lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
     require_partitions(lam, mu, nu)
     if max(len(lam), len(mu), len(nu)) > n or sum(lam) != sum(mu) + sum(nu):
         return 0
-    return _schur_product_expansion(n, mu, nu).get(lam, 0)
+    if len(mu) < len(nu):
+        mu, nu = nu, mu
+    lam, chains = pad(lam, n), {}
+
+    def strips(old, size):
+        """Each kappa inside lam with kappa / old a horizontal strip of size
+        cells: old_j <= kappa_j <= top_j = min(lam_j, old_(j-1)), row by row,
+        leaving no more cells than the rows below have room for."""
+        tops = (lam[0], *map(min, lam[1:], old))
+        room = [top - o for top, o in zip(tops, old)]
+        rows = [((), size)]
+        for j, o in enumerate(old):
+            rest = sum(room[j + 1:])
+            rows = [(kappa + (v,), left - v + o) for kappa, left in rows
+                    for v in range(max(o, o + left - rest), min(tops[j], o + left) + 1)]
+        return [kappa for kappa, _ in rows]
+
+    def kostka(kappa, alpha):
+        """K_(lam/kappa, alpha): the chains kappa <= kappa_1 <= ... <= lam
+        whose steps are horizontal strips of alpha_1, alpha_2, ... cells."""
+        if not alpha:
+            return int(kappa == lam)
+        if (kappa, alpha) not in chains:
+            chains[kappa, alpha] = sum(kostka(k, alpha[1:]) for k in strips(kappa, alpha[0]))
+        return chains[kappa, alpha]
+
+    return sum((-1) ** sum(a > b for a, b in combinations(sigma, 2))
+               * kostka(pad(mu, n), tuple(v - i + s for i, (v, s) in enumerate(zip(nu, sigma))))
+               for sigma in permutations(range(len(nu))))

@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -256,6 +257,18 @@ def test_schur_oracle_worked_example():
 
 def test_schur_oracle_homogeneity():
     assert lr_via_schur(3, (3, 1), (1,), (1,)) == 0
+
+
+def test_schur_oracle_sums_over_the_shorter_part():
+    # Pieri: lam / mu is a horizontal strip of two cells.  With nu = (2,) the
+    # Jacobi-Trudi sum has 1! terms, in either order of mu and nu; over mu,
+    # of length 9, it would have 9! = 362,880
+    mu, nu = tuple(range(9, 0, -1)), (2,)
+    lam = (10, *mu[1:], 1)
+    for pair in ((mu, nu), (nu, mu)):
+        start = time.process_time()
+        assert lr_via_schur(10, lam, *pair) == 1
+        assert time.process_time() - start < 0.5, pair
 
 
 def test_three_routes_agree_on_spot_checks():

@@ -1,7 +1,8 @@
 """The generated code: the hive kernel (counting._kernel) and the
 decomposition search (cone._search).  Both build and their source is
 inspectable; the kernels and triple checks of ranks up to 6 load from the
-shipped modules, each the generator's text, and later ones compile; the
+shipped modules, each the generator's text, and later ones compile, the
+lambda-fixed kernel sources of ranks 7 to 12 pinned by digest; the
 kernel nests one loop per interior entry, split across functions only at
 CPython's block limit; its plan holds the cone rows plus cancelled pairs of
 them, all of which every hive satisfies, less each bound that another always
@@ -13,11 +14,13 @@ it; enumeration comes out in lexicographic order whatever the search order;
 counts agree with enumeration and with the tableau route, also at ranks
 whose nest passes that limit, with the symmetries and saturation of LR
 coefficients, and at every rank that holds lambda, and stretch
-polynomially, out to 100 times.  The search bounds each basis element by
+polynomially, out to 100 times, agreeing with the tableau and Schur routes
+up to 4 times.  The search bounds each basis element by
 the rows it raises, in pieces of a few levels, and agrees with the
 interpreted search and with a row-by-row reading of cone_rows on any
 array."""
 
+import hashlib
 import inspect
 import linecache
 import re
@@ -35,7 +38,8 @@ from hypothesis import strategies as st
 
 from hivealg import cone, counting
 from hivealg.cone import ConePresentation, hilbert_basis, hives_up_to_degree, presentation
-from hivealg.counting import _kernel, enumerate_hives, lr_coefficient, lr_via_tableaux
+from hivealg.counting import (_kernel, enumerate_hives, lr_coefficient, lr_via_schur,
+                              lr_via_tableaux)
 from hivealg.hive import Hive, cone_rows, flat_index, hive_violations, triangle_size
 from hivealg.shapes import contains, normalize, pad, partitions_of
 from test_counting import swept_triples
@@ -125,6 +129,30 @@ def test_kernels_load_shipped_up_to_rank_6_and_compile_past_it(n):
     check = counting._count_entry(n)[0].__code__.co_filename
     assert (Path(check) == SHIPPED / f"triple_check_n{n}.py" if n <= 6
             else check == f"<hivealg triple check n={n}>")
+
+
+# sha256 of _kernel_source(n, count) with lambda fixed, for the ranks past
+# the shipped modules, which compile from it
+LATE_KERNEL_DIGESTS = {
+    (7, True): "c7f2295460eae59d5978a2cee2557f2b12c27db425e9177824387bb5851e4c1c",
+    (7, False): "2a2b23337bcf969ab64616d0fedbbdec86764e2d398c5c014658aa434742ab67",
+    (8, True): "e4d483a2e68963a1424af81270c2d58c6957314ef37996d6b69c4ee84225a96a",
+    (8, False): "125493ab4cc9cce14cd21ba73205879c43b18949d637e5f9deb585f19abd1179",
+    (9, True): "4dddbb1726f04b87e9ac04e38270f9a56a230fb7175aeb67a5c3830fefa0f310",
+    (9, False): "755aabfdad238381c3b5c653977bd4290599cd9bdcae594bb26d1934f64d9d58",
+    (10, True): "ec41ae9329b6b88e29989b70482506c1bbf7baf0d5fe3c2fb6c918dd9d3e1c4d",
+    (10, False): "cf0279572bb99596591f1ec4c4a68e452586d2fb31df1316428f87418e50f92a",
+    (11, True): "89b72bc5b1259d82915a10e4a7c1675530b7ac1fa1e5cf7a2697cd9e272e1758",
+    (11, False): "bf7437f3ce42d8d32a99a0517baa86283ba22fbcabdb411fcaa7364bde03423d",
+    (12, True): "54c7477e0f674ba62d29e2085f68b6d63905a4dc24c4524b67dba6ab73af5161",
+    (12, False): "4597e9b10e13d4c7ca3fb7f4acbcd30f59bec44015e6fc4ce98c7dba882f30ac",
+}
+
+
+@pytest.mark.parametrize("n, count", sorted(LATE_KERNEL_DIGESTS))
+def test_late_kernel_sources_are_pinned(n, count):
+    source = counting._kernel_source(n, count)
+    assert hashlib.sha256(source.encode()).hexdigest() == LATE_KERNEL_DIGESTS[n, count]
 
 
 @pytest.mark.parametrize("count", [True, False])
@@ -517,6 +545,18 @@ def test_stretched_coefficients_are_polynomial(n):
             values = [y - x for x, y in zip(values, values[1:])]
         assert values == [0], (lam, mu, nu)
         assert sum(comb(99, k) * d for k, d in enumerate(heads)) == stretched(100), (lam, mu, nu)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_three_routes_agree_on_stretched_triples(n):
+    # every triple with c >= 2 of degree <= 10, its parts times N = 2..4, so
+    # |lambda| up to 40; ranks 5 and 6 take every third triple, to keep the
+    # Schur route's skew Kostka chains (about 1 s over all of them) short
+    for _, lam, mu, nu in multiple_triples(n)[::1 if n < 5 else 3]:
+        for N in range(2, 5):
+            triple = [tuple(N * v for v in p) for p in (lam, mu, nu)]
+            c = lr_coefficient(n, *triple)
+            assert c == lr_via_tableaux(n, *triple) == lr_via_schur(n, *triple), (N, triple)
 
 
 # ---------------------------------------------------------------------------
