@@ -30,6 +30,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); keep 2 for consistency failures
         raise UsageError(f"{self.prog}: {message}")
 
+    def _get_values(self, action, arg_strings):  # Python 3.11 reads "--mu=--" as []
+        if arg_strings == ["--"] and action.option_strings:
+            return self._get_value(action, "--")
+        return super()._get_values(action, arg_strings)
+
 
 def _parse_partition(text: str | None, flag: str):
     if text is None or text.strip() == "":

@@ -62,29 +62,18 @@ HILBERT_BASIS_COORDS: dict[int, tuple[tuple[int, ...], ...]] = {
 }
 
 # Relations among the generators g_1, g_2, ... of the tensor product
-# algebra, as (name, signed products of generator indices); each expands to
-# the zero polynomial.  The first two terms are the relation's hive binomial:
-# their basis hives sum to the same hive.
-PRESENTATION_RELATIONS: dict[int, tuple[tuple[str, tuple[tuple[int, tuple[int, ...]], ...]], ...]] = {
+# algebra, as the paper names and orients them: (name, left, right), two
+# sides of 1-based basis indices whose basis hives sum to the same hive.
+# tensor_algebra lifts each hive binomial to a relation by subduction.
+PRESENTATION_RELATIONS: dict[int, tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...]] = {
     2: (),
-    3: (("r1", ((1, (1, 6, 7)), (-1, (5, 10)), (1, (3, 4, 8)))),),
-    4: (
-        ("r1", ((1, (1, 7, 9)), (-1, (6, 15)), (1, (2, 5, 10)))),
-        ("r2", ((1, (1, 8, 9)), (-1, (6, 16)), (1, (5, 17)))),
-        ("r3", ((1, (1, 11, 12)), (-1, (10, 18)), (1, (13, 15)))),
-        ("r4", ((1, (6, 11, 12)), (-1, (10, 20)), (1, (7, 9, 13)))),
-        ("r5", ((1, (2, 8, 10)), (-1, (7, 17)), (1, (3, 6, 11)))),
-        ("r6", ((1, (2, 8, 12)), (-1, (7, 19)), (1, (3, 20)))),
-        ("r7", ((1, (6, 18)), (-1, (1, 20)), (-1, (2, 5, 13)))),
-        ("r8", ((1, (7, 16)), (-1, (8, 15)), (-1, (3, 5, 11)))),
-        ("r9", ((1, (10, 19)), (-1, (12, 17)), (-1, (3, 9, 13)))),
-        ("r10", ((1, (15, 17)), (-1, (2, 10, 16)), (-1, (1, 3, 9, 11)))),
-        ("r11", ((1, (15, 19)), (-1, (2, 12, 16)), (-1, (3, 9, 18)))),
-        ("r12", ((1, (15, 20)), (-1, (7, 9, 18)), (-1, (2, 5, 11, 12)))),
-        ("r13", ((1, (16, 20)), (-1, (8, 9, 18)), (-1, (5, 11, 19)))),
-        ("r14", ((1, (17, 20)), (-1, (6, 11, 19)), (-1, (2, 8, 9, 13)))),
-        ("r15", ((1, (17, 18)), (-1, (1, 11, 19)), (-1, (2, 13, 16)))),
-    ),
+    3: (("r1", (1, 6, 7), (5, 10)),),
+    4: (("r1", (1, 7, 9), (6, 15)), ("r2", (1, 8, 9), (6, 16)), ("r3", (1, 11, 12), (10, 18)),
+        ("r4", (6, 11, 12), (10, 20)), ("r5", (2, 8, 10), (7, 17)), ("r6", (2, 8, 12), (7, 19)),
+        ("r7", (6, 18), (1, 20)), ("r8", (7, 16), (8, 15)), ("r9", (10, 19), (12, 17)),
+        ("r10", (15, 17), (2, 10, 16)), ("r11", (15, 19), (2, 12, 16)),
+        ("r12", (15, 20), (7, 9, 18)), ("r13", (16, 20), (8, 9, 18)),
+        ("r14", (17, 20), (6, 11, 19)), ("r15", (17, 18), (1, 11, 19))),
 }
 
 
@@ -164,8 +153,7 @@ def _presentation(n: int) -> ConePresentation:
     if n not in HILBERT_BASIS_COORDS:
         raise ValueError(f"no presentation data for rank {n}")
     basis = tuple(Hive.from_flat(c) for c in HILBERT_BASIS_COORDS[n])
-    relations = tuple(BinomialRelation(name, left, right)
-                      for name, ((_, left), (_, right), *_) in PRESENTATION_RELATIONS[n])
+    relations = tuple(starmap(BinomialRelation, PRESENTATION_RELATIONS[n]))
     pres = ConePresentation(n, basis, relations)
     bad = [r.name for r in verify_relations(pres) if not r.ok]
     if bad:

@@ -4,7 +4,7 @@ counts m_d, and Hilbert-Poincare series (enumerated and closed form)."""
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations, repeat
+from itertools import repeat
 
 from .hive import Hive, _compile, _edge_cells, _linear, _require_unit, cone_rows, flat_index
 from .shapes import Parts, _integer, normalize, pad, partitions_of, require_partitions
@@ -391,24 +391,26 @@ def hp_series_reference(n: int, max_degree: int) -> SeriesPrefix:
 def lr_via_schur(n, lam, mu, nu) -> int:
     """Third route, by symmetric functions alone: c = <s_(lam/mu), s_nu>, and
     s_nu = det(h_(nu_i - i + j)) (Jacobi-Trudi; Macdonald, Symmetric
-    Functions and Hall Polynomials, I.5), so c is the sum over sigma in S_l
-    of sgn(sigma) K_(lam/mu, alpha), alpha_i = nu_i - i + sigma(i), where
-    the skew Kostka number K counts chains of horizontal strips (kostka).
-    c is symmetric in mu and nu, so nu is the shorter of the two, of length
-    l.  The chain counts are kept in a dict for this call alone."""
+    Functions and Hall Polynomials, I.5), expanded row by row: column s at
+    row i gives the sign (-1)^(free columns below s) and a horizontal strip
+    of nu_i - i + s cells.  A DP over (used columns, kappa) counts the chains
+    of strips from mu to lam: 2^l column sets, not l! permutations.  c is
+    symmetric in mu and nu, so nu is the shorter, of length l; the parts have
+    length l(lam), whatever n.  The counts are kept in a dict for this call."""
     n = _integer("rank", n, 1)
     lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
     require_partitions(lam, mu, nu)
-    if max(len(lam), len(mu), len(nu)) > n or sum(lam) != sum(mu) + sum(nu):
+    if len(lam) > n or max(len(mu), len(nu)) > len(lam) or sum(lam) != sum(mu) + sum(nu):
         return 0
     if len(mu) < len(nu):
         mu, nu = nu, mu
-    lam, chains = pad(lam, n), {}
+    chains, full = {}, (1 << len(nu)) - 1
 
     def strips(old, size):
         """Each kappa inside lam with kappa / old a horizontal strip of size
         cells: old_j <= kappa_j <= top_j = min(lam_j, old_(j-1)), row by row,
-        leaving no more cells than the rows below have room for."""
+        leaving no more cells than the rows below have room for (so none
+        for a negative size)."""
         tops = (lam[0], *map(min, lam[1:], old))
         room = [top - o for top, o in zip(tops, old)]
         rows = [((), size)]
@@ -418,15 +420,18 @@ def lr_via_schur(n, lam, mu, nu) -> int:
                     for v in range(max(o, o + left - rest), min(tops[j], o + left) + 1)]
         return [kappa for kappa, _ in rows]
 
-    def kostka(kappa, alpha):
-        """K_(lam/kappa, alpha): the chains kappa <= kappa_1 <= ... <= lam
-        whose steps are horizontal strips of alpha_1, alpha_2, ... cells."""
-        if not alpha:
+    def expand(used, kappa):
+        """The signed chains from kappa to lam whose rows from i = |used| on
+        take the columns not in used, one each."""
+        if used == full:
             return int(kappa == lam)
-        if (kappa, alpha) not in chains:
-            chains[kappa, alpha] = sum(kostka(k, alpha[1:]) for k in strips(kappa, alpha[0]))
-        return chains[kappa, alpha]
+        if (used, kappa) not in chains:
+            i, total, sign = used.bit_count(), 0, 1
+            for s in (s for s in range(len(nu)) if not used >> s & 1):
+                steps = strips(kappa, nu[i] - i + s)
+                total += sign * sum(expand(used | 1 << s, k) for k in steps)
+                sign = -sign
+            chains[used, kappa] = total
+        return chains[used, kappa]
 
-    return sum((-1) ** sum(a > b for a, b in combinations(sigma, 2))
-               * kostka(pad(mu, n), tuple(v - i + s for i, (v, s) in enumerate(zip(nu, sigma))))
-               for sigma in permutations(range(len(nu))))
+    return expand(0, pad(mu, len(lam)))

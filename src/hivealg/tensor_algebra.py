@@ -33,11 +33,9 @@ class GeneratorTable(namedtuple("GeneratorTable", "n generators")):
         """1-based access, matching the h_i numbering."""
         return self.generators[index - 1]
 
-
-def _signed_sum(n: int, terms, factor) -> Polynomial:
-    """Sum over (coeff, items) terms of coeff * prod(factor(item))."""
-    return sum((reduce(Polynomial.__mul__, map(factor, items), Polynomial.constant(n, coeff))
-                for coeff, items in terms), Polynomial.zero(n))
+    def product(self, indices) -> Polynomial:
+        """g^indices: the product of g_k over the 1-based indices, in order."""
+        return reduce(Polynomial.__mul__, map(self.generator, indices), Polynomial.one(self.n))
 
 
 def lemma_initial_exponents(n: int, tab: LRTableau):
@@ -113,7 +111,7 @@ def _derive_generator(hive: Hive) -> Polynomial:
     and x-column ones kill each minor), scaled to leading coefficient 1.
     That kernel of coefficient vectors must be a line."""
     n = hive.n
-    products = [_signed_sum(n, [(1, columns)], lambda col: minor(n, col))
+    products = [reduce(Polynomial.__mul__, (minor(n, col) for col in columns))
                 for columns in _column_fillings(n, hive.boundary())]
     kernel = _nullspace([{(k, e): c for k in range(1, n)
                          for e, c in raising_derivation(3, k, p).terms.items()}
@@ -187,9 +185,7 @@ def highest_weight_vector(n: int, hive: Hive) -> HighestWeightVector:
     product."""
     table = build_generators(n)
     indices = cone.decompose(hive, cone.presentation(n))
-    poly = Polynomial.one(n)
-    for k in indices:
-        poly = poly * table.generator(k)
+    poly = table.product(indices)
     boundary = hive.boundary()
     _check_highest_weight("lifted vector for hive {}", poly, hive, boundary)
     return HighestWeightVector(boundary, hive, indices, poly)
@@ -207,19 +203,37 @@ def hwv_basis(n: int, lam, mu, nu) -> list[HighestWeightVector]:
     return vectors
 
 
+def _subduce(table: GeneratorTable, pres: cone.ConePresentation, poly: Polynomial) -> Polynomial:
+    """SAGBI subduction (Robbiano and Sweedler, 1990): while poly's leading
+    term c*x^e is c times the tableau monomial of a hive h of its weight, set
+    poly -= c * g^decompose(h), and return the rest.  As in(g^a) is the tableau
+    monomial of sum a_k h_k, each step lowers the leading monomial: one per hive at most."""
+    if poly.is_zero:
+        return poly
+    hives = {lemma_initial_exponents(table.n, hive_to_tableau(h)): h
+             for h in enumerate_hives(table.n, *poly.weight())}
+    for _ in hives:
+        exps, c = poly.leading_term()
+        if exps not in hives:
+            break
+        poly = poly - c * table.product(cone.decompose(hives[exps], pres))
+        if poly.is_zero:
+            break
+    return poly
+
+
 def verify_presentation_relations(n: int) -> list[CheckResult]:
-    """Expand each tabulated relation among the generators and test that it is
-    identically zero."""
-    table = build_generators(n)
+    """Lift each hive binomial: g^left - g^right must subduce to zero."""
+    table, pres = build_generators(n), cone.presentation(n)
     results = []
-    for name, signed_terms in cone.PRESENTATION_RELATIONS[n]:
-        total = _signed_sum(n, signed_terms, table.generator)
-        if total.is_zero:
-            results.append(CheckResult(f"relation {name}", True))
+    for rel in pres.relations:
+        rest = _subduce(table, pres, table.product(rel.left) - table.product(rel.right))
+        if rest.is_zero:
+            results.append(CheckResult(f"relation {rel.name}", True))
         else:
-            exps, coeff = total.leading_term()
+            exps, coeff = rest.leading_term()
             results.append(CheckResult(
-                f"relation {name}", False,
+                f"relation {rel.name}", False,
                 f"nonzero: surviving term {coeff}*{render_monomial(n, exps)}"))
     return results
 

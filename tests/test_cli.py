@@ -355,6 +355,16 @@ def run_quietly(argv) -> int:
         return run(argv)
 
 
+@pytest.mark.parametrize("argv", [
+    ["lrcoef", "-n", "4", "--lambda=", "--mu=", "--nu=--"],
+    ["hwv", "-n", "4", "--hive=--"],
+    ["lrcoef", "-n=--"],
+], ids=["partition", "hive", "rank"])
+def test_double_dash_flag_value_is_a_usage_error(argv):
+    # Python 3.11's argparse passes the value of "--flag=--" on as []
+    assert run_quietly(argv) == 1
+
+
 @settings(max_examples=200)
 @given(st.sampled_from(("decompose", "hwv")), hive_texts())
 def test_fuzzed_hive_text_exits_0_or_1(command, text):

@@ -271,6 +271,22 @@ def test_schur_oracle_sums_over_the_shorter_part():
         assert time.process_time() - start < 0.5, pair
 
 
+def test_schur_oracle_cost_does_not_grow_with_the_rank():
+    # the partitions are worked at length l(lam), not padded to n
+    start = time.process_time()
+    assert lr_via_schur(4000, (3, 2, 1), (2, 1), (2, 1)) == 2
+    assert time.process_time() - start < 0.1
+    assert lr_via_schur(4000, (2,), (1, 1), ()) == 0  # mu is longer than lam
+
+
+def test_schur_oracle_expands_by_column_subsets():
+    # both parts of length 9: 2^9 = 512 column sets, where a sum over S_9
+    # would take 9! = 362,880 terms
+    start = time.process_time()
+    assert lr_via_schur(9, (2,) * 9, (1,) * 9, (1,) * 9) == 1
+    assert time.process_time() - start < 0.5
+
+
 def test_three_routes_agree_on_spot_checks():
     triples = [
         (3, (4, 2), (2, 1), (2, 1)),

@@ -45,6 +45,7 @@ HIVE_LIST_DIGESTS = {
         "09b899af180101b2278d019d95d3bbf1a0c36a5dd23b583d9d3d81a5f4d32d95",
         "03d1ecefc99465c0761968ed55e9f1a265e28f38775c807920f6e25b070a5d82"),
 }
+VERIFY_4_JSON_DIGEST = "0ae5fc71585108fbe1ad96708adb4517f5816a8e7e18d3c5259d81579f8e7d2c"
 VERIFY_DIGESTS = {
     # rank: (text digest, JSON digest), computed from the hand-copied
     # generator table that the derivation from the basis hives replaced
@@ -52,8 +53,11 @@ VERIFY_DIGESTS = {
           "21ba8e9add6d885daa09a68961fff886d79eea0fbbe48c608a5c7d4458ae1a72"),
     "3": ("22d51e60f0bd5d72adc85dda6cf52f2d5d6276f1940cc062b69209d5f6a5fc9e",
           "32beadfd81323145a16a52bf31c91c3b419619ae5cf72b304c4187d3b8349e75"),
+    # the text digest was taken while each relation was expanded from its
+    # hand-copied polynomial tail, before the tails were found by subduction
+    "4": ("fde6f91a12891168da41b1cd081b6c4a409a180835686b137f1637f7c656b8cb",
+          VERIFY_4_JSON_DIGEST),
 }
-VERIFY_4_JSON_DIGEST = "0ae5fc71585108fbe1ad96708adb4517f5816a8e7e18d3c5259d81579f8e7d2c"
 
 
 def stdout_digest(capsys, argv):
@@ -83,11 +87,6 @@ def test_hive_list_output_is_pinned(capsys, argv):
     text, json_digest = HIVE_LIST_DIGESTS[argv]
     assert stdout_digest(capsys, list(argv)) == text
     assert stdout_digest(capsys, list(argv) + ["--format", "json"]) == json_digest
-
-
-def test_verify_rank4_json_is_pinned(capsys):
-    assert stdout_digest(capsys, ["verify", "-n", "4", "--format", "json"]) \
-        == VERIFY_4_JSON_DIGEST
 
 
 @pytest.mark.parametrize("n", sorted(VERIFY_DIGESTS))

@@ -5,20 +5,46 @@ import pytest
 
 from hivealg import cone, tensor_algebra
 from hivealg.cli import run
-from hivealg.cone import (BinomialRelation, ConePresentation,
+from hivealg.cone import (BinomialRelation, ConePresentation, decompose,
                           hives_up_to_degree, presentation, verify_relations)
 from hivealg.counting import enumerate_hives
 from hivealg.hive import Hive, triangle_size
 from hivealg.polynomial import ColumnTableau, Polynomial, Weight, minor
 from hivealg.report import ConsistencyError
 from hivealg.tableau import hive_to_tableau
-from hivealg.tensor_algebra import (_check_highest_weight, build_generators,
-                                    highest_weight_vector, hwv_basis,
+from hivealg.tensor_algebra import (GeneratorTable, _check_highest_weight, _subduce,
+                                    build_generators, highest_weight_vector, hwv_basis,
                                     lemma_initial_exponents,
                                     verify_classical_identities,
                                     verify_independence,
                                     verify_presentation_relations)
 from test_hive_properties import interpreted_decompositions
+
+
+# The paper's relations among the generators, as (name, signed products of
+# generator indices); each expands to zero.  The first two terms are the
+# relation's hive binomial, which cone.PRESENTATION_RELATIONS keeps; the rest
+# is its tail, which verify finds by subduction.
+PAPER_RELATIONS = {
+    3: (("r1", ((1, (1, 6, 7)), (-1, (5, 10)), (1, (3, 4, 8)))),),
+    4: (
+        ("r1", ((1, (1, 7, 9)), (-1, (6, 15)), (1, (2, 5, 10)))),
+        ("r2", ((1, (1, 8, 9)), (-1, (6, 16)), (1, (5, 17)))),
+        ("r3", ((1, (1, 11, 12)), (-1, (10, 18)), (1, (13, 15)))),
+        ("r4", ((1, (6, 11, 12)), (-1, (10, 20)), (1, (7, 9, 13)))),
+        ("r5", ((1, (2, 8, 10)), (-1, (7, 17)), (1, (3, 6, 11)))),
+        ("r6", ((1, (2, 8, 12)), (-1, (7, 19)), (1, (3, 20)))),
+        ("r7", ((1, (6, 18)), (-1, (1, 20)), (-1, (2, 5, 13)))),
+        ("r8", ((1, (7, 16)), (-1, (8, 15)), (-1, (3, 5, 11)))),
+        ("r9", ((1, (10, 19)), (-1, (12, 17)), (-1, (3, 9, 13)))),
+        ("r10", ((1, (15, 17)), (-1, (2, 10, 16)), (-1, (1, 3, 9, 11)))),
+        ("r11", ((1, (15, 19)), (-1, (2, 12, 16)), (-1, (3, 9, 18)))),
+        ("r12", ((1, (15, 20)), (-1, (7, 9, 18)), (-1, (2, 5, 11, 12)))),
+        ("r13", ((1, (16, 20)), (-1, (8, 9, 18)), (-1, (5, 11, 19)))),
+        ("r14", ((1, (17, 20)), (-1, (6, 11, 19)), (-1, (2, 8, 9, 13)))),
+        ("r15", ((1, (17, 18)), (-1, (1, 11, 19)), (-1, (2, 13, 16)))),
+    ),
+}
 
 
 def mono(n, *factors):
@@ -135,36 +161,112 @@ def test_two_decompositions_lift_to_same_initial_and_weight():
     table = build_generators(3)
     h = pres.basis[0] + pres.basis[5] + pres.basis[6]
     assert interpreted_decompositions(h, pres, False) == {(1, 6, 7), (5, 10)}
-    p167, p510 = _product(table, (1, 6, 7)), _product(table, (5, 10))
+    p167, p510 = table.product((1, 6, 7)), table.product((5, 10))
     assert p167.weight() == p510.weight()
     assert p167.leading_term() == p510.leading_term()
 
 
-def _product(table, indices):
-    out = Polynomial.one(table.n)
-    for k in indices:
-        out = out * table.generator(k)
-    return out
+def test_generator_product_multiplies_in_order():
+    table = build_generators(3)
+    g = table.generator
+    assert table.product((3, 4, 8)) == g(3) * g(4) * g(8)
+    assert table.product(()) == Polynomial.one(3)
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_first_two_terms_of_each_relation_are_its_leading_binomial(n):
     table = build_generators(n)
-    for name, terms in cone.PRESENTATION_RELATIONS[n]:
-        first, second, *rest = (_product(table, indices).leading_term()
+    for name, terms in PAPER_RELATIONS[n]:
+        assert sum((c * table.product(indices) for c, indices in terms),
+                   Polynomial.zero(n)).is_zero, name
+        first, second, *rest = (table.product(indices).leading_term()
                                 for _, indices in terms)
         assert first == second, name
         assert all(exps < first[0] for exps, _ in rest), name
+    assert presentation(n).relations == tuple(
+        BinomialRelation(name, left, right)
+        for name, ((_, left), (_, right), *_) in PAPER_RELATIONS[n])
+
+
+def _subduction_steps(monkeypatch, table, poly):
+    """The remainder of poly and the generator products subduction took off,
+    in order."""
+    steps, product = [], GeneratorTable.product
+    monkeypatch.setattr(GeneratorTable, "product",
+                        lambda self, indices: steps.append(indices) or product(self, indices))
+    rest = _subduce(table, presentation(table.n), poly)
+    monkeypatch.undo()
+    return rest, steps
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_subduction_finds_each_paper_tail(n, monkeypatch):
+    # the tail's products in order; as the paper's relation expands to zero,
+    # so that g^left - g^right is minus the tail, this fixes each sign too
+    table = build_generators(n)
+    for name, ((_, left), (_, right), *tail) in PAPER_RELATIONS[n]:
+        binomial = table.product(left) - table.product(right)
+        rest, steps = _subduction_steps(monkeypatch, table, binomial)
+        assert rest.is_zero and steps == [indices for _, indices in tail], name
+
+
+def _initial_pairs(pres):
+    """The pairs i <= j with decompose(h_i + h_j) != (i, j)."""
+    m = len(pres.basis)
+    return {(i, j) for i in range(1, m + 1) for j in range(i, m + 1)
+            if decompose(pres.basis[i - 1] + pres.basis[j - 1], pres) != (i, j)}
+
+
+@pytest.mark.parametrize("n,count", [(2, 0), (3, 1), (4, 15)])
+def test_initial_pairs_are_one_side_of_each_relation(n, count):
+    # the side that is not an initial pair is decompose's output
+    pres = presentation(n)
+    pairs, sides = _initial_pairs(pres), set()
+    assert len(pairs) == count
+    for rel in pres.relations:
+        (i, j), standard = (rel.left, rel.right) if rel.left in pairs else (rel.right, rel.left)
+        assert (i, j) in pairs, rel.name
+        assert decompose(pres.basis[i - 1] + pres.basis[j - 1], pres) == standard, rel.name
+        sides.add((i, j))
+    assert sides == pairs
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_each_initial_pair_subduces_to_zero_in_two_steps(n, monkeypatch):
+    # g_i g_j less the product of decompose's side leaves the relation's
+    # tail, whose leading term is one more step
+    table = build_generators(n)
+    for pair in sorted(_initial_pairs(presentation(n))):
+        rest, steps = _subduction_steps(monkeypatch, table, table.product(pair))
+        assert rest.is_zero and len(steps) == 2, pair
+
+
+def test_subduction_stops_at_a_monomial_outside_the_algebra():
+    # the second term of g_16 alone: its weight has one hive, whose tableau
+    # monomial is g_16's leading one, so no generator product can remove it
+    table = build_generators(4)
+    exps = sorted(table.generator(16).terms)[-2]
+    stuck = Polynomial(4, {exps: 3})
+    assert _subduce(table, presentation(4), stuck) == stuck
+
+
+def test_verify_reports_the_surviving_term_of_a_relation(monkeypatch):
+    monkeypatch.setattr(tensor_algebra, "_subduce", lambda table, pres, poly: poly)
+    results = verify_presentation_relations(3)
+    assert [r.ok for r in results] == [False]
+    assert results[0].line().startswith("FAIL  relation r1: nonzero: surviving term ")
 
 
 # ---------------------------------------------------------------------------
 # The checks on the pinned tables stay live: a broken table is rejected.
 
 def test_unbalanced_pinned_binomial_is_rejected(rebuilt, monkeypatch):
+    # r13's right side replaced by its tail product
     relations = dict(cone.PRESENTATION_RELATIONS)
-    name, (first, second, third) = relations[4][12]
-    assert name == "r13"
-    relations[4] = relations[4][:12] + ((name, (first, third, second)),) + relations[4][13:]
+    name, left, _ = relations[4][12]
+    assert name == PAPER_RELATIONS[4][12][0] == "r13"
+    (_, tail), = PAPER_RELATIONS[4][12][1][2:]
+    relations[4] = relations[4][:12] + ((name, left, tail),) + relations[4][13:]
     monkeypatch.setattr(cone, "PRESENTATION_RELATIONS", relations)
     with pytest.raises(ConsistencyError, match=r"unbalanced pinned relations: hive relation r13$"):
         presentation(4)
