@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 domain or usage error (bad partition, malformed
-hive, unknown flag, an --output path that cannot be written), 2 internal
-consistency failure (a pinned cross-check diverged).
+hive, unknown flag, an unwritable --output path, an output too large to
+build), 2 internal consistency failure (a pinned cross-check diverged).
 """
 
 from __future__ import annotations
@@ -155,6 +155,9 @@ def run(argv) -> int:
     except OSError as exc:
         print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}",
               file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: the output is too large to build", file=sys.stderr)
         return 1
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)

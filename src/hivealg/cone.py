@@ -191,21 +191,20 @@ _CHUNK = 4  # levels per compile() call, whose transient memory grows with its t
 
 @lru_cache(maxsize=4)
 def _search(pres: ConePresentation):
-    """The compiled first-match search over pres's basis, built on first use.
+    """The compiled greedy search over pres's basis, built on first use.
     search(a) on a hive's flat coordinates tests the apex and sets the slack
-    s<r> of each cone row r, none negative, and the degree d.  One nested
-    loop per basis element k, in basis order, runs c<k> from the min of
-    s<r> // row(b_k) over the rows with row(b_k) > 0 down to 0, taking
-    c<k> * row(b_k) off the slacks a later level reads; at d = 0 the rest is
-    the zero hive, and the picks are returned.  Every _CHUNK levels the nest
-    goes on in _levels<k>(the slacks still read, d), a piece compiled apart."""
+    s<r> of each cone row r, none negative, and the degree d.  In straight
+    lines, level k sets c<k> to the min of s<r> // row(b_k) over the rows b_k
+    raises, takes c<k> * row(b_k) off the slacks a later level reads and
+    c<k> * deg(b_k) off d, and returns the picks at d = 0; past the last level,
+    None.  Every _CHUNK levels go on in _levels<k>(the slacks still read, d)."""
     rows = [terms for *_, terms in cone_rows(pres.n)]
     _require_unit((c for terms in rows for _, c in terms), f"a rank-{pres.n} cone row")
     raised = [{r: v for r, terms in enumerate(rows)  # row(b_k) on the rows b_k raises
                if (v := sum(c * b.flat[q] for q, c in terms)) > 0} for b in pres.basis]
     if not all(raised):
         raise ValueError("a basis element raises no cone row")
-    slack, degree, first, pieces = [f"s{r}" for r in range(len(rows))], "d", 0, []
+    slack, first, pieces = [f"s{r}" for r in range(len(rows))], 0, []
     lines = ["def search(a):", "    if a[0]:", "        return None",
              *(f"    {s} = {_linear(terms)}" for s, terms in zip(slack, rows)),
              f"    if min({', '.join(slack)}) < 0:", "        return None",
@@ -216,34 +215,32 @@ def _search(pres: ConePresentation):
 
     for k, b in enumerate(pres.basis):
         if k % _CHUNK == 0 < k:
-            args = ", ".join([slack[r] for r in sorted(set().union(*raised[k:]))] + [degree])
-            lines.append(f"{'    ' * (_CHUNK + 1)}if (found := _levels{k}({args})) is not None:"
+            args = ", ".join([slack[r] for r in sorted(set().union(*raised[k:]))] + ["d"])
+            lines.append(f"    if (found := _levels{k}({args})) is not None:"
                          f" return {picks(k)} + found")
             pieces.append("\n".join(lines) + "\n")
             lines, first = ["", f"def _levels{k}({args}):"], k
-        indent, later = "    " * (k - first + 1), set().union(*raised[k + 1:])
+        later, deg = set().union(*raised[k + 1:]), b.flat[-1]
         bounds = [slack[r] + f" // {v}" * (v > 1) for r, v in raised[k].items()]
-        lines += [indent + line for line in _interval("top", bounds, "<")]
-        lines.append(f"{indent}for c{k} in range(top, -1, -1):")
-        for r, v in raised[k].items():
-            if r in later:
-                lines.append(f"{indent}    s{r}_{k} = {slack[r]} - {f'{v} * ' * (v > 1)}c{k}")
-                slack[r] = f"s{r}_{k}"
-        lines += [f"{indent}    d{k} = {degree} - {f'{b.flat[-1]} * ' * (b.flat[-1] > 1)}c{k}",
-                  f"{indent}    if not d{k}:", f"{indent}        return {picks(k + 1)}"]
-        degree = f"d{k}"
+        lines += ["    " + line for line in _interval(f"c{k}", bounds, "<")]
+        lines += [f"    if c{k}:", *(f"        {slack[r]} -= {f'{v} * ' * (v > 1)}c{k}"
+                                    for r, v in raised[k].items() if r in later),
+                  f"        d -= {f'{deg} * ' * (deg > 1)}c{k}", "        if not d:",
+                  f"            return {picks(k + 1)}"]
     digest = hash(tuple(h.flat for h in pres.basis)) & 0xFFFFFFFF
-    return _compile(pieces + ["\n".join(lines) + "\n"],
+    return _compile(pieces + ["\n".join(lines + ["    return None"]) + "\n"],
                     f"<hivealg decompose n={pres.n} basis {digest:08x}>", "search")
 
 
 def decompose(hive: Hive, pres: ConePresentation) -> tuple[int, ...]:
-    """Express a hive as a multiset of basis indices (returned sorted).
-
-    Depth-first search over basis elements in index order, preferring high
-    multiplicities of low indices, so the first decomposition reached is the
-    one with the lexicographically greatest exponent vector.
-    """
+    """Express a hive as a multiset of basis indices (returned sorted), greedily:
+    b_1, b_2, ... each taken as often as the rest stays a hive.  When the basis
+    generates the hive monoid, as the pinned ones do, that is the lex-greatest
+    exponent vector a*: the greedy c_1 >= a*_1, and were it greater, h - c_1 b_1
+    would be a sum of basis hives giving a vector above a*; likewise at later
+    levels.  Otherwise a hive with a decomposition may raise NoDecompositionError.
+    Acceptance criterion 3 (every hive of degree <= 12 decomposes at n = 2, 3,
+    4) so also shows that greedy never fails on the pinned bases to that degree."""
     if hive.n != pres.n:
         raise ValueError(f"rank mismatch: hive {hive.n}, presentation {pres.n}")
     found = _search(pres)(hive.flat)

@@ -275,6 +275,16 @@ def test_output_to_directory_is_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_output_too_large_to_build_is_error(fmt, capsys):
+    # one tableau whose row of inner cells would take about 800 GB
+    assert run(["tableaux", "-n", "3", "--lambda", "99999999999", "--mu", "99999999999",
+                "--nu", "0", "--format", fmt]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: the output is too large to build\n"
+    assert "Traceback" not in err
+
+
 def readme_cli_examples():
     """(argv, expected first line of stdout or None) for each line of the
     README's CLI block.  A comment `-> output`, or one that is all numbers,

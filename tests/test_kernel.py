@@ -15,10 +15,10 @@ counts agree with enumeration and with the tableau route, also at ranks
 whose nest passes that limit, with the symmetries and saturation of LR
 coefficients, and at every rank that holds lambda, and stretch
 polynomially, out to 100 times, agreeing with the tableau and Schur routes
-up to 4 times.  The search bounds each basis element by
-the rows it raises, in pieces of a few levels, and agrees with the
-interpreted search and with a row-by-row reading of cone_rows on any
-array."""
+up to 4 times.  The search is straight-line code, greedy: it bounds
+each basis element by the rows it raises, in pieces of a few levels, and
+agrees with the interpreted search and with a row-by-row reading of
+cone_rows on any array."""
 
 import hashlib
 import inspect
@@ -824,8 +824,9 @@ def rows_of(flat, n):
 @lru_cache(maxsize=None)
 def search_presentation(n):
     """The pinned presentation at n = 2, 3, 4; at other ranks the irreducible
-    hives of degree <= 2, a complete basis at n = 1 only."""
-    return presentation(n) if n in (2, 3, 4) else ConePresentation(n, hilbert_basis(n, 2), ())
+    hives of degree <= 4, which generate every hive up to that degree, so
+    the greedy search decomposes each one (the basis is complete at n = 1)."""
+    return presentation(n) if n in (2, 3, 4) else ConePresentation(n, hilbert_basis(n, 4), ())
 
 
 def search_source(pres):
@@ -852,12 +853,12 @@ def test_search_source_is_inspectable():
     assert inspect.getsource(search).startswith("def search(a):\n    if a[0]:\n        return None\n")
     # rhombus family 2 at (i, j) = (2, 1): h[2][1] + h[2][2] >= h[3][2] + h[1][1]
     assert "    s12 = a[1] + a[2] - a[4] - a[0]\n" in source
-    # h_1 raises five rows by one; the first four are read again later
-    assert ("    top = s4\n    t = s8\n    if t < top: top = t\n"
-            "    t = s18\n    if t < top: top = t\n    t = s19\n    if t < top: top = t\n"
-            "    t = s21\n    if t < top: top = t\n"
-            "    for c0 in range(top, -1, -1):\n"
-            "        s4_0 = s4 - c0\n") in source
+    # h_1 raises five rows by one, all of them read again later
+    assert ("    c0 = s4\n    t = s8\n    if t < c0: c0 = t\n"
+            "    t = s18\n    if t < c0: c0 = t\n    t = s19\n    if t < c0: c0 = t\n"
+            "    t = s21\n    if t < c0: c0 = t\n"
+            "    if c0:\n"
+            "        s4 -= c0\n") in source
     assert (" return (1,) * c0 + (2,) * c1 + (3,) * c2 + (4,) * c3 + found\n"
             "\ndef _levels4(") in source
 
@@ -934,20 +935,19 @@ def test_search_agrees_with_interpreted_rows(case):
     pres = search_presentation(n)
     found = cone._search(pres)(flat)
     assert ({found} - {None}) == interpreted_decompositions(Hive(n, tuple(flat)), pres, True)
-    if n <= 4:   # a complete basis: every hive decomposes
-        assert (found is not None) == interpreted_in_cone(flat, n)
+    assert (found is not None) == interpreted_in_cone(flat, n)
 
 
 def search_levels(source):
     """Read the generated search: {level k: {cone row: divisor}} from the
-    bound lines before `for c<k>`, and the levels of each function in turn."""
+    bound lines before `if c<k>:`, and the levels of each function in turn."""
     levels, functions, bounds = {}, [], {}
     for line in source.splitlines():
         if line.startswith("def "):
             functions.append([])
-        elif match := re.fullmatch(r"\s*(?:top|t) = s(\d+)(?:_\d+)?(?: // (\d+))?", line):
+        elif match := re.fullmatch(r"    (?:c\d+|t) = s(\d+)(?: // (\d+))?", line):
             bounds[int(match[1])] = int(match[2] or 1)
-        elif match := re.fullmatch(r"\s*for c(\d+) in range\(top, -1, -1\):", line):
+        elif match := re.fullmatch(r"    if c(\d+):", line):
             levels[int(match[1])], bounds = bounds, {}
             functions[-1].append(int(match[1]))
     return levels, functions
@@ -956,8 +956,11 @@ def search_levels(source):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_search_bounds_each_level_by_the_rows_its_element_raises(n):
     pres = presentation(n)
-    levels, functions = search_levels(search_source(pres))
+    source = search_source(pres)
+    levels, functions = search_levels(source)
     assert levels == dict(enumerate(raised_rows(pres)))
+    # straight-line: no level loops over its multiplicities
+    assert not re.search(r"\bfor\b", source) and "range(" not in source
     # basis order, one function per cone._CHUNK levels
     size = len(pres.basis)
     assert functions == [list(range(p, min(p + cone._CHUNK, size)))
