@@ -68,9 +68,9 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit(args, text_lines, json_obj) -> None:
-    _write(args, json.dumps(json_obj, indent=2) + "\n" if args.format == "json"
-           else "\n".join(text_lines) + ("\n" if text_lines else ""))
+def _emit(args, text_lines, json_obj) -> None:  # builds the --format form alone
+    _write(args, json.dumps(json_obj(), indent=2) + "\n" if args.format == "json"
+           else "".join(line + "\n" for line in text_lines()))
 
 
 def _series_text(coeffs) -> list[str]:
@@ -170,18 +170,18 @@ def run(argv) -> int:
 def _lrcoef(args) -> None:
     lam, mu, nu = _boundary_args(args)
     c = counting.lr_coefficient(args.n, lam, mu, nu)
-    _emit(args, [str(c)], {"n": args.n, "lambda": list(lam), "mu": list(mu),
-                           "nu": list(nu), "lr_coefficient": c})
+    _emit(args, lambda: [str(c)], lambda: {"n": args.n, "lambda": list(lam), "mu": list(mu),
+                                           "nu": list(nu), "lr_coefficient": c})
 
 
 def _hives(args) -> None:
     hives = counting.enumerate_hives(args.n, *_boundary_args(args))
-    _emit(args, [str(h) for h in hives], [h.to_json_dict() for h in hives])
+    _emit(args, lambda: map(str, hives), lambda: [h.to_json_dict() for h in hives])
 
 
 def _tableaux(args) -> None:
     tabs = tableau.enumerate_tableaux(args.n, *_boundary_args(args))
-    _emit(args, [str(t) for t in tabs], [t.to_json_dict() for t in tabs])
+    _emit(args, lambda: map(str, tabs), lambda: [t.to_json_dict() for t in tabs])
 
 
 def _hp_series(args) -> None:
@@ -197,15 +197,15 @@ def _hp_series(args) -> None:
         raise ConsistencyError(
             f"enumerated series {enum} disagrees with closed form {closed}")
     coeffs = enum if enum is not None else closed
-    _emit(args, _series_text(coeffs),
-          {"n": args.n, "max_degree": args.max_degree, "method": method,
-           "coefficients": list(coeffs)})
+    _emit(args, lambda: _series_text(coeffs),
+          lambda: {"n": args.n, "max_degree": args.max_degree, "method": method,
+                   "coefficients": list(coeffs)})
 
 
 def _hilbert_basis(args) -> None:
     basis = cone.hilbert_basis(args.n, args.max_degree)
-    _emit(args, [" ".join(str(v) for v in h.flat) for h in basis],
-          [h.to_json_dict() for h in basis])
+    _emit(args, lambda: (" ".join(map(str, h.flat)) for h in basis),
+          lambda: [h.to_json_dict() for h in basis])
 
 
 def _decompose(args) -> None:
@@ -213,8 +213,8 @@ def _decompose(args) -> None:
         raise UsageError("decompose requires --hive")
     hive = _parse_hive(args.hive, args.n)
     indices = cone.decompose(hive, cone.presentation(args.n))
-    _emit(args, [" ".join(str(k) for k in indices)],
-          {"n": args.n, "hive": hive.to_json_dict(), "indices": list(indices)})
+    _emit(args, lambda: [" ".join(map(str, indices))],
+          lambda: {"n": args.n, "hive": hive.to_json_dict(), "indices": list(indices)})
 
 
 def _hwv(args) -> None:
@@ -224,15 +224,10 @@ def _hwv(args) -> None:
         vectors = [tensor_algebra.highest_weight_vector(args.n, _parse_hive(args.hive, args.n))]
     else:
         vectors = tensor_algebra.hwv_basis(args.n, *_boundary_args(args))
-    lines = []
-    for v in vectors:
-        exps, _ = v.polynomial.leading_term()
-        lines.append(f"hive: {v.hive}")
-        lines.append(f"decomposition: {' '.join(str(k) for k in v.decomposition)}")
-        lines.append(f"initial monomial: {render_monomial(args.n, exps)}")
-        lines.append(f"polynomial: {v.polynomial}")
-        lines.append("")
-    _emit(args, lines, [v.to_json_dict() for v in vectors])
+    _emit(args, lambda: (line for v in vectors for line in (
+        f"hive: {v.hive}", f"decomposition: {' '.join(map(str, v.decomposition))}",
+        f"initial monomial: {render_monomial(args.n, v.polynomial.leading_term()[0])}",
+        f"polynomial: {v.polynomial}", "")), lambda: [v.to_json_dict() for v in vectors])
 
 
 def _verify(args) -> int:
@@ -246,13 +241,12 @@ def _verify(args) -> int:
     if n == 2:
         results += tensor_algebra.verify_independence()
     results += tensor_algebra.verify_classical_identities(n)
-    lines = [r.line() for r in results]
     bad = [r for r in results if not r.ok]
-    lines.append(f"{len(results) - len(bad)}/{len(results)} checks passed")
-    _emit(args, lines, {"n": n, "passed": len(results) - len(bad),
-                        "failed": [r.name for r in bad],
-                        "checks": [{"name": r.name, "ok": r.ok, "detail": r.detail}
-                                   for r in results]})
+    _emit(args, lambda: [*(r.line() for r in results),
+                         f"{len(results) - len(bad)}/{len(results)} checks passed"],
+          lambda: {"n": n, "passed": len(results) - len(bad), "failed": [r.name for r in bad],
+                   "checks": [{"name": r.name, "ok": r.ok, "detail": r.detail}
+                              for r in results]})
     return 2 if bad else 0
 
 

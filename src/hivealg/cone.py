@@ -10,7 +10,7 @@ from itertools import chain, repeat, starmap
 from operator import attrgetter
 from struct import Struct, calcsize
 
-from .counting import _interval, _kernel, _padded_partitions
+from .counting import _Held, _combined, _kernel, _padded_partitions
 from .hive import Hive, _compile, _linear, _require_unit, cone_rows, triangle_size
 from .report import CheckResult, ConsistencyError
 from .shapes import _integer
@@ -186,49 +186,47 @@ class NoDecompositionError(ConsistencyError):
     basis this cannot happen, so it is an internal-consistency failure."""
 
 
-_CHUNK = 4  # levels per compile() call, whose transient memory grows with its tokens
-
-
 @lru_cache(maxsize=4)
 def _search(pres: ConePresentation):
     """The compiled greedy search over pres's basis, built on first use.
     search(a) on a hive's flat coordinates tests the apex and sets the slack
-    s<r> of each cone row r, none negative, and the degree d.  In straight
-    lines, level k sets c<k> to the min of s<r> // row(b_k) over the rows b_k
-    raises, takes c<k> * row(b_k) off the slacks a later level reads and
-    c<k> * deg(b_k) off d, and returns the picks at d = 0; past the last level,
-    None.  Every _CHUNK levels go on in _levels<k>(the slacks still read, d)."""
+    s<r> of each cone row r, none negative.  In straight lines, level k sets
+    c<k> to the min of s<r> // row(b_k) over the rows b_k raises and takes
+    c<k> * row(b_k) off each slack a later level reads; at the end it returns
+    the picks if their degrees add up to a's, else None.  A raised row r goes
+    from level k while another row o there has the same row(b_k) and r - o is
+    a cone row or a sum of two (counting._Held): the rest is a hive at every
+    level, so s<r> >= s<o>, and a chain of such rows ends at a kept one.  So
+    the min, every c<k> and the output stay as they were, whatever the basis."""
     rows = [terms for *_, terms in cone_rows(pres.n)]
     _require_unit((c for terms in rows for _, c in terms), f"a rank-{pres.n} cone row")
     raised = [{r: v for r, terms in enumerate(rows)  # row(b_k) on the rows b_k raises
                if (v := sum(c * b.flat[q] for q, c in terms)) > 0} for b in pres.basis]
     if not all(raised):
         raise ValueError("a basis element raises no cone row")
-    slack, first, pieces = [f"s{r}" for r in range(len(rows))], 0, []
+    held, kept = _Held(rows), [dict(level) for level in raised]
+    for level, bounds in zip(raised, kept):
+        for r, v in level.items():
+            if any(o != r and w == v and held.implies(_combined(rows[r], rows[o], -1))
+                   for o, w in bounds.items()):
+                del bounds[r]
+    slack = [f"s{r}" for r in range(len(rows))]
     lines = ["def search(a):", "    if a[0]:", "        return None",
              *(f"    {s} = {_linear(terms)}" for s, terms in zip(slack, rows)),
-             f"    if min({', '.join(slack)}) < 0:", "        return None",
-             f"    d = a[{triangle_size(pres.n) - 1}]", "    if not d:", "        return ()"]
-
-    def picks(stop):  # the indices picked by this piece's levels before stop
-        return " + ".join(f"({j + 1},) * c{j}" for j in range(first, stop))
-
-    for k, b in enumerate(pres.basis):
-        if k % _CHUNK == 0 < k:
-            args = ", ".join([slack[r] for r in sorted(set().union(*raised[k:]))] + ["d"])
-            lines.append(f"    if (found := _levels{k}({args})) is not None:"
-                         f" return {picks(k)} + found")
-            pieces.append("\n".join(lines) + "\n")
-            lines, first = ["", f"def _levels{k}({args}):"], k
-        later, deg = set().union(*raised[k + 1:]), b.flat[-1]
-        bounds = [slack[r] + f" // {v}" * (v > 1) for r, v in raised[k].items()]
-        lines += ["    " + line for line in _interval(f"c{k}", bounds, "<")]
-        lines += [f"    if c{k}:", *(f"        {slack[r]} -= {f'{v} * ' * (v > 1)}c{k}"
-                                    for r, v in raised[k].items() if r in later),
-                  f"        d -= {f'{deg} * ' * (deg > 1)}c{k}", "        if not d:",
-                  f"            return {picks(k + 1)}"]
+             f"    if min({', '.join(slack)}) < 0:", "        return None"]
+    for k, bounds in enumerate(kept):
+        later = set().union(*kept[k + 1:])
+        first, *rest = (slack[r] + f" // {v}" * (v > 1) for r, v in bounds.items())
+        updates = [f"        {slack[r]} -= {f'{v} * ' * (v > 1)}c{k}"
+                   for r, v in raised[k].items() if r in later]
+        lines += [f"    c{k} = {first}", *(f"    if {b} < c{k}: c{k} = {b}" for b in rest),
+                  *([f"    if c{k}:", *updates] if updates else [])]
+    degree = " + ".join(f"{f'{b.flat[-1]} * ' * (b.flat[-1] > 1)}c{k}"
+                        for k, b in enumerate(pres.basis))
+    lines += [f"    if a[{triangle_size(pres.n) - 1}] != {degree}:", "        return None",
+              "    return " + " + ".join(f"({k + 1},) * c{k}" for k in range(len(pres.basis)))]
     digest = hash(tuple(h.flat for h in pres.basis)) & 0xFFFFFFFF
-    return _compile(pieces + ["\n".join(lines + ["    return None"]) + "\n"],
+    return _compile("\n".join(lines) + "\n",
                     f"<hivealg decompose n={pres.n} basis {digest:08x}>", "search")
 
 

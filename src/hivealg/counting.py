@@ -29,6 +29,41 @@ SERIES_DENOMINATOR: dict[int, tuple[int, ...]] = {
 }
 
 
+def _combined(row, other, sign=1):  # row + sign * other, zero terms left out
+    total = dict(row)
+    for k, c in other:
+        total[k] = total.get(k, 0) + sign * c
+    return tuple((k, c) for k, c in total.items() if c)
+
+
+def _form(terms):  # as a set, the apex (always 0) left out
+    return frozenset((k, c) for k, c in terms if k)
+
+
+class _Held:
+    """Rows that hold on every array in view, as _form sets; near[k, c]
+    lists those with the term c * a[k].  A row that exceeds another by a
+    held row or a sum of two is at least that row on every such array."""
+
+    def __init__(self, rows):
+        self.rows, self.near = set(), {}
+        self.add(rows)
+
+    def add(self, rows) -> None:
+        for row in map(_form, rows):
+            self.rows.add(row)
+            for term in row:
+                self.near.setdefault(term, []).append(row)
+
+    def implies(self, diff) -> bool:
+        """diff is a held row or a sum of two, one of which has diff's
+        greatest term (k, c), halved at c = +-2: held rows are +-1."""
+        diff = _form(diff)
+        k, c = max(diff, default=(0, 0))
+        near = self.near.get((k, c // 2 if c in (2, -2) else c), ())
+        return diff in self.rows or any(_form(_combined(diff, h, -1)) in self.rows for h in near)
+
+
 @lru_cache(maxsize=32)
 def _fill_plan(n: int, pairs: bool = False):
     """Flat (start, stop) of each row; the free entries' flat indices in
@@ -85,50 +120,26 @@ def _fill_plan(n: int, pairs: bool = False):
         if not attach(terms):
             boundary_only.append(terms)
 
-    def combined(row, other, sign=1):  # row + sign * other, zero terms left out
-        total = dict(row)
-        for k, c in other:
-            total[k] = total.get(k, 0) + sign * c
-        return tuple((k, c) for k, c in total.items() if c)
-
     # taken before any sum is attached: one round, of cone rows alone
     opposed = [(low, up) for x in interior
                for low in attached[x] if (x, 1) in low
                for up in attached[x] if (x, -1) in up]
     seen = {frozenset(terms) for rows in attached.values() for terms in rows}
     for low, up in opposed:
-        terms = combined(low, up)
+        terms = _combined(low, up)
         if all(c in (1, -1) for _, c in terms) and frozenset(terms) not in seen:
             seen.add(frozenset(terms))
             attach(terms)
 
-    def form(terms):  # as a set, the apex (always 0) left out
-        return frozenset((k, c) for k, c in terms if k)
-
-    def met(diff) -> bool:
-        """diff is a held row or a sum of two, one of which has diff's
-        greatest term (k, c), halved at c = +-2: held rows are +-1."""
-        k, c = max(diff, default=(0, 0))
-        return diff in held or any(form(combined(diff, h, -1)) in held
-                                   for h in near.get((k, c // 2 if c in (2, -2) else c), ()))
-
-    held, near = set(), {}  # near[k, c]: the held rows with the term c * a[k]
-
-    def hold(rows):
-        for row in map(form, rows):
-            held.add(row)
-            for term in row:
-                near.setdefault(term, []).append(row)
-
-    hold([terms for *_, terms in cone_rows(n)[:fixed]] + boundary_only)
+    held = _Held([terms for *_, terms in cone_rows(n)[:fixed]] + boundary_only)
     for x in interior if pairs else ():
         every = attached[x][:]
         for row in every:
             side = (x, dict(row)[x])
-            if any(other != row and side in other and met(form(combined(row, other, -1)))
+            if any(other != row and side in other and held.implies(_combined(row, other, -1))
                    for other in attached[x]):
                 attached[x].remove(row)
-        hold(every)
+        held.add(every)
     return (row_bounds, interior, tuple(boundary_only),
             tuple(tuple((dict(terms)[k], tuple((q, c) for q, c in terms if q != k))
                         for terms in attached[k]) for k in interior))

@@ -112,22 +112,18 @@ def _linear(terms, cell: str = "a[{}]") -> str:
     return out
 
 
-def _compile(source: str | list[str], filename: str, name: str):
-    """Function `name` from generated source: a string, or pieces compiled one
-    by one into one namespace, as compile()'s transient memory grows with the
-    tokens of one call.  The whole source is registered with linecache under
-    its filename, so tracebacks, profiles and inspect.getsource show it.
-    linecache, which loads tokenize, is imported at the first compile: a
-    process that counts only at ranks up to 6, whose kernels counting ships
-    as modules, never loads it."""
+def _compile(source: str, filename: str, name: str):
+    """Function `name` from generated source, compiled in one piece.  The
+    source is registered with linecache under its filename, so tracebacks,
+    profiles and inspect.getsource show it.  linecache, which loads
+    tokenize, is imported at the first compile: a process that counts only
+    at ranks up to 6, whose kernels counting ships as modules, never loads
+    it."""
     import linecache
 
-    pieces = [source] if isinstance(source, str) else source
-    text, namespace, line = "".join(pieces), {"__name__": __name__}, 0
-    linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
-    for piece in pieces:  # behind newlines, so a piece keeps its own line numbers
-        exec(compile("\n" * line + piece, filename, "exec"), namespace)
-        line += piece.count("\n")
+    namespace = {"__name__": __name__}
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), namespace)
     return namespace[name]
 
 

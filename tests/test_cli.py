@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from hivealg.cli import build_parser, run
 from hivealg.cone import hives_up_to_degree
+from hivealg.hive import Hive
+from hivealg.tableau import LRTableau
 
 hive_pool = cache(hives_up_to_degree)  # drawn from on every example
 
@@ -100,6 +102,23 @@ def test_tableaux_json_round_trips(capsys):
     assert {(tuple(o["outer"]), tuple(o["inner"])) for o in objs} == {((3, 2, 1), (2, 1))}
     assert sorted(o["rows"] for o in objs) == [[[0, 0, 1], [0, 1], [2]],
                                                [[0, 0, 1], [0, 2], [1]]]
+
+
+@pytest.mark.parametrize("command, fmt, unused", [
+    ("tableaux", "json", (LRTableau, "__str__")),
+    ("hives", "text", (Hive, "to_json_dict")),
+], ids=["tableaux-json", "hives-text"])
+def test_only_the_requested_output_form_is_built(command, fmt, unused, capsys, monkeypatch):
+    argv = [command, "-n", "3", "--format", fmt, "--lambda", "3,2,1", "--mu", "2,1", "--nu", "2,1"]
+    assert run(argv) == 0
+    expected = capsys.readouterr().out
+
+    def unbuildable(self):
+        raise MemoryError
+
+    monkeypatch.setattr(*unused, unbuildable)
+    assert run(argv) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_decompose(capsys):

@@ -15,10 +15,11 @@ counts agree with enumeration and with the tableau route, also at ranks
 whose nest passes that limit, with the symmetries and saturation of LR
 coefficients, and at every rank that holds lambda, and stretch
 polynomially, out to 100 times, agreeing with the tableau and Schur routes
-up to 4 times.  The search is straight-line code, greedy: it bounds
-each basis element by the rows it raises, in pieces of a few levels, and
-agrees with the interpreted search and with a row-by-row reading of
-cone_rows on any array."""
+up to 4 times.  The search is one straight-line function, greedy: it
+bounds each basis element by the rows it raises, less each row that exceeds
+another kept one with the same divisor by a cone row or a sum of two, ends
+with a degree check, and agrees with the interpreted search and with a
+row-by-row reading of cone_rows on any array."""
 
 import hashlib
 import inspect
@@ -853,14 +854,17 @@ def test_search_source_is_inspectable():
     assert inspect.getsource(search).startswith("def search(a):\n    if a[0]:\n        return None\n")
     # rhombus family 2 at (i, j) = (2, 1): h[2][1] + h[2][2] >= h[3][2] + h[1][1]
     assert "    s12 = a[1] + a[2] - a[4] - a[0]\n" in source
-    # h_1 raises five rows by one, all of them read again later
-    assert ("    c0 = s4\n    t = s8\n    if t < c0: c0 = t\n"
-            "    t = s18\n    if t < c0: c0 = t\n    t = s19\n    if t < c0: c0 = t\n"
-            "    t = s21\n    if t < c0: c0 = t\n"
-            "    if c0:\n"
-            "        s4 -= c0\n") in source
-    assert (" return (1,) * c0 + (2,) * c1 + (3,) * c2 + (4,) * c3 + found\n"
-            "\ndef _levels4(") in source
+    # h_1 raises five rows by one: s4 and s8 exceed a kept row by a cone row
+    # or a sum of two, and all five are read again later
+    assert ("    c0 = s18\n    if s19 < c0: c0 = s19\n    if s21 < c0: c0 = s21\n"
+            "    if c0:\n        s4 -= c0\n        s8 -= c0\n        s18 -= c0\n"
+            "        s19 -= c0\n        s21 -= c0\n    c1 = s20\n") in source
+    # one return of picks, once their degrees add up to the hive's
+    assert source.endswith(
+        "    if a[14] != c0 + 2 * c1 + 3 * c2 + 4 * c3 + c4 + 2 * c5 + 3 * c6 + 4 * c7"
+        " + 2 * c8 + 3 * c9 + 4 * c10 + 3 * c11 + 4 * c12 + 4 * c13 + 4 * c14 + 5 * c15"
+        " + 6 * c16 + 5 * c17 + 6 * c18 + 6 * c19:\n        return None\n    return "
+        + " + ".join(f"({k + 1},) * c{k}" for k in range(20)) + "\n")
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -939,37 +943,67 @@ def test_search_agrees_with_interpreted_rows(case):
 
 
 def search_levels(source):
-    """Read the generated search: {level k: {cone row: divisor}} from the
-    bound lines before `if c<k>:`, and the levels of each function in turn."""
-    levels, functions, bounds = {}, [], {}
+    """Read the generated search: {level k: {cone row: divisor}} from its
+    bound lines, and {level k: {cone row: divisor}} from its update lines."""
+    bounds, updates = {}, {}
     for line in source.splitlines():
-        if line.startswith("def "):
-            functions.append([])
-        elif match := re.fullmatch(r"    (?:c\d+|t) = s(\d+)(?: // (\d+))?", line):
-            bounds[int(match[1])] = int(match[2] or 1)
-        elif match := re.fullmatch(r"    if c(\d+):", line):
-            levels[int(match[1])], bounds = bounds, {}
-            functions[-1].append(int(match[1]))
-    return levels, functions
+        if match := (re.fullmatch(r"    c(?P<k>\d+) = s(?P<r>\d+)(?: // (?P<v>\d+))?", line) or
+                     re.fullmatch(r"    if (?P<b>s(?P<r>\d+)(?: // (?P<v>\d+))?) < c(?P<k>\d+):"
+                                  r" c(?P=k) = (?P=b)", line)):
+            bounds.setdefault(int(match["k"]), {})[int(match["r"])] = int(match["v"] or 1)
+        elif match := re.fullmatch(r"        s(\d+) -= (?:(\d+) \* )?c(\d+)", line):
+            updates.setdefault(int(match[3]), {})[int(match[1])] = int(match[2] or 1)
+    return bounds, updates
+
+
+def exceeds_by_held_rows(n):
+    """exceeds(r, o): cone row r less cone row o, the apex left out, is a
+    cone row or the sum of two, by brute force over every pair."""
+    def form(terms):
+        total = Counter()
+        for k, c in terms:
+            total[k] += c
+        return frozenset((k, c) for k, c in total.items() if k and c)
+
+    rows = [terms for *_, terms in cone_rows(n)]
+    sums = {form(a) for a in rows} | {form(a + b) for a in rows for b in rows}
+    return lambda r, o: form(rows[r] + tuple((k, -c) for k, c in rows[o])) in sums
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_search_bounds_each_level_by_the_rows_its_element_raises(n):
     pres = presentation(n)
     source = search_source(pres)
-    levels, functions = search_levels(source)
-    assert levels == dict(enumerate(raised_rows(pres)))
-    # straight-line: no level loops over its multiplicities
+    bounds, updates = search_levels(source)
+    raised, exceeds = raised_rows(pres), exceeds_by_held_rows(n)
+    assert sorted(bounds) == list(range(len(pres.basis)))
+    for k, level in enumerate(raised):
+        # each bound is a row b_k raises, over its divisor
+        assert bounds[k] and bounds[k].items() <= level.items()
+        # each row left out exceeds another with its divisor by a cone row or a
+        # sum of two, and so on until a kept row: on a hive its slack is no less
+        for r in level.keys() - bounds[k].keys():
+            chain, seen = [r], {r}
+            while chain and not seen & bounds[k].keys():
+                chain = [o for q in chain for o, v in level.items()
+                         if v == level[q] and o not in seen and exceeds(q, o)]
+                seen.update(chain)
+            assert seen & bounds[k].keys(), (k, r)
+        # each slack b_k raises is updated when a later level reads it, and only then
+        later = set().union(*(bounds[j] for j in range(k + 1, len(raised))))
+        assert updates.get(k, {}) == {r: v for r, v in level.items() if r in later}
+    # bound and update lines, of the 19/62/190 and 10/44/160 left without pruning
+    assert sum(map(len, bounds.values())) == {2: 5, 3: 23, 4: 77}[n]
+    assert sum(map(len, updates.values())) == {2: 0, 3: 19, 4: 109}[n]
+    # one straight-line function: no level loops over its multiplicities
+    assert source.count("def ") == 1
     assert not re.search(r"\bfor\b", source) and "range(" not in source
-    # basis order, one function per cone._CHUNK levels
-    size = len(pres.basis)
-    assert functions == [list(range(p, min(p + cone._CHUNK, size)))
-                         for p in range(0, size, cone._CHUNK)]
 
 
 def test_building_the_rank4_search_stays_small():
-    # the 20-level nest compiled in one piece peaks at about 2.2 MB, enough
-    # to push the decompose benchmark's peak RSS past its bound
+    # the search compiled in one piece peaks at about 0.97 MB: its bounds and
+    # updates pruned; with every one of them, it took about 2.2 MB, enough to
+    # push the decompose benchmark's peak RSS past its bound
     presentation(4)
     tracemalloc.start()
     try:
