@@ -1,2 +1,2 @@
-"""The generated hive kernels and triple checks of ranks 1 to 6, written
-by tools/regen_kernels.py: do not edit."""
+"""The generated hive kernels of ranks 1 to 6, written by
+tools/regen_kernels.py: do not edit."""

@@ -1,4 +1,9 @@
 def entry(lam, mu, nu):
+    if not (lam[0] >= lam[1] >= 0
+            and mu[0] >= mu[1] >= 0
+            and nu[0] >= nu[1] >= 0
+            and lam[0] + lam[1] == mu[0] + mu[1] + nu[0] + nu[1]):
+        return -1
     a1 = mu[0]
     a3 = a1 + mu[1]
     a2 = lam[0]

@@ -1,4 +1,9 @@
 def entry(lam, mu, nu):
+    if not (lam[0] >= lam[1] >= lam[2] >= 0
+            and mu[0] >= mu[1] >= mu[2] >= 0
+            and nu[0] >= nu[1] >= nu[2] >= 0
+            and lam[0] + lam[1] + lam[2] == mu[0] + mu[1] + mu[2] + nu[0] + nu[1] + nu[2]):
+        return -1
     a1 = mu[0]
     a3 = a1 + mu[1]
     a6 = a3 + mu[2]

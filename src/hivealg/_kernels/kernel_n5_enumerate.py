@@ -1,4 +1,9 @@
 def entry(lam, mu, nu):
+    if not (lam[0] >= lam[1] >= lam[2] >= lam[3] >= lam[4] >= 0
+            and mu[0] >= mu[1] >= mu[2] >= mu[3] >= mu[4] >= 0
+            and nu[0] >= nu[1] >= nu[2] >= nu[3] >= nu[4] >= 0
+            and lam[0] + lam[1] + lam[2] + lam[3] + lam[4] == mu[0] + mu[1] + mu[2] + mu[3] + mu[4] + nu[0] + nu[1] + nu[2] + nu[3] + nu[4]):
+        return
     a1 = mu[0]
     a3 = a1 + mu[1]
     a6 = a3 + mu[2]

@@ -158,18 +158,21 @@ def _interval(name: str, bounds: list[str], cmp: str) -> list[str]:
 
 
 def _kernel_source(n: int, count: bool, pairs: bool = False) -> str:
-    """entry(lam, mu, nu) on a padded triple, with entry k the local a<k>:
-    the left, right and bottom edges as partial sums of mu, lam and nu (the
-    bottom from |mu| sets the shared corner), then each row on the boundary
-    alone, a failing one leaving no hive.  Then one nested loop per free
-    entry in fill order (_fill_plan), over the max of its lower rows to the
-    min of its upper rows, read from the entries placed before it.
-    Counting, the last entry adds its interval length to the total;
-    enumerating, the innermost loop yields the flat coordinates, the apex as
-    0.  A nest that would pass _BLOCK_LIMIT loops goes on in _rest<p>, which
-    takes the locals placed before fill place p as arguments.  With pairs
-    it is entry(mu, nu), which sets the left and bottom edges alone and
-    searches the lambda cells with the interior."""
+    """entry(lam, mu, nu) on a triple padded to length n, with entry k the
+    local a<k>: first the admission, each part weakly decreasing to a
+    non-negative last part and |lam| = |mu| + |nu|, a refused triple
+    returning -1 (counting) or yielding nothing; then the left, right and
+    bottom edges as partial sums of mu, lam and nu (the bottom from |mu|
+    sets the shared corner), then each row on the boundary alone, a failing
+    one leaving no hive.  Then one nested loop per free entry in fill order
+    (_fill_plan), over the max of its lower rows to the min of its upper
+    rows, read from the entries placed before it.  Counting, the last entry
+    adds its interval length to the total; enumerating, the innermost loop
+    yields the flat coordinates, the apex as 0.  A nest that would pass
+    _BLOCK_LIMIT loops goes on in _rest<p>, which takes the locals placed
+    before fill place p as arguments.  With pairs it is entry(mu, nu), with
+    no admission, which sets the left and bottom edges alone and searches
+    the lambda cells with the interior."""
     row_bounds, interior, boundary_only, attached = _fill_plan(n, True) if pairs else _fill_plan(n)
 
     def local(k):
@@ -180,8 +183,13 @@ def _kernel_source(n: int, count: bool, pairs: bool = False) -> str:
     for part, cells in fixed:
         for i, (prev, k) in enumerate(zip(cells, cells[1:])):
             edges[k] = f"{local(prev)} + {part}[{i}]" if prev else f"{part}[{i}]"
-    lines = [f"def entry({'mu, nu' if pairs else 'lam, mu, nu'}):",
-             *(f"    {local(k)} = {sum_}" for k, sum_ in edges.items())]
+    parts = {p: [f"{p}[{i}]" for i in range(n)] for p in ("lam", "mu", "nu")}
+    admitted = [" >= ".join(parts[p] + ["0"]) for p in parts]
+    admitted.append(f"{' + '.join(parts['lam'])} == {' + '.join(parts['mu'] + parts['nu'])}")
+    lines = ["def entry(mu, nu):"] if pairs else [
+        "def entry(lam, mu, nu):", "    if not (" + "\n            and ".join(admitted) + "):",
+        f"        return{' -1' if count else ''}"]
+    lines += [f"    {local(k)} = {sum_}" for k, sum_ in edges.items()]
     for terms in boundary_only:
         lines += [f"    if {_linear(((k, c) for k, c in terms if k), 'a{}')} < 0:",
                   f"        return{' 0' if count else ''}"]
@@ -224,35 +232,30 @@ def _module_name(name: str) -> str:
     return f"{__package__}._kernels.{name.replace('=', '').replace(' ', '_')}"
 
 
-def _generated(name: str, function: str, source):
-    """Function `function` of the generated code `name`, from its shipped
-    module where there is one (ranks up to 6; tools/regen_kernels.py writes
-    them from source), so Python's bytecode cache spares each process the
-    plan, the source and the compile; else compiled from source() by
-    hive._compile under the filename <hivealg name>."""
+@lru_cache(maxsize=32)
+def _kernel(n: int, count: bool, pairs: bool = False):
+    """The rank-n hive search: entry(lam, mu, nu), on a triple padded to
+    length n, gives the number of hives (count) or yields the flat
+    coordinates of each in search order, which is not lexicographic
+    (enumerate_hives sorts); a triple the admission refuses, one not three
+    partitions with |lam| = |mu| + |nu|, gives -1 or yields nothing.  With
+    pairs, entry(mu, nu), on two partitions of length n, does so over every
+    lambda.  The entry comes from its shipped module where there is one
+    (ranks up to 6; tools/regen_kernels.py writes them from _kernel_source),
+    so Python's bytecode cache spares each process the plan, the source and
+    the compile; else hive._compile compiles _kernel_source under the
+    filename <hivealg kernel n=...>.  The source holds only integer indices
+    from cone_rows.  One nested loop over locals, so a search node costs no
+    call and no list subscript; a further function only past the block
+    limit (rank 8 enumerating, rank 9 and up; with pairs, a rank lower)."""
     from importlib import import_module
     from importlib.util import find_spec
 
+    name = _kernel_name(n, count, pairs)
     spec = find_spec(_module_name(name))
     if spec is None:
-        return _compile(source(), f"<hivealg {name}>", function)
-    return getattr(import_module(spec.name), function)
-
-
-@lru_cache(maxsize=32)
-def _kernel(n: int, count: bool, pairs: bool = False):
-    """The rank-n hive search: entry(lam, mu, nu), on a dominant triple
-    padded to length n with |lam| = |mu| + |nu| (lr_coefficient pads its own
-    at rank min(n, len(lam)), see there), gives the number of hives (count)
-    or yields the flat coordinates of each in search order, which is not
-    lexicographic (enumerate_hives sorts); with pairs, entry(mu, nu) does so
-    over every lambda.  The source holds only integer indices from
-    cone_rows (_generated: shipped up to rank 6, compiled past it).  One
-    nested loop over locals, so a search node costs no call and no list
-    subscript; a further function only past the block limit (rank 8
-    enumerating, rank 9 and up; with pairs, a rank lower)."""
-    return _generated(_kernel_name(n, count, pairs), "entry",
-                      lambda: _kernel_source(n, count, pairs))
+        return _compile(_kernel_source(n, count, pairs), f"<hivealg {name}>", "entry")
+    return import_module(spec.name).entry
 
 
 def _kernel_name(n: int, count: bool, pairs: bool = False) -> str:
@@ -267,41 +270,26 @@ def _padded_partitions(n: int, d: int) -> list[list[Parts]]:
 
 def enumerate_hives(n, lam, mu, nu) -> list[Hive]:
     """All hives with boundary (lam, mu, nu), in lexicographic order of their
-    flat coordinates.  lr_coefficient's admission without its count, the
-    long-part rule and then _count_entry(m)'s check, returns [] and raises
-    the partition errors; an admitted triple has no nonzero part past m."""
+    flat coordinates: the long-part rule of lr_coefficient at rank n, then
+    the rank-n enumerate kernel on the parts padded to n; only where it
+    yields no hive does the partition check run, to raise its error."""
     n = _integer("rank", n, 1)
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
-    m = min(n, len(lam)) or 1
-    if len(lam) > m or len(mu) > m or len(nu) > m:
+    if len(lam) > n or len(mu) > n or len(nu) > n:
         require_partitions(lam, mu, nu)
-        if any(lam[m:]) or any(mu[m:]) or any(nu[m:]):
+        if any(lam[n:]) or any(mu[n:]) or any(nu[n:]):
             return []
-    triple = pad(lam[:m], m), pad(mu[:m], m), pad(nu[:m], m)
-    if not _count_entry(m)[0](*triple):
-        require_partitions(*triple)
-        return []
-    return [Hive(n, flat) for flat in sorted(_kernel(n, False)(*(pad(p, n) for p in triple)))]
-
-
-def _triple_check_source(m: int) -> str:
-    """triple_ok(lam, mu, nu) on a triple padded to length m: each part
-    weakly decreasing down to a non-negative last part, one line each, and
-    |lam| = |mu| + |nu|."""
-    def entries(p):
-        return [f"{p}[{i}]" for i in range(m)]
-
-    lines = [" >= ".join(entries(p) + ["0"]) for p in ("lam", "mu", "nu")]
-    lines.append(f"{' + '.join(entries('lam'))} == {' + '.join(entries('mu') + entries('nu'))}")
-    return "def triple_ok(lam, mu, nu):\n    return (" + "\n            and ".join(lines) + ")\n"
+    flats = sorted(_kernel(n, False)(pad(lam, n), pad(mu, n), pad(nu, n)))
+    if not flats:
+        require_partitions(lam, mu, nu)
+    return [Hive(n, flat) for flat in flats]
 
 
 @lru_cache(maxsize=32)
 def _count_entry(m: int):
-    """lr_coefficient's rank-m triple check (_triple_check_source, through
-    _generated), count kernel and padding zeros."""
-    return (_generated(f"triple check n={m}", "triple_ok", lambda: _triple_check_source(m)),
-            _kernel(m, True), (0,) * m)
+    """lr_coefficient's rank-m count kernel and padding zeros, in one cache
+    lookup."""
+    return _kernel(m, True), (0,) * m
 
 
 def lr_coefficient(n, lam, mu, nu) -> int:
@@ -309,7 +297,9 @@ def lr_coefficient(n, lam, mu, nu) -> int:
     m = min(n, len(lam)), at least 1: exact, as c^lam_mu,nu is the same at
     every rank >= l(lam).  Trailing zeros change neither dominance nor the
     sums, so a part longer than m is checked as given and then cut to m; a
-    nonzero mu_i or nu_i, i > m, is not under lam, or past rank n."""
+    nonzero mu_i or nu_i, i > m, is not under lam, or past rank n.  The
+    count kernel admits the padded triple; a refused one (-1) goes through
+    the partition check, which raises its error, and otherwise counts 0."""
     n = _integer("rank", n, 1)
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
     m = min(n, len(lam)) or 1
@@ -318,12 +308,12 @@ def lr_coefficient(n, lam, mu, nu) -> int:
         if any(lam[m:]) or any(mu[m:]) or any(nu[m:]):
             return 0
         lam, mu, nu = lam[:m], mu[:m], nu[:m]
-    ok, kernel, zeros = _count_entry(m)
-    lam, mu, nu = lam + zeros[len(lam):], mu + zeros[len(mu):], nu + zeros[len(nu):]
-    if ok(lam, mu, nu):
-        return kernel(lam, mu, nu)
-    require_partitions(lam, mu, nu)
-    return 0
+    kernel, zeros = _count_entry(m)
+    count = kernel(lam + zeros[len(lam):], mu + zeros[len(mu):], nu + zeros[len(nu):])
+    if count < 0:
+        require_partitions(lam, mu, nu)
+        return 0
+    return count
 
 
 def lr_via_tableaux(n, lam, mu, nu) -> int:

@@ -208,6 +208,34 @@ def test_verify_relations_counts():
     assert len(results) == 15 and all(r.ok for r in results)
 
 
+def fibre(target, flats, k=0):
+    """Every exponent vector over flats[k:] that sums to target, as a sorted
+    tuple of 1-based indices with multiplicity.  Hive entries are >= 0, so
+    what is left to cover stays entrywise >= 0: that bounds how often each
+    flat is taken."""
+    if k == len(flats):
+        return [] if any(target) else [()]
+    found, picked = [], ()
+    while min(target) >= 0:
+        found += [picked + rest for rest in fibre(target, flats, k + 1)]
+        target, picked = tuple(a - b for a, b in zip(target, flats[k])), picked + (k + 1,)
+    return found
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_each_relation_is_indispensable(n):
+    # a binomial whose fibre is exactly its two sides, and whose sides share
+    # no index, lies in every binomial generating set of the toric ideal
+    # (Charalambous, Katsabekis and Thoma, Proc. AMS 2007): no pinned
+    # relation follows from the others
+    pres = presentation(n)
+    flats = [b.flat for b in pres.basis]
+    for rel in pres.relations:
+        hive = sum((pres.basis[k - 1] for k in rel.left), zero_hive(n))
+        assert sorted(fibre(hive.flat, flats)) == sorted([rel.left, rel.right]), rel.name
+        assert not set(rel.left) & set(rel.right), rel.name
+
+
 def test_decompose_worked_example():
     pres = presentation(3)
     h = Hive.from_rows([[0], [2, 3], [3, 4, 5], [3, 5, 6, 6]])

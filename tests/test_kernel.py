@@ -1,9 +1,10 @@
 """The generated code: the hive kernel (counting._kernel) and the
 decomposition search (cone._search).  Both build and their source is
-inspectable; the kernels and triple checks of ranks up to 6 load from the
-shipped modules, each the generator's text, and later ones compile, the
-lambda-fixed kernel sources of ranks 7 to 12 pinned by digest; the
-kernel nests one loop per interior entry, split across functions only at
+inspectable; the kernels of ranks up to 6 load from the shipped modules,
+each the generator's text, and later ones compile, the lambda-fixed kernel
+sources of ranks 7 to 12 pinned by digest; the lambda-fixed kernel admits
+its own triple, refusing one that is not three partitions of balanced size;
+the kernel nests one loop per interior entry, split across functions only at
 CPython's block limit; its plan holds the cone rows plus cancelled pairs of
 them, all of which every hive satisfies, less each bound that another always
 meets through rows already held, which changes no search node, and its
@@ -104,7 +105,6 @@ def test_shipped_kernels_are_the_generated_sources():
     regen = "regenerate them: python3 tools/regen_kernels.py"
     expected = {}
     for n in range(1, 7):
-        expected[f"triple_check_n{n}.py"] = counting._triple_check_source(n)
         for kind, (count, pairs) in SHIPPED_KINDS.items():
             expected[f"kernel_n{n}_{kind}.py"] = counting._kernel_source(n, count, pairs)
     files = {path.name: path.read_text() for path in SHIPPED.glob("*.py")}
@@ -127,26 +127,23 @@ def test_kernels_load_shipped_up_to_rank_6_and_compile_past_it(n):
             assert code.co_filename == f"<hivealg {name}>"
             assert "".join(linecache.getlines(code.co_filename)) == \
                 counting._kernel_source(n, count, pairs)
-    check = counting._count_entry(n)[0].__code__.co_filename
-    assert (Path(check) == SHIPPED / f"triple_check_n{n}.py" if n <= 6
-            else check == f"<hivealg triple check n={n}>")
 
 
 # sha256 of _kernel_source(n, count) with lambda fixed, for the ranks past
 # the shipped modules, which compile from it
 LATE_KERNEL_DIGESTS = {
-    (7, True): "c7f2295460eae59d5978a2cee2557f2b12c27db425e9177824387bb5851e4c1c",
-    (7, False): "2a2b23337bcf969ab64616d0fedbbdec86764e2d398c5c014658aa434742ab67",
-    (8, True): "e4d483a2e68963a1424af81270c2d58c6957314ef37996d6b69c4ee84225a96a",
-    (8, False): "125493ab4cc9cce14cd21ba73205879c43b18949d637e5f9deb585f19abd1179",
-    (9, True): "4dddbb1726f04b87e9ac04e38270f9a56a230fb7175aeb67a5c3830fefa0f310",
-    (9, False): "755aabfdad238381c3b5c653977bd4290599cd9bdcae594bb26d1934f64d9d58",
-    (10, True): "ec41ae9329b6b88e29989b70482506c1bbf7baf0d5fe3c2fb6c918dd9d3e1c4d",
-    (10, False): "cf0279572bb99596591f1ec4c4a68e452586d2fb31df1316428f87418e50f92a",
-    (11, True): "89b72bc5b1259d82915a10e4a7c1675530b7ac1fa1e5cf7a2697cd9e272e1758",
-    (11, False): "bf7437f3ce42d8d32a99a0517baa86283ba22fbcabdb411fcaa7364bde03423d",
-    (12, True): "54c7477e0f674ba62d29e2085f68b6d63905a4dc24c4524b67dba6ab73af5161",
-    (12, False): "4597e9b10e13d4c7ca3fb7f4acbcd30f59bec44015e6fc4ce98c7dba882f30ac",
+    (7, True): "0ddf81503524697ea03fbb878237ffc6ca8a72a652e81472aa337bb5980d6bf7",
+    (7, False): "73aeb8d1c24982293c71ec7a5e75f6c4ac9e804c0aa974296eb320dc79512f3e",
+    (8, True): "0cc3096e6056d0fe5d9efcce2e4b7c714c4fb206aa28a60387453b0c39f7b072",
+    (8, False): "a352de084703beaaa2361faaf286000039c7953a20791270ba1b2e5d9480cb7d",
+    (9, True): "4e558ad55bf1a7ca5f2da277796948b60ba880450164e4227b1b6c4a68e7471f",
+    (9, False): "79d0d82c31418eaea4ac9fed416922d19da1100e650f806683705ee85eaebb49",
+    (10, True): "b8f5bc681001b133f5a135595fb1f64bb0335481c5e9164cf1c2702e26293913",
+    (10, False): "1616f71c40df16ffab229aa7ac1898f923ecfdb7522c48216498f6fc6ecd3da9",
+    (11, True): "9d068a8b00a643de4e76c90b868639fc17db2168e843ea8dd08c12f0ae8c62bc",
+    (11, False): "800a0219e19b5fa25e050c2f15bf094897a5080f9aeff0abb64d6d8ba3200379",
+    (12, True): "397141cfcbab5a83b48737df311f94a63dd78a5e167733cb24e8c3dd844cc672",
+    (12, False): "642a32e9f232486ecd18ff682c68520f9f7980ab7f0bcd3128100ca7cdd102d8",
 }
 
 
@@ -194,6 +191,20 @@ def kernel_functions(n, count, pairs=False):
     return functions
 
 
+def admission_lines(n, count):
+    """The lines that open the lambda-fixed entry: each part weakly
+    decreasing down to >= 0, then |lam| = |mu| + |nu|; a refused triple
+    returns -1, or nothing when enumerating."""
+    def chain(p):
+        return " >= ".join([f"{p}[{i}]" for i in range(n)] + ["0"])
+
+    size = " + ".join(f"lam[{i}]" for i in range(n)) + " == " + " + ".join(
+        f"{p}[{i}]" for p in ("mu", "nu") for i in range(n))
+    return [f"    if not ({chain('lam')}", f"            and {chain('mu')}",
+            f"            and {chain('nu')}", f"            and {size}):",
+            "        return -1" if count else "        return"]
+
+
 # Both plans: fixing lambda for n = 1..6, and freeing it (the pairs
 # kernel, ids "pairs<n>") for n = 1..12, whose nest passes the block limit
 # from rank 7 enumerating and rank 8 counting.
@@ -237,14 +248,17 @@ def test_kernel_source_bounds_every_plan_row_and_sets_every_edge(n, pairs, count
                     == Counter(frozenset(r.items()) for r in want[side])), (pos, side)
     assert lines.count(LAST_COUNT) == (1 if count and interior else 0)
 
-    # entry starts with the edge sums and the rows on the boundary alone.
+    # entry starts with the admission (lambda fixed), then the edge sums and
+    # the rows on the boundary alone.
     # Part entries are weighted so that each partial sum reads back as the
     # set of entries it adds up; every boundary cell but the apex is set
     # once, to its value in boundary_flat
     entry = functions["entry"]
     assert entry[0] == ("entry(mu, nu):" if pairs else "entry(lam, mu, nu):")
+    admission = [] if pairs else admission_lines(n, count)
+    assert entry[1:1 + len(admission)] == admission
     head = list(takewhile(lambda line: re.fullmatch(r"    (a\d+ = .*|if .*|    return.*)", line),
-                          entry[1:]))
+                          entry[1 + len(admission):]))
     parts = {p: [1 << (n * s + i) for i in range(n)] for s, p in enumerate(("lam", "mu", "nu"))}
     sums = dict(m.groups() for m in map(re.compile(r"    a(\d+) = (.*)").fullmatch, head) if m)
 
@@ -422,6 +436,7 @@ def test_least_rank_edge_cases(n, lam, mu, nu, expected):
     assert lr_coefficient(n, lam, mu, nu) == lr_via_tableaux(n, lam, mu, nu) == expected
 
 
+@pytest.mark.parametrize("route", [lr_coefficient, enumerate_hives], ids=lambda f: f.__name__)
 @pytest.mark.parametrize("n, lam, mu, nu, message", [
     (6, (2, 1), (1, 0, 2), (), "mu = (1, 0, 2) is not a partition"),
     (6, (2, 1), (1, 0, 2, 0), (), "mu = (1, 0, 2) is not a partition"),
@@ -429,10 +444,43 @@ def test_least_rank_edge_cases(n, lam, mu, nu, expected):
     (2, (2, 1), (1,), (1, 0, -1), "nu = (1, 0, -1) is not a partition"),
     (6, (2, 1), (2, 1), (0, -1), "nu = (0, -1) is not a partition"),
 ])
-def test_least_rank_keeps_the_partition_messages(n, lam, mu, nu, message):
+def test_least_rank_keeps_the_partition_messages(n, lam, mu, nu, message, route):
     with pytest.raises(ValueError) as err:
-        lr_coefficient(n, lam, mu, nu)
+        route(n, lam, mu, nu)
     assert str(err.value) == message
+
+
+def refused_triples(n):
+    """Padded rank-n triples that the admission refuses: a rising part (from
+    rank 2, in each of the three), a negative last part (in mu, and in nu),
+    and |lam| != |mu| + |nu| with every part a partition.  Without the
+    admission, the kernel finds a hive for each of the last three."""
+    zeros, one = (0,) * n, pad((1,), n)
+    rising = [] if n < 2 else [(zeros[1:] + (1,), one, zeros), (pad((3,), n), pad((1, 2), n), zeros),
+                               (pad((3,), n), zeros, zeros[1:] + (3,))]
+    negative = zeros[1:] + (-1,)
+    return rising + [(one, negative, pad((2,), n)), (one, pad((2,), n), negative),
+                     ((1,) * n, (1,) * (n - 1) + (0,), zeros)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lambda_fixed_kernels_refuse_what_the_admission_refuses(n):
+    # called directly, with no wrapper's check in front
+    for triple in refused_triples(n):
+        assert _kernel(n, True)(*triple) == -1, triple
+        assert list(_kernel(n, False)(*triple)) == [], triple
+    # and the same parts, admitted, still count
+    assert _kernel(n, True)(pad((2,), n), pad((1,), n), pad((1,), n)) == 1
+
+
+def test_lr_coefficient_checks_the_partitions_only_of_a_refused_triple(monkeypatch):
+    checked = []
+    monkeypatch.setattr(counting, "require_partitions", lambda *parts: checked.append(parts))
+    assert lr_coefficient(4, (3, 1), (2, 2), ()) == 0  # admitted; mu is not under lam
+    assert lr_coefficient(4, (2, 1), (1,), (1, 1)) == 1
+    assert checked == []
+    assert lr_coefficient(4, (3, 1), (2, 1), ()) == 0  # refused: 4 != 3
+    assert checked == [((3, 1), (2, 1), ())]
 
 
 def test_lr_coefficient_builds_only_the_kernel_of_the_least_rank(monkeypatch):
