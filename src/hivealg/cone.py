@@ -5,9 +5,9 @@ formats used by lattice-point software."""
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, repeat, starmap
-from operator import attrgetter
+from operator import attrgetter, or_
 from struct import Struct, calcsize
 
 from .counting import _Held, _combined, _kernel, _padded_partitions
@@ -186,46 +186,120 @@ class NoDecompositionError(ConsistencyError):
     basis this cannot happen, so it is an internal-consistency failure."""
 
 
+def _facets(pres: ConePresentation) -> list[int]:
+    """The maximal sets of basis indices, as bitmasks over 0..m-1, that hold no
+    initial pair, a relation's lex-smaller side when that is two distinct
+    indices: pivoted Bron-Kerbosch, free[v] the indices no pair joins to v."""
+    m = len(pres.basis)
+    free = [(1 << m) - 1 ^ 1 << v for v in range(m)]
+    for rel in pres.relations:
+        low = min(rel.left, rel.right, key=lambda side: [side.count(i) for i in range(1, m + 1)])
+        if len(set(low)) == len(low) == 2:
+            i, j = low
+            free[i - 1] &= ~(1 << j - 1)
+            free[j - 1] &= ~(1 << i - 1)
+    found = []
+
+    def bits(mask):
+        return [v for v in range(m) if mask >> v & 1]
+
+    def grow(chosen, open_, closed):
+        if not open_ | closed:
+            found.append(chosen)
+            return
+        pivot = max(bits(open_ | closed), key=lambda v: (open_ & free[v]).bit_count())
+        for v in bits(open_ & ~free[pivot]):
+            grow(chosen | 1 << v, open_ & free[v], closed & free[v])
+            open_, closed = open_ & ~(1 << v), closed | 1 << v
+    grow(0, (1 << m) - 1, 0)
+    return found
+
+
+def _witnessed(pres: ConePresentation, raised):
+    """Per level k, {r: row(b_k)} over its bounds and over the rows it updates:
+    for each facet F, a witness r (r(b_k) > 0, r(b_i) = 0 for each i in F past
+    k), updated at each level of F before k whose element raises it.  Greedy:
+    the row witnessing most facets left, then needing fewest new updates."""
+    facets = _facets(pres)
+    lifts = {r: sum(1 << i for i, level in enumerate(raised) if r in level)
+             for r in set().union(*raised)}   # the levels whose element raises r
+    done, kept = dict.fromkeys(lifts, 0), []   # the levels that update r
+    for k, level in enumerate(raised):
+        met = {r: {f for f in facets if not f & lifts[r] & -1 << k + 1} for r in level}
+
+        def new(r, fs):   # the levels of fs before k that would newly update r
+            return reduce(or_, fs, 0) & lifts[r] & ~done[r] & (1 << k) - 1
+        left, bounds = set(facets), {}
+        while left:
+            r = max(level, key=lambda r: (len(met[r] & left), -new(r, met[r] & left).bit_count()))
+            if not met[r] & left:
+                raise ConsistencyError(f"no cone row witnesses a facet at level {k + 1}")
+            bounds[r], left = level[r], left - met[r]
+        for f in facets:   # F's witness: the kept one needing fewest new updates
+            r = min((r for r in bounds if f in met[r]), key=lambda r: new(r, [f]).bit_count())
+            done[r] |= new(r, [f])
+        kept.append(bounds)
+    return kept, [{r: v for r, v in level.items() if done[r] >> k & 1}
+                  for k, level in enumerate(raised)]
+
+
 @lru_cache(maxsize=4)
 def _search(pres: ConePresentation):
     """The compiled greedy search over pres's basis, built on first use.
-    search(a) on a hive's flat coordinates tests the apex and sets the slack
-    s<r> of each cone row r, none negative.  In straight lines, level k sets
-    c<k> to the min of s<r> // row(b_k) over the rows b_k raises and takes
-    c<k> * row(b_k) off each slack a later level reads; at the end it returns
-    the picks if their degrees add up to a's, else None.  A raised row r goes
-    from level k while another row o there has the same row(b_k) and r - o is
-    a cone row or a sum of two (counting._Held): the rest is a hive at every
-    level, so s<r> >= s<o>, and a chain of such rows ends at a kept one.  So
-    the min, every c<k> and the output stay as they were, whatever the basis."""
+    search(a) tests the apex and that no slack s<r> is negative over the
+    rhombus rows and the mu_n and nu_n rows, which imply the rest (the rhombi
+    make each edge decrease and give lambda_n >= mu_n + nu_n).  Then level k
+    sets c<k> to the min of s<r> // row(b_k) over its bounds, rows b_k raises,
+    and, if c<k> > 0, takes c<k> * row(b_k) off each slack it updates and adds
+    k + 1 to the picks c<k> times; they are returned if their degrees add up
+    to a's.  A slack is written only where something reads it.  Over a pinned
+    presentation, whose basis generates the hive monoid (the paper's theorem;
+    acceptance criterion 3 checks it to degree 12), a hive's lex-greatest
+    vector y holds no initial pair, a relation's lex-smaller side of two
+    indices, or the other side would give a greater vector.  So y lies in a
+    facet F, and at level k, where the rest is sum(y_i b_i, i >= k), F's
+    witness kept by _witnessed gives exactly y_k and every other raised row at
+    least y_k (Sturmfels, Groebner Bases and Convex Polytopes, ch. 8).  Over
+    any other basis a level keeps its raised rows but one that exceeds another
+    kept row, with the same row(b_k), by a cone row or a sum of two
+    (counting._Held), and updates each slack a later level reads: the rest is
+    a hive, so s<r> >= s<o>.  Either way c<k> is the min over every raised row."""
     rows = [terms for *_, terms in cone_rows(pres.n)]
     _require_unit((c for terms in rows for _, c in terms), f"a rank-{pres.n} cone row")
     raised = [{r: v for r, terms in enumerate(rows)  # row(b_k) on the rows b_k raises
                if (v := sum(c * b.flat[q] for q, c in terms)) > 0} for b in pres.basis]
     if not all(raised):
         raise ValueError("a basis element raises no cone row")
-    held, kept = _Held(rows), [dict(level) for level in raised]
-    for level, bounds in zip(raised, kept):
-        for r, v in level.items():
-            if any(o != r and w == v and held.implies(_combined(rows[r], rows[o], -1))
-                   for o, w in bounds.items()):
-                del bounds[r]
-    slack = [f"s{r}" for r in range(len(rows))]
+    pinned = pres.n in HILBERT_BASIS_COORDS and pres == _presentation(pres.n)
+    if pinned:
+        kept, updates = _witnessed(pres, raised)
+    else:
+        held, kept = _Held(rows), [dict(level) for level in raised]
+        for level, bounds in zip(raised, kept):
+            for r, v in level.items():
+                if any(o != r and w == v and held.implies(_combined(rows[r], rows[o], -1))
+                       for o, w in bounds.items()):
+                    del bounds[r]
+        updates = [{r: v for r, v in level.items() if r in set().union(*kept[k + 1:])}
+                   for k, level in enumerate(raised)]
+    member = [r for r, (kind, i, *_) in enumerate(cone_rows(pres.n))
+              if kind.startswith("rhombus") or kind in ("mu", "nu") and i == pres.n]
+    slack = {r: f"s{r}" for r in sorted(set(member).union(*kept))}
     lines = ["def search(a):", "    if a[0]:", "        return None",
-             *(f"    {s} = {_linear(terms)}" for s, terms in zip(slack, rows)),
-             f"    if min({', '.join(slack)}) < 0:", "        return None"]
-    for k, bounds in enumerate(kept):
-        later = set().union(*kept[k + 1:])
+             *(f"    {s} = {_linear(rows[r])}" for r, s in slack.items()),
+             f"    if min({', '.join(slack[r] for r in member)}) < 0:", "        return None",
+             "    p = ()"]
+    for k, (bounds, level) in enumerate(zip(kept, updates)):
         first, *rest = (slack[r] + f" // {v}" * (v > 1) for r, v in bounds.items())
-        updates = [f"        {slack[r]} -= {f'{v} * ' * (v > 1)}c{k}"
-                   for r, v in raised[k].items() if r in later]
         lines += [f"    c{k} = {first}", *(f"    if {b} < c{k}: c{k} = {b}" for b in rest),
-                  *([f"    if c{k}:", *updates] if updates else [])]
+                  f"    if c{k}:",
+                  *(f"        {slack[r]} -= {f'{v} * ' * (v > 1)}c{k}" for r, v in level.items()),
+                  f"        p += ({k + 1},) * c{k}"]
     degree = " + ".join(f"{f'{b.flat[-1]} * ' * (b.flat[-1] > 1)}c{k}"
                         for k, b in enumerate(pres.basis))
     lines += [f"    if a[{triangle_size(pres.n) - 1}] != {degree}:", "        return None",
-              "    return " + " + ".join(f"({k + 1},) * c{k}" for k in range(len(pres.basis)))]
-    digest = hash(tuple(h.flat for h in pres.basis)) & 0xFFFFFFFF
+              "    return p"]
+    digest = hash((pinned, tuple(h.flat for h in pres.basis))) & 0xFFFFFFFF
     return _compile("\n".join(lines) + "\n",
                     f"<hivealg decompose n={pres.n} basis {digest:08x}>", "search")
 
@@ -238,7 +312,10 @@ def decompose(hive: Hive, pres: ConePresentation) -> tuple[int, ...]:
     would be a sum of basis hives giving a vector above a*; likewise at later
     levels.  Otherwise a hive with a decomposition may raise NoDecompositionError.
     Acceptance criterion 3 (every hive of degree <= 12 decomposes at n = 2, 3,
-    4) so also shows that greedy never fails on the pinned bases to that degree."""
+    4) so also shows that greedy never fails on the pinned bases to that degree.
+    On those the levels read only the facets' witness rows: a* holds no
+    relation's initial pair, so it lies in a facet, whose witness reads a*_k
+    exactly (see _search)."""
     if hive.n != pres.n:
         raise ValueError(f"rank mismatch: hive {hive.n}, presentation {pres.n}")
     found = _search(pres)(hive.flat)

@@ -16,11 +16,14 @@ counts agree with enumeration and with the tableau route, also at ranks
 whose nest passes that limit, with the symmetries and saturation of LR
 coefficients, and at every rank that holds lambda, and stretch
 polynomially, out to 100 times, agreeing with the tableau and Schur routes
-up to 4 times.  The search is one straight-line function, greedy: it
-bounds each basis element by the rows it raises, less each row that exceeds
-another kept one with the same divisor by a cone row or a sum of two, ends
-with a degree check, and agrees with the interpreted search and with a
-row-by-row reading of cone_rows on any array."""
+up to 4 times.  The search is one straight-line function, greedy: over a
+pinned presentation it bounds each basis element by a witness row for every
+facet, exact where the facet needs it, and catches the drop of any bound or
+update on the witness hives; over any other basis by the rows the element
+raises, less each row that exceeds another kept one with the same divisor
+by a cone row or a sum of two.  It tests membership on the rows that imply
+the rest, ends with a degree check, and agrees with the interpreted search
+and with a row-by-row reading of cone_rows on any array."""
 
 import hashlib
 import inspect
@@ -39,13 +42,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hivealg import cone, counting
-from hivealg.cone import ConePresentation, hilbert_basis, hives_up_to_degree, presentation
+from hivealg.cone import (ConePresentation, decompose, hilbert_basis, hives_up_to_degree,
+                          presentation)
 from hivealg.counting import (_kernel, enumerate_hives, lr_coefficient, lr_via_schur,
                               lr_via_tableaux)
 from hivealg.hive import Hive, cone_rows, flat_index, hive_violations, triangle_size
+from hivealg.report import ConsistencyError
 from hivealg.shapes import contains, normalize, pad, partitions_of
 from test_counting import swept_triples
 from test_hive_properties import hive_pool, interpreted_decompositions
+from test_tensor_algebra import _initial_pairs
 
 
 @pytest.mark.parametrize("count", [True, False])
@@ -902,26 +908,39 @@ def test_search_source_is_inspectable():
     assert inspect.getsource(search).startswith("def search(a):\n    if a[0]:\n        return None\n")
     # rhombus family 2 at (i, j) = (2, 1): h[2][1] + h[2][2] >= h[3][2] + h[1][1]
     assert "    s12 = a[1] + a[2] - a[4] - a[0]\n" in source
-    # h_1 raises five rows by one: s4 and s8 exceed a kept row by a cone row
-    # or a sum of two, and all five are read again later
-    assert ("    c0 = s18\n    if s19 < c0: c0 = s19\n    if s21 < c0: c0 = s21\n"
-            "    if c0:\n        s4 -= c0\n        s8 -= c0\n        s18 -= c0\n"
-            "        s19 -= c0\n        s21 -= c0\n    c1 = s20\n") in source
-    # one return of picks, once their degrees add up to the hive's
+    # h_1 raises five rows by one; s18, s21 and s19 witness the facets, each
+    # exact at a later level of a facet that holds 1, so each is updated;
+    # s4 and s8 are read by nothing, so they get no slack line
+    assert ("    p = ()\n    c0 = s18\n    if s21 < c0: c0 = s21\n    if s19 < c0: c0 = s19\n"
+            "    if c0:\n        s18 -= c0\n        s19 -= c0\n        s21 -= c0\n"
+            "        p += (1,) * c0\n    c1 = s20\n") in source
+    assert "    s4 = " not in source and "    s8 = " not in source
+    # the picks gathered as they are taken, returned once their degrees add up
     assert source.endswith(
         "    if a[14] != c0 + 2 * c1 + 3 * c2 + 4 * c3 + c4 + 2 * c5 + 3 * c6 + 4 * c7"
         " + 2 * c8 + 3 * c9 + 4 * c10 + 3 * c11 + 4 * c12 + 4 * c13 + 4 * c14 + 5 * c15"
-        " + 6 * c16 + 5 * c17 + 6 * c18 + 6 * c19:\n        return None\n    return "
-        + " + ".join(f"({k + 1},) * c{k}" for k in range(20)) + "\n")
+        " + 6 * c16 + 5 * c17 + 6 * c18 + 6 * c19:\n        return None\n    return p\n")
+    assert source.count("    p += ") == 20 and source.count("return ") == 4
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_search_source_lists_every_row_in_order(n):
     # read each slack line back into {flat index: coeff}, independently of _linear
-    lines = re.findall(r"^    s\d+ = (.*)$", search_source(search_presentation(n)), re.M)
+    source = search_source(search_presentation(n))
+    lines = re.findall(r"^    s(\d+) = (.*)$", source, re.M)
     read = [{int(k): (-1 if sign == "-" else 1)
-             for sign, k in re.findall(r"(-?)\s*a\[(\d+)\]", line)} for line in lines]
-    assert read == [dict(terms) for *_, terms in cone_rows(n)]
+             for sign, k in re.findall(r"(-?)\s*a\[(\d+)\]", line)} for _, line in lines]
+    written = [int(r) for r, _ in lines]
+    rows = [terms for *_, terms in cone_rows(n)]
+    assert written == sorted(set(written)) and read == [dict(rows[r]) for r in written]
+    # the membership test reads the rhombus rows and the mu_n and nu_n edge
+    # rows, which imply the rest; any other slack line is one a bound reads
+    member = [r for r, (kind, i, _, _) in enumerate(cone_rows(n))
+              if kind.startswith("rhombus") or (kind in ("mu", "nu") and i == n)]
+    assert re.findall(r"^    if min\((.*)\) < 0:$", source, re.M) == [
+        ", ".join(f"s{r}" for r in member)]
+    bounds, _ = search_levels(source)
+    assert set(written) == set(member).union(*bounds.values())
 
 
 def test_search_rejects_coefficients_other_than_one(monkeypatch):
@@ -1020,7 +1039,9 @@ def exceeds_by_held_rows(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_search_bounds_each_level_by_the_rows_its_element_raises(n):
-    pres = presentation(n)
+    # the pinned basis without its relations: the search keeps the rows
+    # counting._Held does not prune
+    pres = ConePresentation(n, presentation(n).basis, ())
     source = search_source(pres)
     bounds, updates = search_levels(source)
     raised, exceeds = raised_rows(pres), exceeds_by_held_rows(n)
@@ -1048,10 +1069,88 @@ def test_search_bounds_each_level_by_the_rows_its_element_raises(n):
     assert not re.search(r"\bfor\b", source) and "range(" not in source
 
 
+def facets_of(pres):
+    """The maximal sets of basis indices that hold no initial pair
+    (test_tensor_algebra._initial_pairs), grown one index v at a time: a set
+    that meets v's neighbours stays, and also gives them up to take v."""
+    pairs = [(i, j) for i, j in _initial_pairs(pres) if i != j]
+    near = {v: {u for pair in pairs if v in pair for u in pair} - {v}
+            for v in range(1, len(pres.basis) + 1)}
+    grown = {frozenset()}
+    for v, joined in near.items():
+        grown = ({s for s in grown if s & joined} | {s - joined | {v} for s in grown})
+    return sorted((s for s in grown if all(s & near[u] for u in near.keys() - s)), key=sorted)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_search_keeps_an_exact_witness_for_every_facet(n):
+    # a hive's lex-greatest vector lies in a facet F; at level k a witness of
+    # F, raised by b_k and zero on b_i for each i in F past k, reads exactly
+    # y_k, if its slack is taken down at each earlier level of F raising it
+    pres = presentation(n)
+    bounds, updates = search_levels(search_source(pres))
+    raised, facets = raised_rows(pres), facets_of(pres)
+    assert len(facets) == {2: 1, 3: 2, 4: 14}[n]
+    assert sorted(bounds) == list(range(len(pres.basis)))
+    for k, level in enumerate(raised):
+        assert bounds[k] and bounds[k].items() <= level.items()
+        assert updates.get(k, {}).items() <= level.items()
+        for facet in facets:
+            assert any(all(r not in raised[i - 1] for i in facet if i > k + 1) and
+                       all(r in updates.get(i - 1, {}) for i in facet
+                           if i <= k and r in raised[i - 1])
+                       for r in bounds[k]), (k, sorted(facet))
+    # bound and update lines, of the 5/23/77 and 0/19/109 the _Held rule keeps
+    assert sum(map(len, bounds.values())) == {2: 5, 3: 11, 4: 30}[n]
+    assert sum(map(len, updates.values())) == {2: 0, 3: 4, 4: 19}[n]
+
+
+def test_witnessed_refuses_a_facet_that_no_row_witnesses():
+    # without its relations the rank-4 basis is one facet, and no row that h_1
+    # raises is 0 on all of h_2..h_20
+    pres = presentation(4)
+    with pytest.raises(ConsistencyError, match="no cone row witnesses a facet at level 1"):
+        cone._witnessed(ConePresentation(4, pres.basis, ()), raised_rows(pres))
+
+
+def witness_hives(pres):
+    """b_k + M * sum(b_i, i in F past k), for each level k, facet F and
+    M = 1..3, with and without one more b_e, e in F; each hive once, in
+    the order met."""
+    found = {}
+    for facet in facets_of(pres):
+        for k, base in enumerate(pres.basis, 1):
+            later = [pres.basis[i - 1] for i in facet if i > k]
+            for times in (1, 2, 3):
+                for extra in [(), *((pres.basis[e - 1],) for e in sorted(facet))]:
+                    parts = (base, *extra, *later * times)
+                    found.setdefault(tuple(map(sum, zip(*(h.flat for h in parts)))), None)
+    return [Hive.from_flat(flat) for flat in found]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_decompose_on_the_witness_hives(n):
+    # dropping any one kept bound or update line of the pinned search
+    # changes the output on one of these; pinned against the search before
+    # the facets pruned it, which kept every bound the _Held rule keeps
+    pres = presentation(n)
+    hives = witness_hives(pres)
+    found = [decompose(h, pres) for h in hives]
+    for h, picks in zip(hives, found):
+        assert tuple(map(sum, zip(*(pres.basis[k - 1].flat for k in picks)))) == h.flat
+    # the lex-greatest vector, as the interpreted search finds it first
+    for h in hives[::{2: 1, 3: 1, 4: 50}[n]]:
+        assert interpreted_decompositions(h, pres, True) == {decompose(h, pres)}
+    assert (len(hives), hashlib.sha256(repr(found).encode()).hexdigest()[:16]) == {
+        2: (71, "c659169a8e5073f9"), 3: (509, "c97a009cad7725ce"),
+        4: (10042, "0d57a962d0662b71")}[n]
+
+
 def test_building_the_rank4_search_stays_small():
-    # the search compiled in one piece peaks at about 0.97 MB: its bounds and
-    # updates pruned; with every one of them, it took about 2.2 MB, enough to
-    # push the decompose benchmark's peak RSS past its bound
+    # the pinned search, built from the facets' witnesses, peaks at about
+    # 0.47 MB; pruned by counting._Held it took about 0.97 MB, and with every
+    # bound and update about 2.2 MB, enough to push the decompose benchmark's
+    # peak RSS past its bound
     presentation(4)
     tracemalloc.start()
     try:
@@ -1059,4 +1158,4 @@ def test_building_the_rank4_search_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1_000_000
+    assert peak < 700_000
