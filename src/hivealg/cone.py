@@ -182,8 +182,9 @@ def verify_relations(pres: ConePresentation) -> list[CheckResult]:
 
 
 class NoDecompositionError(ConsistencyError):
-    """A valid hive failed to decompose over the basis; with a complete
-    basis this cannot happen, so it is an internal-consistency failure."""
+    """A valid hive failed to decompose over the basis; with a complete basis
+    this cannot happen, so it is an internal-consistency failure.  On the
+    pinned bases completeness also makes the output right (see _search)."""
 
 
 def _facets(pres: ConePresentation) -> list[int]:
@@ -195,24 +196,18 @@ def _facets(pres: ConePresentation) -> list[int]:
     for rel in pres.relations:
         low = min(rel.left, rel.right, key=lambda side: [side.count(i) for i in range(1, m + 1)])
         if len(set(low)) == len(low) == 2:
-            i, j = low
-            free[i - 1] &= ~(1 << j - 1)
-            free[j - 1] &= ~(1 << i - 1)
-    found = []
-
-    def bits(mask):
-        return [v for v in range(m) if mask >> v & 1]
+            free[low[0] - 1] &= ~(1 << low[1] - 1)
+            free[low[1] - 1] &= ~(1 << low[0] - 1)
 
     def grow(chosen, open_, closed):
         if not open_ | closed:
-            found.append(chosen)
-            return
-        pivot = max(bits(open_ | closed), key=lambda v: (open_ & free[v]).bit_count())
-        for v in bits(open_ & ~free[pivot]):
-            grow(chosen | 1 << v, open_ & free[v], closed & free[v])
-            open_, closed = open_ & ~(1 << v), closed | 1 << v
-    grow(0, (1 << m) - 1, 0)
-    return found
+            yield chosen
+        pivot = max((v for v in range(m) if (open_ | closed) >> v & 1), default=0,
+                    key=lambda v: (open_ & free[v]).bit_count())
+        for v in [v for v in range(m) if (open_ & ~free[pivot]) >> v & 1]:
+            yield from grow(chosen | 1 << v, open_ & free[v], closed & free[v])
+            open_, closed = open_ ^ 1 << v, closed | 1 << v
+    return list(grow(0, (1 << m) - 1, 0))
 
 
 def _witnessed(pres: ConePresentation, raised):
@@ -247,23 +242,20 @@ def _witnessed(pres: ConePresentation, raised):
 def _search(pres: ConePresentation):
     """The compiled greedy search over pres's basis, built on first use.
     search(a) tests the apex and that no slack s<r> is negative over the
-    rhombus rows and the mu_n and nu_n rows, which imply the rest (the rhombi
-    make each edge decrease and give lambda_n >= mu_n + nu_n).  Then level k
+    rhombus rows and the mu_n and nu_n rows, which imply the rest.  Level k
     sets c<k> to the min of s<r> // row(b_k) over its bounds, rows b_k raises,
-    and, if c<k> > 0, takes c<k> * row(b_k) off each slack it updates and adds
+    and if c<k> > 0 takes c<k> * row(b_k) off each slack it updates and adds
     k + 1 to the picks c<k> times; they are returned if their degrees add up
-    to a's.  A slack is written only where something reads it.  Over a pinned
-    presentation, whose basis generates the hive monoid (the paper's theorem;
-    acceptance criterion 3 checks it to degree 12), a hive's lex-greatest
-    vector y holds no initial pair, a relation's lex-smaller side of two
-    indices, or the other side would give a greater vector.  So y lies in a
-    facet F, and at level k, where the rest is sum(y_i b_i, i >= k), F's
-    witness kept by _witnessed gives exactly y_k and every other raised row at
-    least y_k (Sturmfels, Groebner Bases and Convex Polytopes, ch. 8).  Over
-    any other basis a level keeps its raised rows but one that exceeds another
-    kept row, with the same row(b_k), by a cone row or a sum of two
-    (counting._Held), and updates each slack a later level reads: the rest is
-    a hive, so s<r> >= s<o>.  Either way c<k> is the min over every raised row."""
+    to a's.  Over a pinned presentation the bounds are _witnessed rows: the
+    lex-greatest vector y holds no initial pair, or the relation's other side
+    would give a greater one, so y lies in a facet F, and at level k, the rest
+    sum(y_i b_i, i >= k), F's witness reads y_k and every raised row at least
+    y_k (Sturmfels, Groebner Bases and Convex Polytopes, ch. 8).  This needs a
+    generating basis, the paper's theorem: else a wrong multiset could pass
+    the degree check.  Over any other basis a level keeps every raised row but
+    one exceeding a kept row with the same row(b_k) by a cone row or a sum of
+    two (counting._Held), and updates each slack a later level reads: the rest
+    stays a hive, so either way c<k> is the min over every raised row."""
     rows = [terms for *_, terms in cone_rows(pres.n)]
     _require_unit((c for terms in rows for _, c in terms), f"a rank-{pres.n} cone row")
     raised = [{r: v for r, terms in enumerate(rows)  # row(b_k) on the rows b_k raises
@@ -310,12 +302,10 @@ def decompose(hive: Hive, pres: ConePresentation) -> tuple[int, ...]:
     generates the hive monoid, as the pinned ones do, that is the lex-greatest
     exponent vector a*: the greedy c_1 >= a*_1, and were it greater, h - c_1 b_1
     would be a sum of basis hives giving a vector above a*; likewise at later
-    levels.  Otherwise a hive with a decomposition may raise NoDecompositionError.
-    Acceptance criterion 3 (every hive of degree <= 12 decomposes at n = 2, 3,
-    4) so also shows that greedy never fails on the pinned bases to that degree.
-    On those the levels read only the facets' witness rows: a* holds no
-    relation's initial pair, so it lies in a facet, whose witness reads a*_k
-    exactly (see _search)."""
+    levels.  Otherwise a hive with a decomposition may raise NoDecompositionError,
+    or on a pinned basis, whose search reads facet witnesses (_search), decompose
+    wrongly.  Acceptance criterion 3 (every hive of degree <= 12 decomposes, and
+    sums back, at n = 2, 3, 4) so also checks greedy on the pinned bases there."""
     if hive.n != pres.n:
         raise ValueError(f"rank mismatch: hive {hive.n}, presentation {pres.n}")
     found = _search(pres)(hive.flat)

@@ -49,6 +49,7 @@ from hivealg.counting import (_kernel, enumerate_hives, lr_coefficient, lr_via_s
 from hivealg.hive import Hive, cone_rows, flat_index, hive_violations, triangle_size
 from hivealg.report import ConsistencyError
 from hivealg.shapes import contains, normalize, pad, partitions_of
+from search_witnesses import witness_hives
 from test_counting import swept_triples
 from test_hive_properties import hive_pool, interpreted_decompositions
 from test_tensor_algebra import _initial_pairs
@@ -1113,28 +1114,13 @@ def test_witnessed_refuses_a_facet_that_no_row_witnesses():
         cone._witnessed(ConePresentation(4, pres.basis, ()), raised_rows(pres))
 
 
-def witness_hives(pres):
-    """b_k + M * sum(b_i, i in F past k), for each level k, facet F and
-    M = 1..3, with and without one more b_e, e in F; each hive once, in
-    the order met."""
-    found = {}
-    for facet in facets_of(pres):
-        for k, base in enumerate(pres.basis, 1):
-            later = [pres.basis[i - 1] for i in facet if i > k]
-            for times in (1, 2, 3):
-                for extra in [(), *((pres.basis[e - 1],) for e in sorted(facet))]:
-                    parts = (base, *extra, *later * times)
-                    found.setdefault(tuple(map(sum, zip(*(h.flat for h in parts)))), None)
-    return [Hive.from_flat(flat) for flat in found]
-
-
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_decompose_on_the_witness_hives(n):
     # dropping any one kept bound or update line of the pinned search
     # changes the output on one of these; pinned against the search before
     # the facets pruned it, which kept every bound the _Held rule keeps
     pres = presentation(n)
-    hives = witness_hives(pres)
+    hives = witness_hives(pres, facets_of(pres))
     found = [decompose(h, pres) for h in hives]
     for h, picks in zip(hives, found):
         assert tuple(map(sum, zip(*(pres.basis[k - 1].flat for k in picks)))) == h.flat

@@ -1,50 +1,33 @@
 """Drop each bound and each update line of the generated decomposition
 search (cone._search) in turn, and report which input catches the change:
-first the witness hives, then every hive up to a degree bound.
+first the witness hives, then every hive of degree <= 11.
 
-    python3 tools/scan_search.py [-n 2 3 4] [--degree 11] [--held]
+    python3 tools/scan_search.py
 
-The witness hives of level k and facet F are b_k + M * sum(b_i, i in F
-past k), for M = 1..3, with and without one more b_e, e in F.  With --held
-the search scanned is the one built for the pinned basis without its
-relations, which keeps the rows counting._Held does not prune.  A level's
-only bound is not dropped.  Each line no input catches is printed as MISSED.
-Standard library only.
+It scans the search of each pinned presentation, n = 2, 3, 4, then the one
+built for each pinned basis without its relations, which keeps the rows
+counting._Held does not prune.  The witness hives are those of
+tests/search_witnesses.py, over cone._facets.  A level's only bound is not
+dropped.  Each line prints with the parent output of the first input that
+catches it, or MISSED.  Standard library only.
 """
 
-import argparse
 import linecache
 import re
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from hivealg import cone  # noqa: E402
 from hivealg.cone import ConePresentation, hives_up_to_degree, presentation  # noqa: E402
 from hivealg.hive import _compile  # noqa: E402
+from search_witnesses import witness_hives  # noqa: E402
 
+RANKS, DEGREE = (2, 3, 4), 11
 BOUND = re.compile(r"    (?:c(\d+) = (.+)|if (.+) < c(\d+): c\d+ = .+)")
 UPDATE = re.compile(r"        s\d+ -= (?:\d+ \* )?c(\d+)")
-
-
-def witness_hives(pres):
-    """(label, flat) for each witness hive, each flat once, in the order met."""
-    m, facets, seen = len(pres.basis), cone._facets(pres), {}
-    for k in range(m):
-        for number, facet in enumerate(facets):
-            members = [i for i in range(m) if facet >> i & 1]
-            later = [pres.basis[i].flat for i in members if i > k]
-            for times in (1, 2, 3):
-                for extra in (None, *members):
-                    parts = [pres.basis[k].flat, *later * times]
-                    label = f"b{k + 1} + {times} * F{number}[>{k + 1}]"
-                    if extra is not None:
-                        parts.append(pres.basis[extra].flat)
-                        label += f" + b{extra + 1}"
-                    seen.setdefault(tuple(map(sum, zip(*parts))), label)
-    return [(label, flat) for flat, label in seen.items()]
 
 
 def mutants(lines):
@@ -60,33 +43,30 @@ def mutants(lines):
             yield line, lines[:at] + lines[at + 1:]
 
 
-def scan(pres, degree):
+def scan(pres, title):
     search = cone._search(pres)
     lines = "".join(linecache.getlines(search.__code__.co_filename)).splitlines()
-    inputs = witness_hives(pres) + [(f"hive of degree {h.degree}", h.flat)
-                                    for h in hives_up_to_degree(pres.n, degree)]
+    facets = [{i + 1 for i in range(len(pres.basis)) if f >> i & 1} for f in cone._facets(pres)]
+    inputs = [("witness hive", h.flat) for h in witness_hives(pres, facets)]
+    inputs += [(f"hive of degree {h.degree}", h.flat) for h in hives_up_to_degree(pres.n, DEGREE)]
     expected = [search(flat) for _, flat in inputs]
     missed = total = 0
+    print(title)
     for line, source in mutants(lines):
         mutant = _compile("\n".join(source) + "\n", "<scanned search>", "search")
-        caught = next((label for (label, flat), out in zip(inputs, expected)
+        caught = next((f"{kind} {out}" for (kind, flat), out in zip(inputs, expected)
                        if mutant(flat) != out), None)
         total += 1
         missed += caught is None
         print(f"  {line.strip():<32} {caught or 'MISSED'}")
-    print(f"n = {pres.n}: {total - missed} of {total} dropped lines caught, "
-          f"{len(inputs)} inputs")
+    print(f"n = {pres.n}: {total - missed} of {total} dropped lines caught, {len(inputs)} inputs")
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("-n", type=int, nargs="+", default=[2, 3, 4])
-    parser.add_argument("--degree", type=int, default=11)
-    parser.add_argument("--held", action="store_true")
-    args = parser.parse_args()
-    for n in args.n:
-        pres = presentation(n)
-        scan(ConePresentation(n, pres.basis, ()) if args.held else pres, args.degree)
+    for n in RANKS:
+        scan(presentation(n), f"pinned presentation, n = {n}")
+    for n in RANKS:
+        scan(ConePresentation(n, presentation(n).basis, ()), f"pinned basis, no relations, n = {n}")
 
 
 if __name__ == "__main__":
