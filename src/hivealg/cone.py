@@ -10,7 +10,7 @@ from itertools import chain, repeat, starmap
 from operator import attrgetter, or_
 from struct import Struct, calcsize
 
-from .counting import _Held, _combined, _kernel, _padded_partitions
+from .counting import _kernel, _padded_partitions
 from .hive import Hive, _compile, _linear, _require_unit, cone_rows, triangle_size
 from .report import CheckResult, ConsistencyError
 from .shapes import _integer
@@ -133,7 +133,8 @@ def hilbert_basis(n: int, max_degree: int = 12) -> tuple[Hive, ...]:
 
 
 class ConePresentation(namedtuple("ConePresentation", "n basis relations")):
-    """A fixed generating set with additive relations."""
+    """A rank, its basis hives and their relations; decompose accepts only
+    the pinned one, presentation(n)."""
 
     __slots__ = ()
 
@@ -182,9 +183,9 @@ def verify_relations(pres: ConePresentation) -> list[CheckResult]:
 
 
 class NoDecompositionError(ConsistencyError):
-    """A valid hive failed to decompose over the basis; with a complete basis
-    this cannot happen, so it is an internal-consistency failure.  On the
-    pinned bases completeness also makes the output right (see _search)."""
+    """A valid hive failed to decompose over the pinned basis; it generates the
+    hive monoid, so this cannot happen: an internal-consistency failure.  That
+    also makes the output right (see _search)."""
 
 
 def _facets(pres: ConePresentation) -> list[int]:
@@ -240,40 +241,27 @@ def _witnessed(pres: ConePresentation, raised):
 
 @lru_cache(maxsize=4)
 def _search(pres: ConePresentation):
-    """The compiled greedy search over pres's basis, built on first use.
+    """The compiled greedy search over the pinned presentation pres, built on
+    first use; any other presentation is refused before a row is read.
     search(a) tests the apex and that no slack s<r> is negative over the
     rhombus rows and the mu_n and nu_n rows, which imply the rest.  Level k
     sets c<k> to the min of s<r> // row(b_k) over its bounds, rows b_k raises,
     and if c<k> > 0 takes c<k> * row(b_k) off each slack it updates and adds
     k + 1 to the picks c<k> times; they are returned if their degrees add up
-    to a's.  Over a pinned presentation the bounds are _witnessed rows: the
-    lex-greatest vector y holds no initial pair, or the relation's other side
-    would give a greater one, so y lies in a facet F, and at level k, the rest
-    sum(y_i b_i, i >= k), F's witness reads y_k and every raised row at least
-    y_k (Sturmfels, Groebner Bases and Convex Polytopes, ch. 8).  This needs a
-    generating basis, the paper's theorem: else a wrong multiset could pass
-    the degree check.  Over any other basis a level keeps every raised row but
-    one exceeding a kept row with the same row(b_k) by a cone row or a sum of
-    two (counting._Held), and updates each slack a later level reads: the rest
-    stays a hive, so either way c<k> is the min over every raised row."""
+    to a's.  The bounds are _witnessed rows: the lex-greatest vector y holds
+    no initial pair, or the relation's other side would give a greater one,
+    so y lies in a facet F, and at level k, the rest sum(y_i b_i, i >= k),
+    F's witness reads y_k and every raised row at least y_k (Sturmfels,
+    Groebner Bases and Convex Polytopes, ch. 8).  This needs a generating
+    basis, the paper's theorem: else a wrong multiset could pass the degree
+    check."""
+    if pres != _presentation(pres.n):
+        raise ValueError(f"decompose searches the pinned rank-{pres.n} presentation only")
     rows = [terms for *_, terms in cone_rows(pres.n)]
     _require_unit((c for terms in rows for _, c in terms), f"a rank-{pres.n} cone row")
     raised = [{r: v for r, terms in enumerate(rows)  # row(b_k) on the rows b_k raises
                if (v := sum(c * b.flat[q] for q, c in terms)) > 0} for b in pres.basis]
-    if not all(raised):
-        raise ValueError("a basis element raises no cone row")
-    pinned = pres.n in HILBERT_BASIS_COORDS and pres == _presentation(pres.n)
-    if pinned:
-        kept, updates = _witnessed(pres, raised)
-    else:
-        held, kept = _Held(rows), [dict(level) for level in raised]
-        for level, bounds in zip(raised, kept):
-            for r, v in level.items():
-                if any(o != r and w == v and held.implies(_combined(rows[r], rows[o], -1))
-                       for o, w in bounds.items()):
-                    del bounds[r]
-        updates = [{r: v for r, v in level.items() if r in set().union(*kept[k + 1:])}
-                   for k, level in enumerate(raised)]
+    kept, updates = _witnessed(pres, raised)
     member = [r for r, (kind, i, *_) in enumerate(cone_rows(pres.n))
               if kind.startswith("rhombus") or kind in ("mu", "nu") and i == pres.n]
     slack = {r: f"s{r}" for r in sorted(set(member).union(*kept))}
@@ -291,21 +279,19 @@ def _search(pres: ConePresentation):
                         for k, b in enumerate(pres.basis))
     lines += [f"    if a[{triangle_size(pres.n) - 1}] != {degree}:", "        return None",
               "    return p"]
-    digest = hash((pinned, tuple(h.flat for h in pres.basis))) & 0xFFFFFFFF
-    return _compile("\n".join(lines) + "\n",
-                    f"<hivealg decompose n={pres.n} basis {digest:08x}>", "search")
+    return _compile("\n".join(lines) + "\n", f"<hivealg decompose n={pres.n}>", "search")
 
 
 def decompose(hive: Hive, pres: ConePresentation) -> tuple[int, ...]:
     """Express a hive as a multiset of basis indices (returned sorted), greedily:
-    b_1, b_2, ... each taken as often as the rest stays a hive.  When the basis
-    generates the hive monoid, as the pinned ones do, that is the lex-greatest
-    exponent vector a*: the greedy c_1 >= a*_1, and were it greater, h - c_1 b_1
-    would be a sum of basis hives giving a vector above a*; likewise at later
-    levels.  Otherwise a hive with a decomposition may raise NoDecompositionError,
-    or on a pinned basis, whose search reads facet witnesses (_search), decompose
-    wrongly.  Acceptance criterion 3 (every hive of degree <= 12 decomposes, and
-    sums back, at n = 2, 3, 4) so also checks greedy on the pinned bases there."""
+    b_1, b_2, ... each taken as often as the rest stays a hive.  The pinned
+    basis generates the hive monoid, so that is the lex-greatest exponent
+    vector a*: the greedy c_1 >= a*_1, and were it greater, h - c_1 b_1 would
+    be a sum of basis hives giving a vector above a*; likewise at later levels.
+    pres must be presentation(n), or an equal copy: the search reads facet
+    witnesses (_search), exact only over that basis, so any other raises
+    ValueError.  Acceptance criterion 3 (every hive of degree <= 12
+    decomposes, and sums back, at n = 2, 3, 4) so also checks greedy there."""
     if hive.n != pres.n:
         raise ValueError(f"rank mismatch: hive {hive.n}, presentation {pres.n}")
     found = _search(pres)(hive.flat)

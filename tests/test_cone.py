@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hivealg import cone
-from hivealg.cone import (ConePresentation, NoDecompositionError, decompose,
+from hivealg.cone import (ConePresentation, decompose,
                           generators_input_text, hilbert_basis,
                           hives_up_to_degree, inequalities_input_text,
                           presentation, verify_relations)
@@ -266,26 +266,37 @@ def test_rank4_relation_side_decomposes_both_ways():
     assert (6, 15) in interpreted_decompositions(h, pres, False)
 
 
-def without(pres, drop):
-    """The presentation with basis element drop (0-based) left out."""
-    return ConePresentation(pres.n,
-                            pres.basis[:drop] + pres.basis[drop + 1:],
-                            ())
-
-
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_basis_is_minimal(n):
+    # each basis hive b is irreducible: no nonzero hive g of lower degree
+    # leaves b - g a hive (of lower degree too), so b is no sum of the others
     pres = presentation(n)
-    for drop in range(len(pres.basis)):
-        with pytest.raises(NoDecompositionError):
-            decompose(pres.basis[drop], without(pres, drop))
+    lower = {h.flat for h in hives_up_to_degree(n, max(b.degree for b in pres.basis) - 1)}
+    for b in pres.basis:
+        assert not any(tuple(x - y for x, y in zip(b.flat, g)) in lower
+                       for g in lower if 0 < g[-1] < b.degree), b
 
 
-def test_a_zero_basis_element_is_rejected():
-    # it bounds no multiplicity: the search could not be built
-    pres = presentation(2)
-    with pytest.raises(ValueError, match="a basis element raises no cone row"):
-        decompose(pres.basis[0], ConePresentation(2, (zero_hive(2),) + pres.basis, ()))
+def test_decompose_refuses_any_other_presentation():
+    # the search reads facet witnesses, exact only over the pinned basis,
+    # which generates the hive monoid: every other presentation is refused
+    for n in (2, 3, 4):
+        pres = presentation(n)
+        others = [ConePresentation(n, pres.basis[:k] + pres.basis[k + 1:], ())
+                  for k in range(len(pres.basis))]
+        others += [ConePresentation(n, pres.basis, ())] * (n > 2)
+        others += [ConePresentation(2, (zero_hive(2),) + pres.basis, ())] * (n == 2)
+        for other in others:
+            with pytest.raises(ValueError, match=f"^decompose searches the pinned "
+                                                 f"rank-{n} presentation only$"):
+                decompose(pres.basis[-1], other)
+        fresh = ConePresentation(n, pres.basis, pres.relations)
+        for h in hives_up_to_degree(n, 4):
+            assert decompose(h, fresh) == decompose(h, pres)
+        assert cone._search.__wrapped__(fresh)(pres.basis[-1].flat) == (len(pres.basis),)
+    rank5 = hilbert_basis(5, 4)
+    with pytest.raises(ValueError, match="^no presentation data for rank 5$"):
+        decompose(rank5[0], ConePresentation(5, rank5, ()))
 
 
 def test_decompose_rejects_a_presentation_of_another_rank():

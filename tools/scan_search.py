@@ -4,12 +4,12 @@ first the witness hives, then every hive of degree <= 11.
 
     python3 tools/scan_search.py
 
-It scans the search of each pinned presentation, n = 2, 3, 4, then the one
-built for each pinned basis without its relations, which keeps the rows
-counting._Held does not prune.  The witness hives are those of
+It scans the search of each pinned presentation, n = 2, 3, 4, the only
+ones decompose accepts.  The witness hives are those of
 tests/search_witnesses.py, over cone._facets.  A level's only bound is not
 dropped.  Each line prints with the parent output of the first input that
-catches it, or MISSED.  Standard library only.
+catches it, or MISSED; scan returns the number missed, which
+tests/test_kernel.py asserts is 0.  Standard library only.
 """
 
 import linecache
@@ -21,7 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from hivealg import cone  # noqa: E402
-from hivealg.cone import ConePresentation, hives_up_to_degree, presentation  # noqa: E402
+from hivealg.cone import hives_up_to_degree, presentation  # noqa: E402
 from hivealg.hive import _compile  # noqa: E402
 from search_witnesses import witness_hives  # noqa: E402
 
@@ -43,15 +43,18 @@ def mutants(lines):
             yield line, lines[:at] + lines[at + 1:]
 
 
-def scan(pres, title):
+def scan(n):
+    """Print each dropped line of the rank-n search and what catches it;
+    return the number of dropped lines that no input catches."""
+    pres = presentation(n)
     search = cone._search(pres)
     lines = "".join(linecache.getlines(search.__code__.co_filename)).splitlines()
     facets = [{i + 1 for i in range(len(pres.basis)) if f >> i & 1} for f in cone._facets(pres)]
     inputs = [("witness hive", h.flat) for h in witness_hives(pres, facets)]
-    inputs += [(f"hive of degree {h.degree}", h.flat) for h in hives_up_to_degree(pres.n, DEGREE)]
+    inputs += [(f"hive of degree {h.degree}", h.flat) for h in hives_up_to_degree(n, DEGREE)]
     expected = [search(flat) for _, flat in inputs]
     missed = total = 0
-    print(title)
+    print(f"pinned presentation, n = {n}")
     for line, source in mutants(lines):
         mutant = _compile("\n".join(source) + "\n", "<scanned search>", "search")
         caught = next((f"{kind} {out}" for (kind, flat), out in zip(inputs, expected)
@@ -59,14 +62,13 @@ def scan(pres, title):
         total += 1
         missed += caught is None
         print(f"  {line.strip():<32} {caught or 'MISSED'}")
-    print(f"n = {pres.n}: {total - missed} of {total} dropped lines caught, {len(inputs)} inputs")
+    print(f"n = {n}: {total - missed} of {total} dropped lines caught, {len(inputs)} inputs")
+    return missed
 
 
 def main() -> None:
     for n in RANKS:
-        scan(presentation(n), f"pinned presentation, n = {n}")
-    for n in RANKS:
-        scan(ConePresentation(n, presentation(n).basis, ()), f"pinned basis, no relations, n = {n}")
+        scan(n)
 
 
 if __name__ == "__main__":
