@@ -134,13 +134,9 @@ def hilbert_basis(n: int, max_degree: int = 12) -> tuple[Hive, ...]:
 
 class ConePresentation(namedtuple("ConePresentation", "n basis relations")):
     """A rank, its basis hives and their relations; decompose accepts only
-    the pinned one, presentation(n)."""
+    the pinned one, presentation(n), or an equal copy."""
 
     __slots__ = ()
-
-    def __hash__(self) -> int:
-        # n alone: decompose finds its search by the presentation on every call
-        return hash(self.n)
 
 
 def presentation(n: int) -> ConePresentation:
@@ -163,22 +159,23 @@ def _presentation(n: int) -> ConePresentation:
 
 
 def verify_relations(pres: ConePresentation) -> list[CheckResult]:
-    """Entrywise balance of every relation's two sides."""
-    results = []
+    """Entrywise balance of every relation's two sides; a basis index outside
+    1..m, m the basis size, fails its relation."""
+    m, zero, results = len(pres.basis), (0,) * triangle_size(pres.n), []
     for rel in pres.relations:
-        left = [0] * triangle_size(pres.n)
-        right = [0] * triangle_size(pres.n)
-        for k in rel.left:
-            left = [a + b for a, b in zip(left, pres.basis[k - 1].flat)]
-        for k in rel.right:
-            right = [a + b for a, b in zip(right, pres.basis[k - 1].flat)]
+        name = f"hive relation {rel.name}"
+        outside = [k for k in rel.left + rel.right if not 1 <= k <= m]
+        if outside:
+            results.append(CheckResult(name, False, f"basis index {outside[0]} is not in 1..{m}"))
+            continue
+        left, right = (list(map(sum, zip(zero, *(pres.basis[k - 1].flat for k in side))))
+                       for side in (rel.left, rel.right))
         if left == right:
-            results.append(CheckResult(f"hive relation {rel.name}", True))
+            results.append(CheckResult(name, True))
         else:
             pos = next(i for i, (a, b) in enumerate(zip(left, right)) if a != b)
             results.append(CheckResult(
-                f"hive relation {rel.name}", False,
-                f"sides differ at coordinate {pos}: {left[pos]} != {right[pos]}"))
+                name, False, f"sides differ at coordinate {pos}: {left[pos]} != {right[pos]}"))
     return results
 
 
@@ -211,12 +208,11 @@ def _facets(pres: ConePresentation) -> list[int]:
     return list(grow(0, (1 << m) - 1, 0))
 
 
-def _witnessed(pres: ConePresentation, raised):
+def _witnessed(facets: list[int], raised):
     """Per level k, {r: row(b_k)} over its bounds and over the rows it updates:
     for each facet F, a witness r (r(b_k) > 0, r(b_i) = 0 for each i in F past
     k), updated at each level of F before k whose element raises it.  Greedy:
     the row witnessing most facets left, then needing fewest new updates."""
-    facets = _facets(pres)
     lifts = {r: sum(1 << i for i, level in enumerate(raised) if r in level)
              for r in set().union(*raised)}   # the levels whose element raises r
     done, kept = dict.fromkeys(lifts, 0), []   # the levels that update r
@@ -240,30 +236,28 @@ def _witnessed(pres: ConePresentation, raised):
 
 
 @lru_cache(maxsize=4)
-def _search(pres: ConePresentation):
-    """The compiled greedy search over the pinned presentation pres, built on
-    first use; any other presentation is refused before a row is read.
-    search(a) tests the apex and that no slack s<r> is negative over the
-    rhombus rows and the mu_n and nu_n rows, which imply the rest.  Level k
-    sets c<k> to the min of s<r> // row(b_k) over its bounds, rows b_k raises,
-    and if c<k> > 0 takes c<k> * row(b_k) off each slack it updates and adds
-    k + 1 to the picks c<k> times; they are returned if their degrees add up
-    to a's.  The bounds are _witnessed rows: the lex-greatest vector y holds
-    no initial pair, or the relation's other side would give a greater one,
-    so y lies in a facet F, and at level k, the rest sum(y_i b_i, i >= k),
-    F's witness reads y_k and every raised row at least y_k (Sturmfels,
-    Groebner Bases and Convex Polytopes, ch. 8).  This needs a generating
-    basis, the paper's theorem: else a wrong multiset could pass the degree
-    check."""
-    if pres != _presentation(pres.n):
-        raise ValueError(f"decompose searches the pinned rank-{pres.n} presentation only")
-    rows = [terms for *_, terms in cone_rows(pres.n)]
-    _require_unit((c for terms in rows for _, c in terms), f"a rank-{pres.n} cone row")
+def _search(n: int):
+    """The compiled greedy search over the pinned rank-n presentation, built
+    on first use.  search(a) tests the apex and that no slack s<r> is
+    negative over the rhombus rows and the mu_n and nu_n rows, which imply
+    the rest.  Level k sets c<k> to the min of s<r> // row(b_k) over its
+    bounds, rows b_k raises, and if c<k> > 0 takes c<k> * row(b_k) off each
+    slack it updates and adds k + 1 to the picks c<k> times; they are
+    returned if their degrees add up to a's.  The bounds are _witnessed
+    rows: the lex-greatest vector y holds no initial pair, or the relation's
+    other side would give a greater one, so y lies in a facet F, and at
+    level k, the rest sum(y_i b_i, i >= k), F's witness reads y_k and every
+    raised row at least y_k (Sturmfels, Groebner Bases and Convex Polytopes,
+    ch. 8).  This needs a generating basis, the paper's theorem: else a
+    wrong multiset could pass the degree check."""
+    pres = _presentation(n)
+    rows = [terms for *_, terms in cone_rows(n)]
+    _require_unit((c for terms in rows for _, c in terms), f"a rank-{n} cone row")
     raised = [{r: v for r, terms in enumerate(rows)  # row(b_k) on the rows b_k raises
                if (v := sum(c * b.flat[q] for q, c in terms)) > 0} for b in pres.basis]
-    kept, updates = _witnessed(pres, raised)
-    member = [r for r, (kind, i, *_) in enumerate(cone_rows(pres.n))
-              if kind.startswith("rhombus") or kind in ("mu", "nu") and i == pres.n]
+    kept, updates = _witnessed(_facets(pres), raised)
+    member = [r for r, (kind, i, *_) in enumerate(cone_rows(n))
+              if kind.startswith("rhombus") or kind in ("mu", "nu") and i == n]
     slack = {r: f"s{r}" for r in sorted(set(member).union(*kept))}
     lines = ["def search(a):", "    if a[0]:", "        return None",
              *(f"    {s} = {_linear(rows[r])}" for r, s in slack.items()),
@@ -277,9 +271,9 @@ def _search(pres: ConePresentation):
                   f"        p += ({k + 1},) * c{k}"]
     degree = " + ".join(f"{f'{b.flat[-1]} * ' * (b.flat[-1] > 1)}c{k}"
                         for k, b in enumerate(pres.basis))
-    lines += [f"    if a[{triangle_size(pres.n) - 1}] != {degree}:", "        return None",
+    lines += [f"    if a[{triangle_size(n) - 1}] != {degree}:", "        return None",
               "    return p"]
-    return _compile("\n".join(lines) + "\n", f"<hivealg decompose n={pres.n}>", "search")
+    return _compile("\n".join(lines) + "\n", f"<hivealg decompose n={n}>", "search")
 
 
 def decompose(hive: Hive, pres: ConePresentation) -> tuple[int, ...]:
@@ -294,7 +288,10 @@ def decompose(hive: Hive, pres: ConePresentation) -> tuple[int, ...]:
     decomposes, and sums back, at n = 2, 3, 4) so also checks greedy there."""
     if hive.n != pres.n:
         raise ValueError(f"rank mismatch: hive {hive.n}, presentation {pres.n}")
-    found = _search(pres)(hive.flat)
+    pinned = _presentation(pres.n)
+    if pres is not pinned and pres != pinned:
+        raise ValueError(f"decompose searches the pinned rank-{pres.n} presentation only")
+    found = _search(pres.n)(hive.flat)
     if found is None:
         raise NoDecompositionError(f"hive {hive} does not decompose over the rank-{pres.n} basis")
     return found

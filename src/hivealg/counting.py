@@ -381,6 +381,7 @@ def hp_series_closed_form(numerator, denominator_exponents, max_degree: int) -> 
 
 def hp_series_reference(n: int, max_degree: int) -> SeriesPrefix:
     """Closed-form series for n = 2, 3, 4 from the tabulated presentation data."""
+    n = _integer("rank", n)
     if n not in SERIES_NUMERATOR:
         raise ValueError(f"no closed-form series data for rank {n}")
     return hp_series_closed_form(SERIES_NUMERATOR[n], SERIES_DENOMINATOR[n], max_degree)

@@ -142,6 +142,7 @@ def enumerate_tableaux(n, lam, mu, nu) -> list[LRTableau]:
 def tableau_to_hive(tab: LRTableau, n: int) -> Hive:
     """Hive of rank n whose entry h[i][j] counts the empty boxes plus the
     boxes filled with values < j among the first i-1 rows of the tableau."""
+    n = _integer("rank", n, 1)
     if len(tab.outer) > n or any(v > n for row in tab.rows for v in row):
         raise ValueError(f"tableau does not fit GL({n})")
     inner = pad(tab.inner, len(tab.outer)) if tab.outer else ()

@@ -203,13 +203,14 @@ def hwv_basis(n: int, lam, mu, nu) -> list[HighestWeightVector]:
     return vectors
 
 
-def _subduce(table: GeneratorTable, pres: cone.ConePresentation, poly: Polynomial) -> Polynomial:
+def _subduce(table: GeneratorTable, poly: Polynomial) -> Polynomial:
     """SAGBI subduction (Robbiano and Sweedler, 1990): while poly's leading
     term c*x^e is c times the tableau monomial of a hive h of its weight, set
     poly -= c * g^decompose(h), and return the rest.  As in(g^a) is the tableau
     monomial of sum a_k h_k, each step lowers the leading monomial: one per hive at most."""
     if poly.is_zero:
         return poly
+    pres = cone.presentation(table.n)
     hives = {lemma_initial_exponents(table.n, hive_to_tableau(h)): h
              for h in enumerate_hives(table.n, *poly.weight())}
     for _ in hives:
@@ -227,7 +228,7 @@ def verify_presentation_relations(n: int) -> list[CheckResult]:
     table, pres = build_generators(n), cone.presentation(n)
     results = []
     for rel in pres.relations:
-        rest = _subduce(table, pres, table.product(rel.left) - table.product(rel.right))
+        rest = _subduce(table, table.product(rel.left) - table.product(rel.right))
         if rest.is_zero:
             results.append(CheckResult(f"relation {rel.name}", True))
         else:

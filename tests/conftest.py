@@ -15,10 +15,11 @@ settings.load_profile("hivealg")
 
 @pytest.fixture
 def rebuilt():
-    """Drop the cached presentations and generator tables before and after a
-    test that patches the tables they are built from."""
-    cone._presentation.cache_clear()
-    tensor_algebra._build_generators.cache_clear()
+    """Drop the cached presentations, searches and generator tables before
+    and after a test that patches the tables they are built from."""
+    caches = (cone._presentation, cone._search, tensor_algebra._build_generators)
+    for cache in caches:
+        cache.cache_clear()
     yield
-    cone._presentation.cache_clear()
-    tensor_algebra._build_generators.cache_clear()
+    for cache in caches:
+        cache.cache_clear()

@@ -279,9 +279,11 @@ def test_basis_is_minimal(n):
 
 def test_decompose_refuses_any_other_presentation():
     # the search reads facet witnesses, exact only over the pinned basis,
-    # which generates the hive monoid: every other presentation is refused
+    # which generates the hive monoid: every other presentation is refused,
+    # also once the rank's search is cached
     for n in (2, 3, 4):
         pres = presentation(n)
+        assert decompose(pres.basis[-1], pres) == (len(pres.basis),)
         others = [ConePresentation(n, pres.basis[:k] + pres.basis[k + 1:], ())
                   for k in range(len(pres.basis))]
         others += [ConePresentation(n, pres.basis, ())] * (n > 2)
@@ -293,7 +295,6 @@ def test_decompose_refuses_any_other_presentation():
         fresh = ConePresentation(n, pres.basis, pres.relations)
         for h in hives_up_to_degree(n, 4):
             assert decompose(h, fresh) == decompose(h, pres)
-        assert cone._search.__wrapped__(fresh)(pres.basis[-1].flat) == (len(pres.basis),)
     rank5 = hilbert_basis(5, 4)
     with pytest.raises(ValueError, match="^no presentation data for rank 5$"):
         decompose(rank5[0], ConePresentation(5, rank5, ()))

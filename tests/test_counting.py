@@ -16,7 +16,7 @@ from hivealg.counting import (SERIES_DENOMINATOR, SERIES_NUMERATOR, enumerate_hi
                               lr_via_tableaux, md_sum)
 from hivealg.hive import Hive, cone_rows
 from hivealg.shapes import contains, is_dominant, normalize, pad, partitions_of
-from hivealg.tableau import enumerate_tableaux
+from hivealg.tableau import enumerate_tableaux, tableau_to_hive
 
 
 def test_lr_coefficient_examples():
@@ -214,6 +214,7 @@ def test_degree_bounds_reject_non_integers(function, args, message):
 
 
 TRIPLE = ((2, 1), (1,), (1,))
+TABLEAU = enumerate_tableaux(2, (2,), (1,), (1,))[0]
 
 
 @pytest.mark.parametrize("function, args, message", [
@@ -234,6 +235,10 @@ TRIPLE = ((2, 1), (1,), (1,))
     (cone.presentation, (2.0,), "rank 2.0 is not an integer"),
     (tensor_algebra.build_generators, ([2],), "rank [2] is not an integer"),
     (tensor_algebra.build_generators, (2.0,), "rank 2.0 is not an integer"),
+    (hp_series_reference, (3.0, 3), "rank 3.0 is not an integer"),
+    (hp_series_reference, ("3", 3), "rank '3' is not an integer"),
+    (tableau_to_hive, (TABLEAU, 2.5), "rank 2.5 is not an integer"),
+    (tableau_to_hive, (TABLEAU, "3"), "rank '3' is not an integer"),
 ])
 def test_ranks_reject_non_integers(function, args, message):
     with pytest.raises(ValueError) as err:

@@ -877,7 +877,7 @@ def rows_of(flat, n):
 
 def search_source(pres):
     """The whole generated search source, as linecache holds it."""
-    return "".join(linecache.getlines(cone._search(pres).__code__.co_filename))
+    return "".join(linecache.getlines(cone._search(pres.n).__code__.co_filename))
 
 
 def raised_rows(pres):
@@ -889,11 +889,11 @@ def raised_rows(pres):
 
 def test_search_builds_for_every_rank():
     for n in range(2, 5):
-        assert cone._search(presentation(n))((0,) * triangle_size(n)) == ()
+        assert cone._search(n)((0,) * triangle_size(n)) == ()
 
 
 def test_search_source_is_inspectable():
-    search = cone._search(presentation(4))
+    search = cone._search(4)
     source = search_source(presentation(4))
     assert search.__code__.co_filename == "<hivealg decompose n=4>"
     assert inspect.getsource(search).startswith("def search(a):\n    if a[0]:\n        return None\n")
@@ -940,13 +940,13 @@ def test_search_rejects_coefficients_other_than_one(monkeypatch):
     bad = original[:-1] + ((kind, i, j, ((terms[0][0], 2),) + terms[1:]),)
     monkeypatch.setattr(cone, "cone_rows", lambda n: bad)
     with pytest.raises(ValueError, match="coefficient other than"):
-        cone._search.__wrapped__(presentation(4))
+        cone._search.__wrapped__(4)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_search_zero_and_shifted_arrays(n):
     size = triangle_size(n)
-    search = cone._search(presentation(n))
+    search = cone._search(n)
     assert search([0] * size) == ()   # every row holds with equality
     # each row's coefficients sum to 0, so a constant shift fails the apex only
     assert [v.kind for v in hive_violations(rows_of([1] * size, n))] == ["apex"]
@@ -957,7 +957,7 @@ def test_search_zero_and_shifted_arrays(n):
 def test_search_rejects_each_row_failing_alone(n):
     """Single-entry moves of hives of degree <= 6 that fail exactly one cone
     row; they reach every row that the other rows do not imply."""
-    search = cone._search(presentation(n))
+    search = cone._search(n)
     failing_alone = set()
     for h in hives_up_to_degree(n, 6):
         flat = list(h.to_flat())
@@ -995,7 +995,7 @@ def test_search_agrees_with_interpreted_rows(case):
     # on any array, hive or not, the first match of the interpreted search
     n, flat = case
     pres = presentation(n)
-    found = cone._search(pres)(flat)
+    found = cone._search(n)(flat)
     assert ({found} - {None}) == interpreted_decompositions(Hive(n, tuple(flat)), pres, True)
     assert (found is not None) == interpreted_in_cone(flat, n)
 
@@ -1055,7 +1055,7 @@ def test_witnessed_refuses_a_facet_that_no_row_witnesses():
     # raises is 0 on all of h_2..h_20
     pres = presentation(4)
     with pytest.raises(ConsistencyError, match="no cone row witnesses a facet at level 1"):
-        cone._witnessed(ConePresentation(4, pres.basis, ()), raised_rows(pres))
+        cone._witnessed(cone._facets(ConePresentation(4, pres.basis, ())), raised_rows(pres))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -1092,7 +1092,7 @@ def test_building_the_rank4_search_stays_small():
     presentation(4)
     tracemalloc.start()
     try:
-        cone._search.__wrapped__(presentation(4))
+        cone._search.__wrapped__(4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

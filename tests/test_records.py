@@ -1,4 +1,4 @@
-"""The package's record types: immutable, hashed and printed as pinned; and
+"""The package's record types: immutable and printed as pinned; and
 the imports they cost a short-lived CLI process."""
 
 import subprocess
@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import hivealg
-from hivealg.cone import ConePresentation, presentation
+from hivealg.cone import presentation
 from hivealg.hive import Hive
 from hivealg.polynomial import ColumnTableau
 from hivealg.report import CheckResult
@@ -37,12 +37,6 @@ def test_assigning_a_field_raises(record, name):
         setattr(record, name, getattr(record, name))
     with pytest.raises(AttributeError):  # no instance dict either: each record is a bare tuple
         record.extra = 0
-
-
-def test_presentation_hashes_by_its_rank_alone():
-    # decompose finds its search by the presentation on every call, so the
-    # hash must not walk the basis
-    assert hash(presentation(4)) == hash(ConePresentation(4, (), ()))
 
 
 def test_hive_sum_is_entrywise_and_a_hive():

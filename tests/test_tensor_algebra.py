@@ -194,7 +194,7 @@ def _subduction_steps(monkeypatch, table, poly):
     steps, product = [], GeneratorTable.product
     monkeypatch.setattr(GeneratorTable, "product",
                         lambda self, indices: steps.append(indices) or product(self, indices))
-    rest = _subduce(table, presentation(table.n), poly)
+    rest = _subduce(table, poly)
     monkeypatch.undo()
     return rest, steps
 
@@ -247,11 +247,11 @@ def test_subduction_stops_at_a_monomial_outside_the_algebra():
     table = build_generators(4)
     exps = sorted(table.generator(16).terms)[-2]
     stuck = Polynomial(4, {exps: 3})
-    assert _subduce(table, presentation(4), stuck) == stuck
+    assert _subduce(table, stuck) == stuck
 
 
 def test_verify_reports_the_surviving_term_of_a_relation(monkeypatch):
-    monkeypatch.setattr(tensor_algebra, "_subduce", lambda table, pres, poly: poly)
+    monkeypatch.setattr(tensor_algebra, "_subduce", lambda table, poly: poly)
     results = verify_presentation_relations(3)
     assert [r.ok for r in results] == [False]
     assert results[0].line().startswith("FAIL  relation r1: nonzero: surviving term ")
@@ -278,6 +278,20 @@ def test_verify_relations_reports_an_unbalanced_binomial():
     [result] = verify_relations(broken)
     assert not result.ok
     assert result.line().startswith("FAIL  hive relation r13: sides differ at coordinate ")
+
+
+@pytest.mark.parametrize("index", [0, 11])
+def test_verify_relations_reports_a_basis_index_out_of_range(index, rebuilt, monkeypatch):
+    # basis[k - 1] would read index 0 as h_10, which balances h_10, and index 11 past the end
+    relations = {**cone.PRESENTATION_RELATIONS, 3: (("z", (index,), (10,)),)}
+    monkeypatch.setattr(cone, "PRESENTATION_RELATIONS", relations)
+    with pytest.raises(ConsistencyError, match=r"unbalanced pinned relations: hive relation z$"):
+        presentation(3)
+    monkeypatch.undo()
+    broken = ConePresentation(3, presentation(3).basis,
+                              (BinomialRelation("z", (index,), (10,)),))
+    assert [r.line() for r in verify_relations(broken)] == [
+        f"FAIL  hive relation z: basis index {index} is not in 1..10"]
 
 
 def test_swapped_generator_terms_are_rejected(rebuilt, monkeypatch):

@@ -47,7 +47,7 @@ def scan(n):
     """Print each dropped line of the rank-n search and what catches it;
     return the number of dropped lines that no input catches."""
     pres = presentation(n)
-    search = cone._search(pres)
+    search = cone._search(n)
     lines = "".join(linecache.getlines(search.__code__.co_filename)).splitlines()
     facets = [{i + 1 for i in range(len(pres.basis)) if f >> i & 1} for f in cone._facets(pres)]
     inputs = [("witness hive", h.flat) for h in witness_hives(pres, facets)]
