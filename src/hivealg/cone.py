@@ -152,9 +152,9 @@ def _presentation(n: int) -> ConePresentation:
     basis = tuple(Hive.from_flat(c) for c in HILBERT_BASIS_COORDS[n])
     relations = tuple(starmap(BinomialRelation, PRESENTATION_RELATIONS[n]))
     pres = ConePresentation(n, basis, relations)
-    bad = [r.name for r in verify_relations(pres) if not r.ok]
+    bad = [f"{r.name}: {r.detail}" for r in verify_relations(pres) if not r.ok]
     if bad:
-        raise ConsistencyError(f"unbalanced pinned relations: {', '.join(bad)}")
+        raise ConsistencyError(f"pinned relations fail their check: {'; '.join(bad)}")
     return pres
 
 

@@ -158,72 +158,98 @@ def _interval(name: str, bounds: list[str], cmp: str) -> list[str]:
 
 
 def _kernel_source(n: int, count: bool, pairs: bool = False) -> str:
-    """entry(lam, mu, nu) on a triple padded to length n, with entry k the
-    local a<k>: first the admission, each part weakly decreasing to a
-    non-negative last part and |lam| = |mu| + |nu|, a refused triple
-    returning -1 (counting) or yielding nothing; then the left, right and
-    bottom edges as partial sums of mu, lam and nu (the bottom from |mu|
-    sets the shared corner), then each row on the boundary alone, a failing
-    one leaving no hive.  Then one nested loop per free entry in fill order
-    (_fill_plan), over the max of its lower rows to the min of its upper
-    rows, read from the entries placed before it.  Counting, the last entry
-    adds its interval length to the total; enumerating, the innermost loop
-    yields the flat coordinates, the apex as 0.  A nest that would pass
-    _BLOCK_LIMIT loops goes on in _rest<p>, which takes the locals placed
-    before fill place p as arguments.  With pairs it is entry(mu, nu), with
-    no admission, which sets the left and bottom edges alone and searches
-    the lambda cells with the interior."""
+    """With lambda fixed, a kernel in two stages, on parts padded to length
+    n, entry k the local a<k>.  entry(mu, nu) admits mu and nu, each weakly
+    decreasing to a non-negative last part, returning None if either is
+    refused; sets the mu and nu edges as partial sums (nu's from |mu|, so the
+    corner is |mu| + |nu|); and binds b<i> to each interval bound of the
+    first function's nest that reads two or more mu/nu cells and nothing
+    else, each distinct bound once.  It returns search(lam), which takes
+    those cells and constants as defaults, so they are fast locals: search
+    admits lam, weakly decreasing to >= 0 with |lam| the corner, a refused
+    lam returning -1 (counting) or yielding nothing; sets the lam edge; then
+    each row on the boundary alone, a failing one leaving no hive.  Then
+    one nested loop per free entry in fill order (_fill_plan), over the max
+    of its lower rows to the min of its upper rows, read from the entries
+    placed before it.  Counting, the last entry adds its interval length to
+    the total; enumerating, the innermost loop yields the flat coordinates,
+    the apex as 0.  A nest that would pass _BLOCK_LIMIT loops goes on in
+    _rest<p>, which takes the locals placed before fill place p as
+    arguments and reads no constant.  With pairs it is one stage,
+    entry(mu, nu), with no admission, which sets the left and bottom edges
+    alone and searches the lambda cells with the interior."""
     row_bounds, interior, boundary_only, attached = _fill_plan(n, True) if pairs else _fill_plan(n)
 
     def local(k):
         return _linear(((k, 1),), "a{}")
 
+    def chain(part):
+        return " >= ".join([f"{part}[{i}]" for i in range(n)] + ["0"])
+
     edges, (lam, mu, nu) = {}, _edge_cells(n)
-    fixed = (("mu", mu), ("nu", nu)) if pairs else (("mu", mu), ("lam", lam[:-1]), ("nu", nu))
-    for part, cells in fixed:
+    for part, cells in (("mu", mu), ("nu", nu), ("lam", () if pairs else lam[:-1])):
         for i, (prev, k) in enumerate(zip(cells, cells[1:])):
             edges[k] = f"{local(prev)} + {part}[{i}]" if prev else f"{part}[{i}]"
-    parts = {p: [f"{p}[{i}]" for i in range(n)] for p in ("lam", "mu", "nu")}
-    admitted = [" >= ".join(parts[p] + ["0"]) for p in parts]
-    admitted.append(f"{' + '.join(parts['lam'])} == {' + '.join(parts['mu'] + parts['nu'])}")
-    lines = ["def entry(mu, nu):"] if pairs else [
-        "def entry(lam, mu, nu):", "    if not (" + "\n            and ".join(admitted) + "):",
-        f"        return{' -1' if count else ''}"]
-    lines += [f"    {local(k)} = {sum_}" for k, sum_ in edges.items()]
+    staged = set() if pairs else set(mu + nu) - {0}  # the cells entry sets before search
+    hoisted = {}  # bound -> its constant
+    depth = 1 if pairs else 2  # indent of the function the loops are in
+
+    def indent(lines, extra=0):
+        return ["    " * (depth + extra) + line for line in lines]
+
+    body = indent(f"{local(k)} = {sum_}" for k, sum_ in edges.items() if k not in staged)
     for terms in boundary_only:
-        lines += [f"    if {_linear(((k, c) for k, c in terms if k), 'a{}')} < 0:",
-                  f"        return{' 0' if count else ''}"]
-    call, start, end = (("total += ", ["    total = 0"], ["    return total"]) if count
+        body += indent([f"if {_linear(((k, c) for k, c in terms if k), 'a{}')} < 0:",
+                        f"    return{' 0' if count else ''}"])
+    call, start, end = (("total += ", ["total = 0"], ["return total"]) if count
                         else ("yield from ", [], []))
-    lines += start
+    functions = [body + indent(start)]
     placed, loops = sorted(edges), 0
     for place, (pos, rows_k) in enumerate(zip(interior, attached)):
         low, high = [], []
         for coeff, rest in rows_k:
             _require_unit((coeff, *(c for _, c in rest)), f"a row on a[{pos}]")
             # coeff * a[pos] + rest >= 0: a[pos] >= -rest, or a[pos] <= rest (a[0] = 0)
-            (low if coeff == 1 else high).append(
-                _linear(((q, -coeff * c) for q, c in rest if q), "a{}") or "0")
+            terms = [(q, -coeff * c) for q, c in rest if q]
+            bound = _linear(terms, "a{}") or "0"
+            if len(functions) == 1 and len(terms) > 1 and staged.issuperset(q for q, _ in terms):
+                bound = hoisted.setdefault(bound, f"b{len(hoisted)}")
+            (low if coeff == 1 else high).append(bound)
         if not low or not high:
             raise ValueError(f"free entry a[{pos}] has an unbounded interval")
         last = count and place == len(interior) - 1
         if loops == _BLOCK_LIMIT and not last:
             args = ", ".join(map(local, placed))
-            lines += ["    " * (loops + 1) + f"{call}_rest{place}({args})", *end,
-                      "", f"def _rest{place}({args}):", *start]
-            loops = 0
+            functions[-1] += indent([f"{call}_rest{place}({args})"], loops) + indent(end)
+            depth, loops = 1, 0
+            functions.append([f"def _rest{place}({args}):", *indent(start)])
         step = ("if hi >= lo: total += hi - lo + 1" if last
                 else f"for {local(pos)} in range(lo, hi + 1):")
-        lines += ["    " * (loops + 1) + line
-                  for line in (*_interval("lo", low, ">"), *_interval("hi", high, "<"), step)]
+        functions[-1] += indent([*_interval("lo", low, ">"), *_interval("hi", high, "<"), step],
+                                loops)
         loops += 1
         placed = sorted(placed + [pos])
     if not count:  # row_bounds[-1][1] is the triangle size
         cells = ", ".join(map(local, range(1, row_bounds[-1][1])))
-        lines.append("    " * (loops + 1) + f"yield (0, {cells})")
+        functions[-1] += indent([f"yield (0, {cells})"], loops)
     elif not interior:
-        lines.append("    total += 1")
-    return "\n".join(lines + end) + "\n"
+        functions[-1] += indent(["total += 1"])
+    functions[-1] += indent(end)
+    if pairs:
+        head = ["def entry(mu, nu):"]
+    else:
+        defaults = [*map(local, sorted(staged)), *hoisted.values()]
+        size = " + ".join(f"lam[{i}]" for i in range(n))
+        head = ["def entry(mu, nu):", f"    if not ({chain('mu')}",
+                f"            and {chain('nu')}):", "        return None",
+                *(f"    {local(k)} = {sum_}" for k, sum_ in edges.items() if k in staged),
+                *(f"    {name} = {bound}" for bound, name in hoisted.items()),
+                f"    def search(lam, {', '.join(f'{v}={v}' for v in defaults)}):",
+                f"        if not ({chain('lam')}",
+                f"                and {size} == {local(nu[-1])}):",
+                f"            return{' -1' if count else ''}"]
+        functions[0].append("    return search")
+    return "\n\n".join(map("\n".join, [head + functions[0], *functions[1:]])) + "\n"
 
 
 def _module_name(name: str) -> str:
@@ -234,20 +260,22 @@ def _module_name(name: str) -> str:
 
 @lru_cache(maxsize=32)
 def _kernel(n: int, count: bool, pairs: bool = False):
-    """The rank-n hive search: entry(lam, mu, nu), on a triple padded to
-    length n, gives the number of hives (count) or yields the flat
-    coordinates of each in search order, which is not lexicographic
-    (enumerate_hives sorts); a triple the admission refuses, one not three
-    partitions with |lam| = |mu| + |nu|, gives -1 or yields nothing.  With
-    pairs, entry(mu, nu), on two partitions of length n, does so over every
-    lambda.  The entry comes from its shipped module where there is one
-    (ranks up to 6; tools/regen_kernels.py writes them from _kernel_source),
-    so Python's bytecode cache spares each process the plan, the source and
-    the compile; else hive._compile compiles _kernel_source under the
-    filename <hivealg kernel n=...>.  The source holds only integer indices
-    from cone_rows.  One nested loop over locals, so a search node costs no
-    call and no list subscript; a further function only past the block
-    limit (rank 8 enumerating, rank 9 and up; with pairs, a rank lower)."""
+    """The rank-n hive search.  With lambda fixed it has two stages: on mu
+    and nu padded to length n, entry(mu, nu) gives search(lam), or None when
+    mu or nu is not a partition; search, on lam padded to n, gives the
+    number of hives (count) or yields the flat coordinates of each in search
+    order, which is not lexicographic (enumerate_hives sorts), and a lam
+    that is not a partition of |mu| + |nu| gives -1 or yields nothing.  So a
+    sweep over lambda does the mu/nu work once.  With pairs, entry(mu, nu),
+    on two partitions of length n, does so over every lambda.  The entry
+    comes from its shipped module where there is one (ranks up to 6;
+    tools/regen_kernels.py writes them from _kernel_source), so Python's
+    bytecode cache spares each process the plan, the source and the compile;
+    else hive._compile compiles _kernel_source under the filename
+    <hivealg kernel n=...>.  The source holds only integer indices from
+    cone_rows.  One nested loop over locals, so a search node costs no call
+    and no list subscript; a further function only past the block limit
+    (rank 8 enumerating, rank 9 and up; with pairs, a rank lower)."""
     from importlib import import_module
     from importlib.util import find_spec
 
@@ -271,15 +299,17 @@ def _padded_partitions(n: int, d: int) -> list[list[Parts]]:
 def enumerate_hives(n, lam, mu, nu) -> list[Hive]:
     """All hives with boundary (lam, mu, nu), in lexicographic order of their
     flat coordinates: the long-part rule of lr_coefficient at rank n, then
-    the rank-n enumerate kernel on the parts padded to n; only where it
-    yields no hive does the partition check run, to raise its error."""
+    both stages of the rank-n enumerate kernel on the parts padded to n;
+    only where it yields no hive does the partition check run, to raise its
+    error."""
     n = _integer("rank", n, 1)
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
     if len(lam) > n or len(mu) > n or len(nu) > n:
         require_partitions(lam, mu, nu)
         if any(lam[n:]) or any(mu[n:]) or any(nu[n:]):
             return []
-    flats = sorted(_kernel(n, False)(pad(lam, n), pad(mu, n), pad(nu, n)))
+    search = _kernel(n, False)(pad(mu, n), pad(nu, n))
+    flats = sorted(search(pad(lam, n))) if search else []
     if not flats:
         require_partitions(lam, mu, nu)
     return [Hive(n, flat) for flat in flats]
@@ -287,9 +317,11 @@ def enumerate_hives(n, lam, mu, nu) -> list[Hive]:
 
 @lru_cache(maxsize=32)
 def _count_entry(m: int):
-    """lr_coefficient's rank-m count kernel and padding zeros, in one cache
-    lookup."""
-    return _kernel(m, True), (0,) * m
+    """lr_coefficient's rank-m count kernel, padding zeros and last stage,
+    in one cache lookup: the slot holds (mu, nu, search) of the last call at
+    rank m, read and replaced whole, so that no call pairs one call's mu
+    with another's stage."""
+    return _kernel(m, True), (0,) * m, [(None, None, None)]
 
 
 def lr_coefficient(n, lam, mu, nu) -> int:
@@ -298,8 +330,13 @@ def lr_coefficient(n, lam, mu, nu) -> int:
     every rank >= l(lam).  Trailing zeros change neither dominance nor the
     sums, so a part longer than m is checked as given and then cut to m; a
     nonzero mu_i or nu_i, i > m, is not under lam, or past rank n.  The
-    count kernel admits the padded triple; a refused one (-1) goes through
-    the partition check, which raises its error, and otherwise counts 0."""
+    count kernel's first stage, built from mu and nu, is kept per rank and
+    reused while the next call at that rank passes the very same mu and nu
+    objects, so a sweep over lambda admits mu and nu once.  The test is
+    identity, not equality: (2.0, 1.0) == (2, 1), yet each must count as
+    it does alone.  A refused triple
+    (no stage, or -1) goes through the partition check, which raises its
+    error, and otherwise counts 0."""
     n = _integer("rank", n, 1)
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
     m = min(n, len(lam)) or 1
@@ -308,8 +345,12 @@ def lr_coefficient(n, lam, mu, nu) -> int:
         if any(lam[m:]) or any(mu[m:]) or any(nu[m:]):
             return 0
         lam, mu, nu = lam[:m], mu[:m], nu[:m]
-    kernel, zeros = _count_entry(m)
-    count = kernel(lam + zeros[len(lam):], mu + zeros[len(mu):], nu + zeros[len(nu):])
+    kernel, zeros, last = _count_entry(m)
+    last_mu, last_nu, search = last[0]
+    if mu is not last_mu or nu is not last_nu:
+        search = kernel(mu + zeros[len(mu):], nu + zeros[len(nu):])
+        last[0] = mu, nu, search
+    count = search(lam + zeros[len(lam):]) if search else -1
     if count < 0:
         require_partitions(lam, mu, nu)
         return 0

@@ -23,6 +23,8 @@ from collections.abc import Iterable
 from functools import lru_cache
 from itertools import permutations
 
+from .shapes import _integer
+
 Exponents = int  # packed exponent vector, see the module docstring
 
 MAX_DEGREE = 255
@@ -118,7 +120,7 @@ class Polynomial:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: dict[Exponents, int] | None = None):
-        self.n = n
+        self.n = _integer("rank", n, 1)
         self.terms = terms if terms is not None else {}
 
     # -- constructors ------------------------------------------------------
@@ -137,6 +139,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, n: int, kind: str, i: int, j: int) -> "Polynomial":
+        n = _integer("rank", n, 1)
         return cls(n, {1 << _shift(n, variable_index(n, kind, i, j)): 1})
 
     # -- ring operations ---------------------------------------------------

@@ -2,8 +2,11 @@
 decomposition search (cone._search).  Both build and their source is
 inspectable; the kernels of ranks up to 6 load from the shipped modules,
 each the generator's text, and later ones compile, the lambda-fixed kernel
-sources of ranks 7 to 12 pinned by digest; the lambda-fixed kernel admits
-its own triple, refusing one that is not three partitions of balanced size;
+sources of ranks 7 to 12 pinned by digest; the lambda-fixed kernel runs in
+two stages, entry(mu, nu) binding each bound over mu/nu cells alone and
+search(lam) reading it, every plan row read once, and admits its own
+triple, refusing one that is not three partitions of balanced size; a
+coefficient never depends on the calls before it, which may leave a stage;
 the kernel nests one loop per interior entry, split across functions only at
 CPython's block limit; its plan holds the cone rows plus cancelled pairs of
 them, all of which every hive satisfies, less each bound that another always
@@ -46,7 +49,7 @@ from hivealg.counting import (_kernel, enumerate_hives, lr_coefficient, lr_via_s
                               lr_via_tableaux)
 from hivealg.hive import Hive, cone_rows, flat_index, hive_violations, triangle_size
 from hivealg.report import ConsistencyError
-from hivealg.shapes import contains, normalize, pad, partitions_of
+from hivealg.shapes import contains, is_dominant, normalize, pad, partitions_of
 from search_witnesses import witness_hives
 from test_counting import swept_triples
 from test_hive_properties import hive_pool, interpreted_decompositions
@@ -78,31 +81,41 @@ def test_kernel_source_is_inspectable():
     kernel = _kernel(4, True)
     source = kernel_source(4, True)
     assert Path(kernel.__code__.co_filename) == SHIPPED / "kernel_n4_count.py"
-    assert inspect.getsource(kernel).startswith("def entry(lam, mu, nu):\n")
+    assert inspect.getsource(kernel).startswith("def entry(mu, nu):\n")
+    # the first stage binds the bounds over mu/nu cells alone; search takes
+    # them, and the mu/nu cells, as defaults
+    assert ("    b0 = a11 + a3 + a13 - a6 - a12\n"
+            "    b1 = a6 + a13 - a11\n"
+            "    b2 = a12 + a6 - a10\n"
+            "    b3 = a1 + a12 - a3\n") in source
+    assert inspect.getsource(kernel(pad((2, 1), 4), pad((2, 1), 4))).startswith(
+        "    def search(lam, a1=a1, a3=a3, a6=a6, a10=a10, a11=a11, a12=a12, a13=a13, a14=a14, "
+        "b0=b0, ")
     # bounds of the first interior entry, h[4][3] = a8: its three rhombus
-    # rows, then the sums that cancel a7 and a4; then its loop
-    assert ("    total = 0\n"
-            "    lo = a13 + a5 - a9\n"
-            "    t = a12 + a9 - a13\n"
-            "    if t > lo: lo = t\n"
-            "    t = a11 + a3 + a13 - a6 - a12\n"
-            "    if t > lo: lo = t\n"
-            "    t = a6 + a13 - a11\n"
-            "    if t > lo: lo = t\n"
-            "    t = a1 + a12 - a3\n"
-            "    if t > lo: lo = t\n"
-            "    t = a1 + a9 - a2\n"
-            "    if t > lo: lo = t\n"
-            "    t = a3 + a2 + a9 - a1 - a5\n"
-            "    if t > lo: lo = t\n"
-            "    t = a5 + a6 - a3\n"
-            "    if t > lo: lo = t\n"
-            "    hi = a13 + a9 - a14\n"
-            "    t = a12 + a6 - a10\n"
-            "    if t < hi: hi = t\n"
-            "    t = a5 + a1\n"
-            "    if t < hi: hi = t\n"
-            "    for a8 in range(lo, hi + 1):\n") in source
+    # rows, then the sums that cancel a7 and a4, those over mu/nu cells
+    # alone read from the first stage; then its loop
+    assert ("        total = 0\n"
+            "        lo = a13 + a5 - a9\n"
+            "        t = a12 + a9 - a13\n"
+            "        if t > lo: lo = t\n"
+            "        t = b0\n"
+            "        if t > lo: lo = t\n"
+            "        t = b1\n"
+            "        if t > lo: lo = t\n"
+            "        t = b3\n"
+            "        if t > lo: lo = t\n"
+            "        t = a1 + a9 - a2\n"
+            "        if t > lo: lo = t\n"
+            "        t = a3 + a2 + a9 - a1 - a5\n"
+            "        if t > lo: lo = t\n"
+            "        t = a5 + a6 - a3\n"
+            "        if t > lo: lo = t\n"
+            "        hi = a13 + a9 - a14\n"
+            "        t = b2\n"
+            "        if t < hi: hi = t\n"
+            "        t = a5 + a1\n"
+            "        if t < hi: hi = t\n"
+            "        for a8 in range(lo, hi + 1):\n") in source
     assert "max(" not in source and "min(" not in source
 
 
@@ -137,18 +150,18 @@ def test_kernels_load_shipped_up_to_rank_6_and_compile_past_it(n):
 # sha256 of _kernel_source(n, count) with lambda fixed, for the ranks past
 # the shipped modules, which compile from it
 LATE_KERNEL_DIGESTS = {
-    (7, True): "0ddf81503524697ea03fbb878237ffc6ca8a72a652e81472aa337bb5980d6bf7",
-    (7, False): "73aeb8d1c24982293c71ec7a5e75f6c4ac9e804c0aa974296eb320dc79512f3e",
-    (8, True): "0cc3096e6056d0fe5d9efcce2e4b7c714c4fb206aa28a60387453b0c39f7b072",
-    (8, False): "a352de084703beaaa2361faaf286000039c7953a20791270ba1b2e5d9480cb7d",
-    (9, True): "4e558ad55bf1a7ca5f2da277796948b60ba880450164e4227b1b6c4a68e7471f",
-    (9, False): "79d0d82c31418eaea4ac9fed416922d19da1100e650f806683705ee85eaebb49",
-    (10, True): "b8f5bc681001b133f5a135595fb1f64bb0335481c5e9164cf1c2702e26293913",
-    (10, False): "1616f71c40df16ffab229aa7ac1898f923ecfdb7522c48216498f6fc6ecd3da9",
-    (11, True): "9d068a8b00a643de4e76c90b868639fc17db2168e843ea8dd08c12f0ae8c62bc",
-    (11, False): "800a0219e19b5fa25e050c2f15bf094897a5080f9aeff0abb64d6d8ba3200379",
-    (12, True): "397141cfcbab5a83b48737df311f94a63dd78a5e167733cb24e8c3dd844cc672",
-    (12, False): "642a32e9f232486ecd18ff682c68520f9f7980ab7f0bcd3128100ca7cdd102d8",
+    (7, True): "26ab4e81761678980f5249e7395fb060f5653b0dff92aae99ce78eb00dc2aecd",
+    (7, False): "ddc02a4daf27423870c0af45bc4466022a60313a000b216c67191e5e5ae9a467",
+    (8, True): "c17ad5ea3ae5da5d11bf617728d5fb871623627220915f159c4b6669458e04c0",
+    (8, False): "a6b475c20baa3be6f95dd22804392828aa68b3438988c3abaeb9d0d278046772",
+    (9, True): "e366fd9bae58116d89625afe8897dad49ad164e0752f6dfaa473d8c6c1bf34de",
+    (9, False): "c5d8440826575f114cb21f228be91beb087bc9aebb97a0c465e78375119bb70e",
+    (10, True): "b73b3e04794eef10b2f2e22e96f9eb86c36e3f31edcc4efadcc46cb4b6f16cc9",
+    (10, False): "6fee9545f52ce3cd7344fa3bac3008114a951c3ed56be90d2f6ed523f91b8640",
+    (11, True): "4862103633d0cb2e2e961968558912944de97eddaa20913c140126c396d926f1",
+    (11, False): "3a5a6e0330773b40ad1515a07cbc2ee160c98ea5820e6e9adb09217e6fa6bf94",
+    (12, True): "a51b9ffab2a398d4293dc36e6eaac9e94aab3c236fce476b4badad07d49ae5f2",
+    (12, False): "c219c30bf44d2d7f42881b50cc9e86ea3419455f211371c8488d4e0d34e7791c",
 }
 
 
@@ -197,17 +210,27 @@ def kernel_functions(n, count, pairs=False):
 
 
 def admission_lines(n, count):
-    """The lines that open the lambda-fixed entry: each part weakly
-    decreasing down to >= 0, then |lam| = |mu| + |nu|; a refused triple
-    returns -1, or nothing when enumerating."""
+    """The lines that open the two lambda-fixed stages: entry's, mu and nu
+    each weakly decreasing down to >= 0, a refused one returning None; then
+    search's, lam so too with |lam| the corner cell, |mu| + |nu|, a refused
+    lam returning -1, or nothing when enumerating."""
     def chain(p):
         return " >= ".join([f"{p}[{i}]" for i in range(n)] + ["0"])
 
-    size = " + ".join(f"lam[{i}]" for i in range(n)) + " == " + " + ".join(
-        f"{p}[{i}]" for p in ("mu", "nu") for i in range(n))
-    return [f"    if not ({chain('lam')}", f"            and {chain('mu')}",
-            f"            and {chain('nu')}", f"            and {size}):",
-            "        return -1" if count else "        return"]
+    size = " + ".join(f"lam[{i}]" for i in range(n)) + f" == a{flat_index(n + 1, n + 1)}"
+    return ([f"    if not ({chain('mu')}", f"            and {chain('nu')}):", "        return None"],
+            [f"        if not ({chain('lam')}", f"                and {size}):",
+             "            return -1" if count else "            return"])
+
+
+def fixed_lambda(n, count, lam, mu, nu):
+    """Both stages of the rank-n lambda-fixed kernel on padded parts: the
+    count, or the list of flat coordinates; -1 or [] where the first stage
+    refuses mu or nu."""
+    search = _kernel(n, count)(mu, nu)
+    if search is None:
+        return -1 if count else []
+    return search(lam) if count else list(search(lam))
 
 
 # Both plans: fixing lambda for n = 1..6, and freeing it (the pairs
@@ -223,22 +246,41 @@ PLANS = dict(argnames="n, pairs", argvalues=[(n, False) for n in range(1, 7)]
 def test_kernel_source_bounds_every_plan_row_and_sets_every_edge(n, pairs, count):
     _row_bounds, interior, boundary_only, attached = counting._fill_plan(n, pairs)
     functions = kernel_functions(n, count, pairs)
-    lines = [line.strip() for body in functions.values() for line in body]
+    entry = functions["entry"]
+    # lambda fixed, entry is the first stage and search(lam) the second:
+    # each b<i> the first stage binds is a bound of two or more terms over
+    # mu/nu cells alone, none bound twice
+    staged = set(edge_cells(n, True))
+    at = next((i for i, line in enumerate(entry) if line.startswith("    def search(lam")), 1)
+    constants = dict(m.groups() for m in map(re.compile(r"    (b\d+) = (.*)").fullmatch, entry[:at])
+                     if m)
+    assert len(set(constants.values())) == len(constants)
+    for bound in constants.values():
+        assert len(read_linear(bound)) > 1 and set(read_linear(bound)) <= staged, bound
     # each entry's bounds are the lo and hi lines before its loop, or, for
-    # the last entry counted, before the line adding its interval length
-    bounded, read = [], {"lo": [], "hi": []}
-    for line, after in zip(lines, lines[1:] + [""]):
+    # the last entry counted, before the line adding its interval length; a
+    # b<i> reads its bound from the first stage, which leaves none over
+    # mu/nu cells alone to search, and past a split reads none
+    lines = [(name, line.strip()) for name, body in functions.items()
+             for line in (body[at:] if name == "entry" else body)]
+    bounded, read, used = [], {"lo": [], "hi": []}, set()
+    for (name, line), (_, after) in zip(lines, lines[1:] + [("", "")]):
         first = re.fullmatch(r"(lo|hi) = (.*)", line)
         update = re.fullmatch(r"if t (<|>) (lo|hi): \2 = t", after)
         loop = LOOP.fullmatch(line)
-        if first:
-            read[first[1]].append(read_linear(first[2]))
-        elif line.startswith("t = ") and update:
+        if line.startswith("t = ") and update:
             assert update[1] == {"lo": ">", "hi": "<"}[update[2]]
-            read[update[2]].append(read_linear(line))
+            first = (None, update[2], line.removeprefix("t = "))
+        if first:
+            used.update({first[2]} & constants.keys())
+            terms = read_linear(constants.get(first[2], first[2]))
+            assert (first[2] in constants) == (name == "entry" and not pairs and len(terms) > 1
+                                               and set(terms) <= staged), (name, line)
+            read[first[1]].append(terms)
         elif loop or line == LAST_COUNT:
             bounded.append((int(loop[2]) if loop else interior[-1], read))
             read = {"lo": [], "hi": []}
+    assert sorted(used) == sorted(constants)
     # each plan row once, entries in fill order; coeff * a[pos] + rest >= 0
     # is a lower bound -rest or an upper one rest, and the apex a[0] = 0 is
     # left out
@@ -251,21 +293,34 @@ def test_kernel_source_bounds_every_plan_row_and_sets_every_edge(n, pairs, count
         for side in want:
             assert (Counter(frozenset(r.items()) for r in read[side])
                     == Counter(frozenset(r.items()) for r in want[side])), (pos, side)
-    assert lines.count(LAST_COUNT) == (1 if count and interior else 0)
+    assert [line for _, line in lines].count(LAST_COUNT) == (1 if count and interior else 0)
 
-    # entry starts with the admission (lambda fixed), then the edge sums and
-    # the rows on the boundary alone.
+    # entry starts with the admission of mu and nu (lambda fixed), then the
+    # mu and nu edge sums; search with that of lam, then the lam edge sums
+    # and the rows on the boundary alone; with pairs, entry sets both edges
+    # and checks those rows.
     # Part entries are weighted so that each partial sum reads back as the
     # set of entries it adds up; every boundary cell but the apex is set
     # once, to its value in boundary_flat
-    entry = functions["entry"]
-    assert entry[0] == ("entry(mu, nu):" if pairs else "entry(lam, mu, nu):")
-    admission = [] if pairs else admission_lines(n, count)
-    assert entry[1:1 + len(admission)] == admission
-    head = list(takewhile(lambda line: re.fullmatch(r"    (a\d+ = .*|if .*|    return.*)", line),
-                          entry[1 + len(admission):]))
+    assert entry[0] == "entry(mu, nu):"
+    indent = "    " if pairs else "        "
+    if pairs:
+        stage, search = [], entry[1:]
+    else:
+        opening, closing = admission_lines(n, count)
+        stage, search = entry[1:at], entry[at + 1:]
+        assert stage[:3] == opening and search[:3] == closing
+        stage, search = stage[3:], search[3:-1]
+        assert entry[-1] == "    return search"
+    head = list(takewhile(lambda line: re.fullmatch(rf"{indent}(a\d+ = .*|if .*|    return.*)", line),
+                          search))
     parts = {p: [1 << (n * s + i) for i in range(n)] for s, p in enumerate(("lam", "mu", "nu"))}
-    sums = dict(m.groups() for m in map(re.compile(r"    a(\d+) = (.*)").fullmatch, head) if m)
+    sums = dict(m.groups() for m in map(re.compile(rf"(?:    |{indent})a(\d+) = (.*)").fullmatch,
+                                        stage + head) if m)
+    assert len(sums) == len([line for line in stage + head if re.match(r" *a\d+ = ", line)])
+    assert all(re.match(r"    [ab]\d+ = ", line) for line in stage)
+    assert {int(k) for k in re.findall(r"    a(\d+) = ", "\n".join(stage))} == (
+        set() if pairs else staged)
 
     def value(expr):
         total = 0
@@ -276,31 +331,36 @@ def test_kernel_source_bounds_every_plan_row_and_sets_every_edge(n, pairs, count
         return total
 
     flat = boundary_flat(n, *parts.values())
-    assert len(sums) == len([line for line in head if re.match(r"    a\d+ = ", line)])
     assert ({int(k): value(expr) for k, expr in sums.items()}
             == {k: flat[k] for k in edge_cells(n, pairs)})
-    checks = [line for line in head if line.startswith("    if ")]
+    # search takes the stage's cells and constants as its defaults, each
+    # under its own name
+    if not pairs:
+        defaults = re.fullmatch(r"    def search\(lam, (.*)\):", entry[at])[1].split(", ")
+        assert defaults == [f"{v}={v}" for v in [*(f"a{k}" for k in sorted(staged)), *constants]]
+    checks = [line for line in head if line.startswith(f"{indent}if ")]
     assert all(line.endswith(" < 0:") for line in checks)
     assert [read_linear(line) for line in checks] == [{k: c for k, c in terms if k}
                                                        for terms in boundary_only]
-    assert [line for line in head if line.startswith("        ")] == (
-        ["        return 0" if count else "        return"] * len(checks))
+    assert [line for line in head if line.startswith(f"{indent}    ")] == (
+        [f"{indent}    return 0" if count else f"{indent}    return"] * len(checks))
     # then the search: counting returns the total, enumerating yields the
     # flat coordinates from the innermost loop
     if count:
-        assert entry[-1] == "    return total"
-        assert interior or entry[-2] == "    total += 1"
+        assert search[-1] == f"{indent}return total"
+        assert interior or search[-2] == f"{indent}total += 1"
     else:
         cells = ", ".join(f"a{k}" for k in range(1, triangle_size(n)))
-        assert [line for line in lines if line.startswith("yield (")] == [f"yield (0, {cells})"]
+        assert [line for _, line in lines if line.startswith("yield (")] == [f"yield (0, {cells})"]
 
 
 @pytest.mark.parametrize("count", [True, False])
 @pytest.mark.parametrize("n", range(1, 13))
 def test_kernel_nests_one_loop_per_entry_split_only_at_the_block_limit(n, count):
     """Each function's loops nest one inside the last, at most
-    counting._BLOCK_LIMIT deep; a full one ends by passing the locals placed
-    so far, in flat order, to _rest<p>, which goes on with fill place p."""
+    counting._BLOCK_LIMIT deep, entry's in search(lam), which it defines and
+    returns; a full one ends by passing the locals placed so far, in flat
+    order, to _rest<p>, which goes on with fill place p."""
     _row_bounds, interior, _boundary_only, _attached = counting._fill_plan(n)
     loops = len(interior) - (1 if count and interior else 0)
     functions = kernel_functions(n, count)
@@ -309,15 +369,19 @@ def test_kernel_nests_one_loop_per_entry_split_only_at_the_block_limit(n, count)
     assert n > 7 or len(functions) == 1
     place = 0
     for name, body in functions.items():
+        indent = 8 if name == "entry" else 4
         if name != "entry":
             args = ", ".join(f"a{k}" for k in sorted(edge_cells(n) + list(interior[:place])))
             assert body[0] == f"{name}({args}):"
             call = ("total += " if count else "yield from ") + f"{name}({args})"
-            assert previous[-2 if count else -1] == " " * (4 * (limit + 1)) + call
+            assert previous[-2 if count else -1] == " " * (4 * limit + previous_indent) + call
+        else:
+            assert body[-1] == "    return search"
+            body = body[:-1]
         depths = [(len(m[1]), int(m[2])) for m in map(LOOP.fullmatch, body) if m]
         assert [pos for _, pos in depths] == list(interior[:loops][place:place + limit])
-        assert [depth for depth, _ in depths] == [4 * d for d in range(1, len(depths) + 1)]
-        place, previous = place + len(depths), body
+        assert [depth for depth, _ in depths] == [indent + 4 * d for d in range(len(depths))]
+        place, previous, previous_indent = place + len(depths), body, indent
     assert place == loops
 
 
@@ -347,7 +411,7 @@ def test_deep_ranks_agree_with_tableaux(n, lam, mu, nu, expected):
     assert lr_coefficient(n, lam, mu, nu) == expected
     assert len(enumerate_hives(n, lam, mu, nu)) == expected
     padded = [pad(p, n) for p in (lam, mu, nu)]
-    assert sorted(_kernel(n, False)(*padded)) == list(row_major_hives(n, *padded))
+    assert sorted(fixed_lambda(n, False, *padded)) == list(row_major_hives(n, *padded))
 
 
 # Rank 7 enumerating and rank 8 both ways pass counting._BLOCK_LIMIT
@@ -362,7 +426,7 @@ def test_pairs_kernel_sums_the_fixed_lambda_kernel_over_lambda(n):
                 mu, nu = pad(mu, n), pad(nu, n)
                 assert count(mu, nu) == sum(lr_coefficient(n, lam, mu, nu) for lam in lams)
                 assert sorted(flats(mu, nu)) == sorted(
-                    f for lam in lams for f in _kernel(n, False)(lam, mu, nu))
+                    f for lam in lams for f in fixed_lambda(n, False, lam, mu, nu))
 
 
 @st.composite
@@ -470,12 +534,17 @@ def refused_triples(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_lambda_fixed_kernels_refuse_what_the_admission_refuses(n):
-    # called directly, with no wrapper's check in front
-    for triple in refused_triples(n):
-        assert _kernel(n, True)(*triple) == -1, triple
-        assert list(_kernel(n, False)(*triple)) == [], triple
+    # called directly, with no wrapper's check in front: the first stage
+    # refuses mu or nu, search(lam) the rest
+    for lam, mu, nu in refused_triples(n):
+        stage = is_dominant(mu) and is_dominant(nu)
+        for count in (True, False):
+            search = _kernel(n, count)(mu, nu)
+            assert (search is not None) == stage, (lam, mu, nu)
+        assert fixed_lambda(n, True, lam, mu, nu) == -1, (lam, mu, nu)
+        assert fixed_lambda(n, False, lam, mu, nu) == [], (lam, mu, nu)
     # and the same parts, admitted, still count
-    assert _kernel(n, True)(pad((2,), n), pad((1,), n), pad((1,), n)) == 1
+    assert fixed_lambda(n, True, pad((2,), n), pad((1,), n), pad((1,), n)) == 1
 
 
 def test_lr_coefficient_checks_the_partitions_only_of_a_refused_triple(monkeypatch):
@@ -498,6 +567,94 @@ def test_lr_coefficient_builds_only_the_kernel_of_the_least_rank(monkeypatch):
     # enumerating at rank 8 builds its own kernel, but no rank-8 count kernel
     assert len(enumerate_hives(8, (2, 1), (1,), (1, 1))) == 1
     assert built == [(2, True), (8, False)]
+
+
+def dressed(parts, kind):
+    """parts as a tuple or list of ints, a tuple of floats, or a tuple with
+    each 0 or 1 a bool: equal parts of other types."""
+    return {"tuple": tuple, "list": list,
+            "float": lambda p: tuple(map(float, p)),
+            "bool": lambda p: tuple(bool(v) if v <= 1 else v for v in p)}[kind](parts)
+
+
+KINDS = st.sampled_from(["tuple", "list", "float", "bool"])
+
+
+@st.composite
+def call_sequences(draw):
+    """Calls of lr_coefficient that sweep lambda over a few (mu, nu) pairs
+    at ranks 1 to 6, interleaved: the pool holds each pair in one or more
+    dressings, so the same objects recur and equal ones of other types
+    follow them; a pair may be swapped, and lambda is any partition of the
+    size, so its length, the rank counted at, varies within a sweep."""
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 6))
+        mu, nu = (draw(st.sampled_from(partitions_of(draw(st.integers(0, 4)), n)))
+                  for _ in range(2))
+        pool += [(n, dressed(mu, kind), dressed(nu, kind))
+                 for kind in draw(st.lists(KINDS, min_size=1, max_size=3))]
+    calls = []
+    for _ in range(draw(st.integers(1, 12))):
+        n, mu, nu = draw(st.sampled_from(pool))
+        if draw(st.booleans()):
+            mu, nu = nu, mu
+        lam = draw(st.sampled_from(partitions_of(int(sum(mu) + sum(nu)), n)))
+        calls.append((n, dressed(lam, draw(KINDS)), mu, nu))
+    return calls
+
+
+def outcome(call):
+    """What lr_coefficient gives for call: the result and its type, or the
+    error's type and message."""
+    try:
+        c = lr_coefficient(*call)
+    except Exception as err:
+        return type(err), str(err)
+    return type(c), c
+
+
+@settings(max_examples=200)
+@given(call_sequences())
+@example([(4, (3, 2, 1), (2, 1), (2, 1)), (4, (3, 2, 1), (2.0, 1.0), (2, 1))])
+def test_a_coefficient_never_depends_on_earlier_calls(calls):
+    # lr_coefficient keeps each rank's last first stage; every call must
+    # give what it gives with nothing kept (2.0, not 2, in the example: an
+    # equal mu of ints came just before)
+    counting._count_entry.cache_clear()
+    kept = [outcome(call) for call in calls]
+    fresh = []
+    for call in calls:
+        counting._count_entry.cache_clear()
+        fresh.append(outcome(call))
+    assert kept == fresh
+
+
+def test_a_call_made_while_a_stage_is_built_leaves_no_mismatched_slot(monkeypatch):
+    # a second call at the same rank runs while the first call's stage is
+    # built, as another thread might: neither may leave the rank's slot
+    # pairing one call's mu and nu with the other's stage
+    lam, (mu, nu), (mu2, nu2) = (3, 2, 1), ((2, 1), (2, 1)), ((3, 1), (1, 1))
+    kernel, inner = counting._kernel, []
+
+    def interrupted(*args):
+        entry = kernel(*args)
+
+        def stage(*parts):
+            if not inner:
+                inner.append(None)
+                inner[0] = lr_coefficient(3, lam, mu2, nu2)
+            return entry(*parts)
+        return stage
+
+    monkeypatch.setattr(counting, "_kernel", interrupted)
+    counting._count_entry.cache_clear()
+    want = lr_via_tableaux(3, lam, mu, nu), lr_via_tableaux(3, lam, mu2, nu2)
+    assert want == (2, 1)
+    assert lr_coefficient(3, lam, mu, nu) == want[0]
+    assert inner == [want[1]]
+    assert (lr_coefficient(3, lam, mu2, nu2), lr_coefficient(3, lam, mu, nu)) == want[::-1]
+    counting._count_entry.cache_clear()
 
 
 @st.composite

@@ -198,6 +198,23 @@ def test_rank_mismatch_is_rejected():
         var(2, "x", 1, 1) * var(3, "x", 1, 1)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: Polynomial(3.0), "rank 3.0 is not an integer"),
+    (lambda: Polynomial(-1), "rank must be >= 1"),
+    (lambda: Polynomial.one(0), "rank must be >= 1"),
+    (lambda: Polynomial.one(3.0), "rank 3.0 is not an integer"),
+    (lambda: Polynomial("3") + Polynomial.one(3), "rank '3' is not an integer"),
+    (lambda: Polynomial.variable(3.0, "x", 1, 1), "rank 3.0 is not an integer"),
+], ids=["float", "negative", "zero", "float-one", "str", "float-variable"])
+def test_rank_is_a_positive_integer(make, message):
+    # read through shapes._integer on construction: a float rank would
+    # fail only at rendering or on a shift, and "3" would read as a rank
+    # mismatch 3 != 3
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
+
+
 def test_render_monomial_constant():
     assert render_monomial(2, monomial_exponents(2, [])) == "1"
     assert render_monomial(2, Polynomial.one(2).leading_term()[0]) == "1"
