@@ -206,6 +206,12 @@ def _kernel_source(n: int, count: bool, pairs: bool = False) -> str:
     functions = [body + indent(start)]
     placed, loops = sorted(edges), 0
     for place, (pos, rows_k) in enumerate(zip(interior, attached)):
+        last = count and place == len(interior) - 1
+        if loops == _BLOCK_LIMIT and not last:
+            args = ", ".join(map(local, placed))
+            functions[-1] += indent([f"{call}_rest{place}({args})"], loops) + indent(end)
+            depth, loops = 1, 0
+            functions.append([f"def _rest{place}({args}):", *indent(start)])
         low, high = [], []
         for coeff, rest in rows_k:
             _require_unit((coeff, *(c for _, c in rest)), f"a row on a[{pos}]")
@@ -217,12 +223,6 @@ def _kernel_source(n: int, count: bool, pairs: bool = False) -> str:
             (low if coeff == 1 else high).append(bound)
         if not low or not high:
             raise ValueError(f"free entry a[{pos}] has an unbounded interval")
-        last = count and place == len(interior) - 1
-        if loops == _BLOCK_LIMIT and not last:
-            args = ", ".join(map(local, placed))
-            functions[-1] += indent([f"{call}_rest{place}({args})"], loops) + indent(end)
-            depth, loops = 1, 0
-            functions.append([f"def _rest{place}({args}):", *indent(start)])
         step = ("if hi >= lo: total += hi - lo + 1" if last
                 else f"for {local(pos)} in range(lo, hi + 1):")
         functions[-1] += indent([*_interval("lo", low, ">"), *_interval("hi", high, "<"), step],

@@ -233,12 +233,15 @@ def fixed_lambda(n, count, lam, mu, nu):
     return search(lam) if count else list(search(lam))
 
 
-# Both plans: fixing lambda for n = 1..6, and freeing it (the pairs
-# kernel, ids "pairs<n>") for n = 1..12, whose nest passes the block limit
-# from rank 7 enumerating and rank 8 counting.
-PLANS = dict(argnames="n, pairs", argvalues=[(n, False) for n in range(1, 7)]
+# Both plans: fixing lambda for n = 1..6, and at ranks 23 and 24, whose
+# entry at fill place _BLOCK_LIMIT (the first of _rest20) has bounds over
+# mu/nu cells alone; and freeing it (the pairs kernel, ids "pairs<n>") for
+# n = 1..12, whose nest passes the block limit from rank 7 enumerating and
+# rank 8 counting.
+FIXED = [*range(1, 7), 23, 24]
+PLANS = dict(argnames="n, pairs", argvalues=[(n, False) for n in FIXED]
              + [(n, True) for n in range(1, 13)],
-             ids=[str(n) for n in range(1, 7)] + [f"pairs{n}" for n in range(1, 13)])
+             ids=[str(n) for n in FIXED] + [f"pairs{n}" for n in range(1, 13)])
 
 
 @pytest.mark.parametrize("count", [True, False])
@@ -397,7 +400,8 @@ def test_kernel_rejects_coefficients_other_than_one(monkeypatch):
 
 # Rank 8 enumerating is the first search to pass counting._BLOCK_LIMIT
 # nested loops; ranks 9 and 10 cross it once in both kernels and rank 11
-# twice.
+# twice.  At ranks 23 and 24 the first entry of _rest20 has bounds over
+# mu/nu cells alone, which it reads inline, not from the first stage.
 @pytest.mark.parametrize("n, lam, mu, nu, expected", [
     (8, (6, 4, 3, 2, 2, 1, 1), (4, 3, 2, 1), (3, 2, 2, 1, 1), 10),
     (8, (4, 3, 2, 2, 1, 1, 1, 1), (3, 2, 1, 1), (2, 2, 1, 1, 1, 1), 4),
@@ -405,6 +409,8 @@ def test_kernel_rejects_coefficients_other_than_one(monkeypatch):
     (9, (4, 3, 3, 2, 2, 1, 1, 1, 1), (3, 2, 1, 1, 1), (2, 2, 2, 1, 1, 1, 1), 4),
     (10, (5, 3, 3, 2, 2, 1, 1, 1, 1), (3, 2, 2, 1, 1, 1), (3, 2, 1, 1, 1, 1), 6),
     (11, (5, 3, 3, 2, 2, 2, 1, 1, 1, 1), (3, 2, 2, 1, 1, 1, 1), (3, 2, 1, 1, 1, 1, 1), 6),
+    (23, (1,) * 23, (1,) * 22, (1,), 1),
+    (24, (2,) + (1,) * 22, (1,) * 23, (1,), 1),
 ])
 def test_deep_ranks_agree_with_tableaux(n, lam, mu, nu, expected):
     assert lr_via_tableaux(n, lam, mu, nu) == expected
